@@ -20,9 +20,6 @@ from .divisors import (
     compare_nonclosed,
     ideal_contains,
     is_antinef,
-    mixed_divisor_floor,
-    mmi_at,
-    mmi_left_limit,
     parse_point,
     unload_once,
 )
@@ -30,8 +27,6 @@ from .graph import (
     Classification,
     DualGraph,
     IdealDivisorSet,
-    classify_components,
-    excesses,
     relative_canonical,
     validate_graph,
 )
@@ -51,6 +46,7 @@ from .regions import (
     CFacet,
     ConstancyRecord,
     EnumerationResult,
+    PointContext,
     RegionEngine,
     RegionPolytope,
     WallInequality,
@@ -70,16 +66,11 @@ __all__ = [
     "compare_nonclosed",
     "ideal_contains",
     "is_antinef",
-    "mixed_divisor_floor",
-    "mmi_at",
-    "mmi_left_limit",
     "parse_point",
     "unload_once",
     "Classification",
     "DualGraph",
     "IdealDivisorSet",
-    "classify_components",
-    "excesses",
     "relative_canonical",
     "validate_graph",
     "build_ideals",
@@ -99,6 +90,7 @@ __all__ = [
     "CFacet",
     "ConstancyRecord",
     "EnumerationResult",
+    "PointContext",
     "RegionEngine",
     "RegionPolytope",
     "WallInequality",

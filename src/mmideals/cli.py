@@ -24,15 +24,9 @@ import traceback
 from fractions import Fraction
 
 from . import io as reportio
-from .divisors import mmi_left_limit
 from .errors import MMIError, PreconditionViolated
 from .graph import relative_canonical
-from .jumping import (
-    minimal_jumping_divisor,
-    verify_contribution_dichotomy,
-    verify_jump_identity,
-    verify_numeric_conditions,
-)
+from .jumping import verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
 from .regions import RegionEngine
 from .svg import render_walls
 
@@ -118,8 +112,8 @@ def _cmd_mmi(args, fmt: str):
         "divisor": reportio.divisor_json(divisor),
         "components": list(engine.graph.ids),
     }
-    if any(c != 0 for c in point):
-        left = mmi_left_limit(engine.ideals, engine.canonical, point)
+    if any(point):
+        left = engine.at(point).left
         payload["left_limit"] = reportio.divisor_json(left)
         payload["jumping"] = left != divisor
     if fmt == "text":
@@ -150,12 +144,6 @@ def _cmd_region(args, fmt: str):
     return reportio.dump_json(payload)
 
 
-def _run_box(args):
-    engine = _engine(args)
-    box = _split_list(_require(args, "box", "--box"), "--box")
-    return engine.enumerate_constancy_regions(box)
-
-
 def _enumeration_text(result) -> str:
     lines = []
     for rec in result.records:
@@ -165,31 +153,24 @@ def _enumeration_text(result) -> str:
             f"facets {len(rec.cfacets)}"
         )
     lines.append(f"representatives: {len(result.representatives)}")
-    lines.append(f"distinct ideals: {result.distinct_divisors()}")
+    lines.append(f"distinct ideals: {len(result.records)}")
     for warning in result.warnings:
         lines.append(f"warning: {warning}")
     return "\n".join(lines) + "\n"
 
 
-def _cmd_enumerate(args, fmt: str):
-    result = _run_box(args)
+def _cmd_walk(args, fmt: str):
+    """`enumerate` and `walls`: the same walk, told apart only by the
+    default format and the payload's `command`."""
+    engine = _engine(args)
+    box = _split_list(_require(args, "box", "--box"), "--box")
+    result = engine.enumerate_constancy_regions(box)
     if fmt == "svg":
         return render_walls(result)
     if fmt == "text":
         return _enumeration_text(result)
     payload = reportio.enumeration_json(result)
-    payload["command"] = "enumerate"
-    return reportio.dump_json(payload)
-
-
-def _cmd_walls(args, fmt: str):
-    result = _run_box(args)
-    if fmt == "svg":
-        return render_walls(result)
-    if fmt == "text":
-        return _enumeration_text(result)
-    payload = reportio.enumeration_json(result)
-    payload["command"] = "walls"
+    payload["command"] = args.command
     return reportio.dump_json(payload)
 
 
@@ -215,8 +196,8 @@ def _cmd_jumping_numbers(args, fmt: str):
 def _cmd_min_jumping_divisor(args, fmt: str):
     engine = _engine(args)
     lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
-    point = engine.point(lam)
-    gmin = minimal_jumping_divisor(engine.ideals, engine.canonical, point)
+    context = engine.at(lam)
+    point, gmin = context.coords, context.gmin
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
     payload = {
@@ -229,7 +210,7 @@ def _cmd_min_jumping_divisor(args, fmt: str):
             for cid, (normal, constant) in gmin.hyperplanes.items()
         },
         "divisor_at": reportio.divisor_json(engine.mmi(point)),
-        "left_limit": reportio.divisor_json(engine.left_limit(point)),
+        "left_limit": reportio.divisor_json(context.left),
     }
     return reportio.dump_json(payload)
 
@@ -239,9 +220,9 @@ def _cmd_verify(args, fmt: str):
     lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
     point = engine.point(lam)
     reports = [
-        verify_jump_identity(engine.ideals, engine.canonical, point),
-        verify_numeric_conditions(engine.ideals, engine.canonical, point),
-        verify_contribution_dichotomy(engine.ideals, engine.canonical, point),
+        verify_jump_identity(engine, point),
+        verify_numeric_conditions(engine, point),
+        verify_contribution_dichotomy(engine, point),
     ]
     all_passed = all(r.passed for r in reports)
     if fmt == "text":
@@ -277,8 +258,8 @@ _COMMANDS = {
     "canonical": _cmd_canonical,
     "mmi": _cmd_mmi,
     "region": _cmd_region,
-    "enumerate": _cmd_enumerate,
-    "walls": _cmd_walls,
+    "enumerate": _cmd_walk,
+    "walls": _cmd_walk,
     "jumping-numbers": _cmd_jumping_numbers,
     "min-jumping-divisor": _cmd_min_jumping_divisor,
     "verify": _cmd_verify,

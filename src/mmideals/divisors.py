@@ -1,4 +1,4 @@
-"""Divisor arithmetic: floors, unloading, antinef closures, mixed ideals.
+"""Divisor arithmetic: floors, unloading, antinef closures.
 
 The central object is the antinef closure: the least antinef divisor with
 integer coefficients dominating a given one.  It is computed by Enriques'
@@ -10,7 +10,8 @@ fixed point is independent of sweep order.
 Mixed multiplier ideals are then a two-liner: the ideal at a point lam of the
 nonnegative orthant is encoded by the antinef closure of
 floor(sum_i lam_i F_i - K), and the ideal just before lam (the "left limit")
-by the same expression with floors nudged down at integer values.
+by the same expression with floors nudged down at integer values.  Both live
+on the per-point context `RegionEngine.at(lam)` in :mod:`mmideals.regions`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .errors import (
     NonIntegralDivisor,
     NonTermination,
     PreconditionViolated,
-    ZeroPoint,
 )
-from .graph import DualGraph, IdealDivisorSet, _as_fraction
+from .graph import DualGraph, _as_fraction
 
 __all__ = [
     "Divisor",
@@ -40,9 +40,6 @@ __all__ = [
     "antinef_closure",
     "ideal_contains",
     "compare_nonclosed",
-    "mixed_divisor_floor",
-    "mmi_at",
-    "mmi_left_limit",
     "parse_point",
 ]
 
@@ -182,15 +179,15 @@ def _max_unload_iters() -> int:
     return value
 
 
-def antinef_closure(divisor: Divisor, max_iters: int | None = None) -> Divisor:
+def antinef_closure(divisor: Divisor) -> Divisor:
     """Least integral antinef divisor dominating `divisor`.
 
     Iterates :func:`unload_once` to its fixed point.  The iteration count is
-    capped (argument, else the MMI_MAX_UNLOAD_ITERS environment variable,
-    else 10**6); hitting the cap raises NonTermination with the trace length,
-    since on valid negative definite input the loop always terminates.
+    capped (the MMI_MAX_UNLOAD_ITERS environment variable, else 10**6);
+    hitting the cap raises NonTermination with the trace length, since on
+    valid negative definite input the loop always terminates.
     """
-    cap = max_iters if max_iters is not None else _max_unload_iters()
+    cap = _max_unload_iters()
     current = divisor.ceil()
     for _ in range(cap):
         bumped = unload_once(current)
@@ -277,53 +274,3 @@ def parse_point(lam, r: int) -> tuple[Fraction, ...]:
     if any(c < 0 for c in coords):
         raise PreconditionViolated("lambda must lie in the nonnegative orthant")
     return coords
-
-
-def _value_rows(ideals: IdealDivisorSet, canonical: Divisor, lam: Sequence[Fraction]):
-    """Per-component pairs (form, q): form = sum_i lam_i e_{i,j} and
-    q = form - k_j."""
-    rows = []
-    for j in range(ideals.graph.n_total):
-        form = ideals.value(lam, j)
-        rows.append((form, form - canonical.coeffs[j]))
-    return rows
-
-
-def mixed_divisor_floor(ideals: IdealDivisorSet, canonical: Divisor, lam) -> Divisor:
-    """floor(sum_i lam_i F_i - K), the non-closed divisor whose closure
-    encodes the mixed multiplier ideal at lam."""
-    coords = parse_point(lam, ideals.r)
-    rows = _value_rows(ideals, canonical, coords)
-    return Divisor(ideals.graph, [Fraction(math.floor(q)) for _, q in rows])
-
-
-def mmi_at(ideals: IdealDivisorSet, canonical: Divisor, lam) -> Divisor:
-    """Antinef divisor encoding the mixed multiplier ideal at lam."""
-    return antinef_closure(mixed_divisor_floor(ideals, canonical, lam))
-
-
-def left_floor(form: Fraction, q: Fraction) -> Fraction:
-    """floor of q "just before" lam along the ray: q - 1 at integers whose
-    weighted multiplicity form is positive, plain floor otherwise.
-
-    This is the exact epsilon -> 0+ limit of floor((1-eps) * form - k):
-    coordinates with form = 0 never move, so they keep their plain floor.
-    """
-    if q.denominator == 1 and form > 0:
-        return q - 1
-    return Fraction(math.floor(q))
-
-
-def _left_floor_divisor(ideals: IdealDivisorSet, canonical: Divisor, coords) -> Divisor:
-    rows = _value_rows(ideals, canonical, coords)
-    return Divisor(ideals.graph, [left_floor(form, q) for form, q in rows])
-
-
-def mmi_left_limit(ideals: IdealDivisorSet, canonical: Divisor, lam) -> Divisor:
-    """Antinef divisor of the ideal at (1 - eps) * lam for eps -> 0+.
-
-    Undefined at the origin (there is nothing to the left of 0)."""
-    coords = parse_point(lam, ideals.r)
-    if all(c == 0 for c in coords):
-        raise ZeroPoint("left limit undefined at the origin")
-    return antinef_closure(_left_floor_divisor(ideals, canonical, coords))

@@ -16,6 +16,8 @@ to intersection products through the components they cross.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,8 +38,6 @@ __all__ = [
     "IdealDivisorSet",
     "validate_graph",
     "relative_canonical",
-    "excesses",
-    "classify_components",
     "Classification",
 ]
 
@@ -190,12 +190,21 @@ class DualGraph:
         return coeffs
 
 
+def _list_of(value, kind, what: str):
+    """`value` checked to be a list whose entries are all `kind`: objects
+    (dict) for components and ideals, pairs (list or tuple) for edges."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+        noun = "objects" if kind is dict else "pairs"
+        raise PreconditionViolated(f"{what} must be a list of {noun}")
+    return value
+
+
 def validate_graph(raw: Mapping) -> DualGraph:
     """Validate raw graph data (parsed JSON) and build a :class:`DualGraph`.
 
-    Checks, in order: unique ids, edges/arrows referencing known components,
-    the exceptional graph being a tree, and negative definiteness of the
-    intersection matrix.
+    Checks, in order: the JSON shape, unique ids, edges/arrows referencing
+    known components, the exceptional graph being a tree, and negative
+    definiteness of the intersection matrix.
     """
     exc_raw = raw.get("exceptional")
     if not exc_raw:
@@ -203,7 +212,7 @@ def validate_graph(raw: Mapping) -> DualGraph:
 
     exc_ids: list[str] = []
     self_int: list[int] = []
-    for entry in exc_raw:
+    for entry in _list_of(exc_raw, dict, "'exceptional'"):
         cid = entry.get("id")
         if not isinstance(cid, str) or not cid:
             raise PreconditionViolated(f"exceptional component without a usable id: {entry!r}")
@@ -215,13 +224,13 @@ def validate_graph(raw: Mapping) -> DualGraph:
 
     aff_ids: list[str] = []
     aff_meets_ids: list[list[str]] = []
-    for entry in raw.get("affine", []):
+    for entry in _list_of(raw.get("affine", []), dict, "'affine'"):
         cid = entry.get("id")
         if not isinstance(cid, str) or not cid:
             raise PreconditionViolated(f"affine component without a usable id: {entry!r}")
         meets = entry.get("meets", [])
-        if not isinstance(meets, (list, tuple)) or not meets:
-            raise PreconditionViolated(f"{cid}: affine component must cross at least one exceptional component")
+        if not isinstance(meets, (list, tuple)) or not meets or not all(isinstance(m, str) for m in meets):
+            raise PreconditionViolated(f"{cid}: affine component must cross at least one exceptional component id")
         aff_ids.append(cid)
         aff_meets_ids.append(list(meets))
 
@@ -235,9 +244,9 @@ def validate_graph(raw: Mapping) -> DualGraph:
 
     edges: list[tuple[int, int]] = []
     edge_set: set[tuple[int, int]] = set()
-    for pair in raw.get("edges", []):
-        if len(pair) != 2:
-            raise PreconditionViolated(f"edge must join exactly two components: {pair!r}")
+    for pair in _list_of(raw.get("edges", []), (list, tuple), "'edges'"):
+        if len(pair) != 2 or not all(isinstance(cid, str) for cid in pair):
+            raise PreconditionViolated(f"edge must join exactly two component ids: {pair!r}")
         a, b = pair
         for cid in (a, b):
             if cid not in exc_index:
@@ -343,6 +352,7 @@ class IdealDivisorSet:
         self.r = len(checked)
         # rho[i][j]: excess of F_i at the j-th exceptional component.
         self.excess = tuple(tuple(graph.excess_vector(d.coeffs)) for d in self.divisors)
+        self._total = functools.reduce(operator.add, self.divisors)
 
     def __repr__(self):
         return f"IdealDivisorSet({', '.join(self.names)})"
@@ -350,10 +360,7 @@ class IdealDivisorSet:
     def total(self):
         """Sum of the ideal divisors; its support bounds reduced jumping
         divisor candidates."""
-        total = self.divisors[0]
-        for d in self.divisors[1:]:
-            total = total + d
-        return total
+        return self._total
 
     def is_m_primary(self) -> bool:
         """True when every ideal divisor is purely exceptional."""
@@ -365,15 +372,11 @@ class IdealDivisorSet:
         return sum((lam[i] * self.divisors[i].coeffs[j] for i in range(self.r)), Fraction(0))
 
 
-def excesses(graph: DualGraph, ideals: IdealDivisorSet) -> tuple[tuple[Fraction, ...], ...]:
-    """Excess table rho[i][j] = -F_i . E_j (already validated nonnegative)."""
-    if ideals.graph != graph:
-        raise GraphMismatch("excess table requested for a foreign graph")
-    return ideals.excess
-
-
 class Classification:
-    """Rupture, dicritical, and wall-relevant exceptional components."""
+    """Tag exceptional components: rupture (three or more exceptional
+    neighbors), dicritical (positive excess for some ideal), and their union,
+    which is where region walls can live.  Affine arrows never make a
+    component rupture."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
         rupture = [i for i in range(graph.n_exc) if len(graph.exc_adj[i]) >= 3]
@@ -390,13 +393,3 @@ class Classification:
             "dicritical": tuple(graph.exc_ids[i] for i in self.dicritical),
             "wall_relevant": tuple(graph.exc_ids[i] for i in self.wall_relevant),
         }
-
-
-def classify_components(graph: DualGraph, ideals: IdealDivisorSet) -> Classification:
-    """Tag exceptional components: rupture (three or more exceptional
-    neighbors), dicritical (positive excess for some ideal), and their union,
-    which is where region walls can live.  Affine arrows never make a
-    component rupture."""
-    if ideals.graph != graph:
-        raise GraphMismatch("classification requested for a foreign graph")
-    return Classification(graph, ideals)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .divisors import Divisor
 from .errors import PreconditionViolated
-from .graph import DualGraph, IdealDivisorSet, validate_graph
+from .graph import DualGraph, IdealDivisorSet, _list_of, validate_graph
 from .regions import CFacet, ConstancyRecord, EnumerationResult, RegionPolytope, WallInequality
 
 __all__ = [
@@ -59,8 +59,10 @@ def build_ideals(graph: DualGraph, raw_ideals) -> IdealDivisorSet:
         raise PreconditionViolated("input needs at least one ideal")
     names = []
     divisors = []
-    for pos, entry in enumerate(raw_ideals):
+    for pos, entry in enumerate(_list_of(raw_ideals, dict, "'ideals'")):
         name = entry.get("name", f"a{pos + 1}")
+        if not isinstance(name, str):
+            raise PreconditionViolated(f"ideal name must be a string, got {name!r}")
         mult = entry.get("mult")
         if not isinstance(mult, dict):
             raise PreconditionViolated(f"ideal {name!r}: 'mult' must be an object")
@@ -130,7 +132,7 @@ def enumeration_json(result: EnumerationResult) -> dict:
         "records": [record_json(r) for r in result.records],
         "representatives": [point_json(p) for p in result.representatives],
         "queue": [point_json(p) for p in result.queue],
-        "distinct_ideals": result.distinct_divisors(),
+        "distinct_ideals": len(result.records),
         "m_primary": result.m_primary,
         "warnings": list(result.warnings),
     }

@@ -13,6 +13,10 @@ divisor so that the resulting ideal climbs all the way back to the left
 limit.  The verifiers below re-check the theorems behind that sentence on
 concrete points; they exist so that test suites (and the CLI) can confirm
 the algebraic and the combinatorial routes agree.
+
+Every function takes a :class:`~mmideals.regions.RegionEngine` and a point,
+and reads the floors, closures and left limits from the engine's cached
+per-point context `engine.at(lam)`, so each is computed once per point.
 """
 
 from __future__ import annotations
@@ -21,18 +25,9 @@ import enum
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .divisors import (
-    Divisor,
-    _left_floor_divisor,
-    _value_rows,
-    antinef_closure,
-    mixed_divisor_floor,
-    mmi_at,
-    mmi_left_limit,
-    parse_point,
-)
+from .divisors import Divisor, antinef_closure
 from .errors import (
     CandidateExplosion,
     DanglingReference,
@@ -42,7 +37,10 @@ from .errors import (
     PreconditionViolated,
     ZeroPoint,
 )
-from .graph import Classification, IdealDivisorSet
+from .graph import IdealDivisorSet
+
+if TYPE_CHECKING:
+    from .regions import RegionEngine
 
 __all__ = [
     "Contribution",
@@ -61,14 +59,14 @@ __all__ = [
 SUBSET_CAP = 2**16
 
 
-def is_jumping_point(ideals: IdealDivisorSet, canonical: Divisor, lam) -> bool:
+def is_jumping_point(engine: RegionEngine, lam) -> bool:
     """True when the ideal at lam differs from the ideal just before it.
 
     Raises ZeroPoint at the origin, where there is no left limit."""
-    coords = parse_point(lam, ideals.r)
-    if all(c == 0 for c in coords):
+    context = engine.at(lam)
+    if not any(context.coords):
         raise ZeroPoint("the origin is not eligible as a jumping point")
-    return mmi_left_limit(ideals, canonical, coords) != mmi_at(ideals, canonical, coords)
+    return context.left != context.divisor
 
 
 class MinimalJumpingDivisor:
@@ -123,26 +121,26 @@ def _connected_parts(graph, members: list[int]) -> list[list[int]]:
     return parts
 
 
-def minimal_jumping_divisor(ideals: IdealDivisorSet, canonical: Divisor, lam) -> MinimalJumpingDivisor:
+def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
     """Compute the minimal jumping divisor at a jumping point.
 
     Membership is the value equation against the left-limit divisor; the
     structural invariants (values in Z_{>0}, ends of every connected block
     rupture or dicritical) are validated before returning.  Affine members
     are legitimate: they carry the jumps of the affine coordinates and count
-    as valuation-carrying ends.
+    as valuation-carrying ends.  `engine.at(lam).gmin` caches the result.
     """
-    coords = parse_point(lam, ideals.r)
-    if all(c == 0 for c in coords):
+    context = engine.at(lam)
+    coords = context.coords
+    if not any(coords):
         raise ZeroPoint("the origin carries no jumping divisor")
-    graph = ideals.graph
-    left = mmi_left_limit(ideals, canonical, coords)
-    at = mmi_at(ideals, canonical, coords)
-    if left == at:
+    ideals, graph = engine.ideals, engine.graph
+    left = context.left
+    if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
 
     total = ideals.total()
-    rows = _value_rows(ideals, canonical, coords)
+    rows = context.rows
     members: list[int] = []
     hyperplanes: dict[str, tuple[tuple[int, ...], Fraction]] = {}
     for j in range(graph.n_total):
@@ -165,8 +163,7 @@ def minimal_jumping_divisor(ideals: IdealDivisorSet, canonical: Divisor, lam) ->
         graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members
     }
 
-    classification = Classification(graph, ideals)
-    relevant = set(classification.wall_relevant)
+    relevant = set(engine.classification.wall_relevant)
     # An exceptional end may also be crossed by an affine component that
     # carries multiplicity; that crossing plays the dicritical role when the
     # ideals are not m-primary.
@@ -222,7 +219,7 @@ def _reduced_divisor(ideals: IdealDivisorSet, component_ids: Sequence[str]) -> l
     return sorted(members)
 
 
-def contributes(ideals: IdealDivisorSet, canonical: Divisor, component_ids: Sequence[str], lam) -> Contribution:
+def contributes(engine: RegionEngine, component_ids: Sequence[str], lam) -> Contribution:
     """Does the reduced divisor G on the given components contribute to the
     ideal at lam, and if so, critically?
 
@@ -231,17 +228,16 @@ def contributes(ideals: IdealDivisorSet, canonical: Divisor, component_ids: Sequ
     sum_i lam_i e_{i,j} - k_j is not an integer make the question meaningless
     and raise IntegralityViolated.
     """
-    coords = parse_point(lam, ideals.r)
+    context = engine.at(lam)
+    ideals = engine.ideals
     members = _reduced_divisor(ideals, component_ids)
-    rows = _value_rows(ideals, canonical, coords)
     for j in members:
-        _, q = rows[j]
+        _, q = context.rows[j]
         if q.denominator != 1:
             raise IntegralityViolated(
                 f"value {q} at {ideals.graph.ids[j]} is not an integer"
             )
-    floor_div = mixed_divisor_floor(ideals, canonical, coords)
-    at = antinef_closure(floor_div)
+    floor_div, at = context.floor, context.divisor
     full = antinef_closure(floor_div - _indicator_divisor(ideals, members))
     if full == at:
         return Contribution.NO
@@ -290,18 +286,16 @@ def _fmt_divisor(d: Divisor) -> list[str]:
     return [str(c) for c in d.coeffs]
 
 
-def verify_jump_identity(ideals: IdealDivisorSet, canonical: Divisor, lam) -> VerificationReport:
+def verify_jump_identity(engine: RegionEngine, lam) -> VerificationReport:
     """Check both unloading identities that characterize the minimal jumping
     divisor G at a jumping point: the closure of (left-limit divisor + G) and
     of (left floor + G) must each equal the divisor at lam."""
-    coords = parse_point(lam, ideals.r)
-    gmin = minimal_jumping_divisor(ideals, canonical, coords)
-    at = mmi_at(ideals, canonical, coords)
-    left = mmi_left_limit(ideals, canonical, coords)
-    left_floor = _left_floor_divisor(ideals, canonical, coords)
+    context = engine.at(lam)
+    gmin = context.gmin
+    at, left = context.divisor, context.left
 
     from_closed = antinef_closure(left + gmin.divisor)
-    from_floor = antinef_closure(left_floor + gmin.divisor)
+    from_floor = antinef_closure(context.left_floor + gmin.divisor)
     checks = [
         Check(
             "closure(left_limit + G) == divisor_at",
@@ -319,10 +313,10 @@ def verify_jump_identity(ideals: IdealDivisorSet, canonical: Divisor, lam) -> Ve
             {"left": _fmt_divisor(left), "at": _fmt_divisor(at)},
         ),
     ]
-    return VerificationReport("jump_identity", coords, checks)
+    return VerificationReport("jump_identity", context.coords, checks)
 
 
-def verify_numeric_conditions(ideals: IdealDivisorSet, canonical: Divisor, lam) -> VerificationReport:
+def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     """Intersection-theoretic sanity of the minimal jumping divisor.
 
     For every exceptional member E_i of G the product
@@ -335,16 +329,14 @@ def verify_numeric_conditions(ideals: IdealDivisorSet, canonical: Divisor, lam) 
     neighbors included, with k = 0).  Both routes must agree on a nonnegative
     integer, zero unless E_i is rupture or dicritical.
     """
-    coords = parse_point(lam, ideals.r)
-    gmin = minimal_jumping_divisor(ideals, canonical, coords)
-    graph = ideals.graph
-    rows = _value_rows(ideals, canonical, coords)
-    floor_div = mixed_divisor_floor(ideals, canonical, coords)
+    context = engine.at(lam)
+    coords, rows = context.coords, context.rows
+    gmin = context.gmin
+    ideals, graph = engine.ideals, engine.graph
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
-    ceil_part = Divisor(graph, [-c for c in floor_div.coeffs])
+    ceil_part = Divisor(graph, [-c for c in context.floor.coeffs])
     with_g = ceil_part + gmin.divisor
-    classification = Classification(graph, ideals)
-    special = set(classification.wall_relevant)
+    special = set(engine.classification.wall_relevant)
 
     member_idx = [graph.index[cid] for cid in gmin.components]
     member_set = set(member_idx)
@@ -389,12 +381,10 @@ def verify_numeric_conditions(ideals: IdealDivisorSet, canonical: Divisor, lam) 
 
 
 def verify_contribution_dichotomy(
-    ideals: IdealDivisorSet,
-    canonical: Divisor,
+    engine: RegionEngine,
     lam,
     cap: int = SUBSET_CAP,
     sample_above_cap: bool = True,
-    seed: int = 0,
 ) -> VerificationReport:
     """Sweep reduced divisors on integral-valued components at a jumping
     point and check the dichotomy: every candidate ideal sits between the
@@ -406,14 +396,11 @@ def verify_contribution_dichotomy(
     report is flagged partial.  Passing sample_above_cap=False raises
     CandidateExplosion in that case.
     """
-    coords = parse_point(lam, ideals.r)
-    gmin = minimal_jumping_divisor(ideals, canonical, coords)
-    graph = ideals.graph
-    at = mmi_at(ideals, canonical, coords)
-    left = mmi_left_limit(ideals, canonical, coords)
-    floor_div = mixed_divisor_floor(ideals, canonical, coords)
+    context = engine.at(lam)
+    gmin = context.gmin
+    ideals, graph = engine.ideals, engine.graph
+    at, left, floor_div, rows = context.divisor, context.left, context.floor, context.rows
     total = ideals.total()
-    rows = _value_rows(ideals, canonical, coords)
 
     candidates = [
         j
@@ -431,7 +418,7 @@ def verify_contribution_dichotomy(
     elif sample_above_cap:
         # Sampling keeps the check useful without 2^n closures; anchor with
         # the empty and the full subset, which pin both sides of the iff.
-        rng = random.Random(seed)
+        rng = random.Random(0)
         universe = 1 << n
         masks = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
         partial = True
@@ -466,4 +453,4 @@ def verify_contribution_dichotomy(
             {"violations": bad_iff, "checked": count},
         )
     )
-    return VerificationReport("contribution_dichotomy", coords, checks, partial=partial)
+    return VerificationReport("contribution_dichotomy", context.coords, checks, partial=partial)

@@ -20,28 +20,23 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .divisors import (
-    Divisor,
-    _value_rows,
-    antinef_closure,
-    mmi_at,
-    mmi_left_limit,
-    parse_point,
-)
+from .divisors import Divisor, antinef_closure, parse_point
 from .errors import (
     DanglingReference,
     DimensionMismatch,
     GeometryDegeneracy,
-    GraphMismatch,
     InternalInvariant,
     NonTermination,
     PreconditionViolated,
     UnsupportedGeometry,
     ZeroDivisor,
+    ZeroPoint,
 )
-from .graph import Classification, DualGraph, IdealDivisorSet, _as_fraction, relative_canonical
+from .graph import Classification, IdealDivisorSet, _as_fraction, relative_canonical
+from .jumping import minimal_jumping_divisor
 
 __all__ = [
     "WallInequality",
@@ -49,6 +44,7 @@ __all__ = [
     "CFacet",
     "ConstancyRecord",
     "EnumerationResult",
+    "PointContext",
     "RegionEngine",
     "next_jumping_number",
 ]
@@ -171,9 +167,6 @@ class EnumerationResult:
         self.warnings = warnings
         self.m_primary = m_primary
 
-    def distinct_divisors(self) -> int:
-        return len(self.records)
-
     def record_for(self, divisor: Divisor) -> ConstancyRecord | None:
         for rec in self.records:
             if rec.divisor == divisor:
@@ -244,31 +237,65 @@ def _subtract_intervals(lo: Fraction, hi: Fraction, cuts: list[tuple[Fraction, F
 # -- the engine ---------------------------------------------------------------
 
 
+class PointContext:
+    """Everything asked at one point lam of the orthant.
+
+    Built by :meth:`RegionEngine.at`, which caches it.  Filled at once:
+    `coords`; the value `rows`, pairs (form, q) with form = sum_i lam_i e_{i,j}
+    and q = form - k_j per component; `floor` = floor(lam . F - K); and its
+    antinef closure `divisor`, which encodes the mixed multiplier ideal at lam.
+    Computed on first use: `left_floor`, its closure `left` (the ideal just
+    before lam along the ray) and the minimal jumping divisor `gmin`.  A walk
+    therefore pays one closure per point.
+    """
+
+    def __init__(self, engine: "RegionEngine", coords: Point):
+        self.engine = engine
+        self.coords = coords
+        self.rows = engine.value_rows(coords)
+        self.floor = Divisor(engine.graph, [math.floor(q) for _, q in self.rows])
+        self.divisor = antinef_closure(self.floor)
+
+    @cached_property
+    def left_floor(self) -> Divisor:
+        """floor of q "just before" lam: q - 1 at integers whose form is
+        positive, plain floor otherwise.  This is the exact eps -> 0+ limit
+        of floor((1 - eps) * form - k): coordinates with form = 0 never
+        move, so they keep their plain floor."""
+        return Divisor(
+            self.engine.graph,
+            [q - 1 if q.denominator == 1 and form > 0 else math.floor(q) for form, q in self.rows],
+        )
+
+    @cached_property
+    def left(self) -> Divisor:
+        """Antinef divisor of the ideal at (1 - eps) * lam for eps -> 0+.
+        Undefined at the origin (there is nothing to the left of 0)."""
+        if not any(self.coords):
+            raise ZeroPoint("left limit undefined at the origin")
+        return antinef_closure(self.left_floor)
+
+    @cached_property
+    def gmin(self):
+        """The minimal jumping divisor (see :mod:`mmideals.jumping`)."""
+        return minimal_jumping_divisor(self.engine, self.coords)
+
+
 class RegionEngine:
     """Bundles a graph, an ideal tuple and the relative canonical divisor,
     and answers all region-level questions about the family.
 
-    `include_affine_walls` additionally emits one hyperplane per affine
-    component carrying multiplicity; it is off by default because the wall
-    theorem only needs rupture and dicritical exceptional components for
-    m-primary tuples (reports expose `m_primary` so callers can tell when
-    that guarantee applies).
+    Walls come from rupture and dicritical exceptional components only: the
+    wall theorem needs no more for m-primary tuples (reports expose
+    `m_primary` so callers can tell when that guarantee applies).
     """
 
-    def __init__(
-        self,
-        ideals: IdealDivisorSet,
-        canonical: Divisor | None = None,
-        include_affine_walls: bool = False,
-    ):
+    def __init__(self, ideals: IdealDivisorSet):
         self.ideals = ideals
         self.graph = ideals.graph
-        self.canonical = canonical if canonical is not None else relative_canonical(self.graph)
-        if self.canonical.graph != self.graph:
-            raise GraphMismatch("canonical divisor lives on a different graph")
+        self.canonical = relative_canonical(self.graph)
         self.classification = Classification(self.graph, ideals)
-        self.include_affine_walls = include_affine_walls
-        self._mmi_cache: dict[Point, Divisor] = {}
+        self._points: dict[Point, PointContext] = {}
 
     @property
     def r(self) -> int:
@@ -279,16 +306,26 @@ class RegionEngine:
     def point(self, lam) -> Point:
         return parse_point(lam, self.r)
 
-    def mmi(self, lam) -> Divisor:
-        key = self.point(lam)
-        cached = self._mmi_cache.get(key)
-        if cached is None:
-            cached = mmi_at(self.ideals, self.canonical, key)
-            self._mmi_cache[key] = cached
-        return cached
+    def at(self, lam) -> PointContext:
+        """The cached per-point context at lam."""
+        coords = self.point(lam)
+        context = self._points.get(coords)
+        if context is None:
+            context = self._points[coords] = PointContext(self, coords)
+        return context
 
-    def left_limit(self, lam) -> Divisor:
-        return mmi_left_limit(self.ideals, self.canonical, self.point(lam))
+    def mmi(self, lam) -> Divisor:
+        return self.at(lam).divisor
+
+    def value_rows(self, coords: Point) -> list[tuple[Fraction, Fraction]]:
+        """Per-component pairs (form, q): form = sum_i lam_i e_{i,j} and
+        q = form - k_j."""
+        k = self.canonical.coeffs
+        rows = []
+        for j in range(self.graph.n_total):
+            form = self.ideals.value(coords, j)
+            rows.append((form, form - k[j]))
+        return rows
 
     def membership(self, lam_prime, lam) -> bool:
         """Does the ideal at lam_prime contain the ideal at lam?
@@ -300,7 +337,7 @@ class RegionEngine:
         """
         coords = self.point(lam_prime)
         divisor = self.mmi(lam)
-        rows = _value_rows(self.ideals, self.canonical, coords)
+        rows = self.value_rows(coords)
         return all(math.floor(q) <= divisor.coeffs[j] for j, (_, q) in enumerate(rows))
 
     def region_of(self, lam) -> RegionPolytope:
@@ -312,19 +349,8 @@ class RegionEngine:
         """
         coords = self.point(lam)
         divisor = self.mmi(coords)
-        ineqs = []
-        for j in self.classification.wall_relevant:
-            ineqs.append(self._wall(j, divisor))
-        if self.include_affine_walls:
-            g = self.graph
-            for a in range(g.n_aff):
-                idx = g.n_exc + a
-                normal = tuple(int(d.coeffs[idx]) for d in self.ideals.divisors)
-                if all(n == 0 for n in normal):
-                    continue
-                constant = Fraction(1) + divisor.coeffs[idx]
-                ineqs.append(WallInequality(g.ids[idx], normal, constant))
-        region = RegionPolytope(coords, divisor, tuple(ineqs))
+        ineqs = tuple(self._wall(j, divisor) for j in self.classification.wall_relevant)
+        region = RegionPolytope(coords, divisor, ineqs)
         for ineq in region.inequalities:
             if ineq.constant <= 0:
                 raise InternalInvariant(f"wall constant {ineq.constant} <= 0 at {ineq.component}")
@@ -534,23 +560,13 @@ class RegionEngine:
 
     # -- rays and chains ---------------------------------------------------
 
-    def next_jumping_number_of(self, name: str, t_prev) -> Fraction:
-        try:
-            idx = self.ideals.names.index(name)
-        except ValueError:
-            raise DanglingReference(f"unknown ideal name {name!r}") from None
-        return next_jumping_number(self.ideals.divisors[idx], self.canonical, t_prev)
-
     def jumping_numbers_of(self, name: str, upto) -> list[Fraction]:
-        limit = _as_fraction(upto, "upto")
-        values: list[Fraction] = []
-        t = Fraction(0)
-        for _ in range(100_000):
-            t = self.next_jumping_number_of(name, t)
-            if t > limit:
-                return values
-            values.append(t)
-        raise NonTermination("jumping-number chain did not reach the limit")
+        """Jumping numbers of one ideal of the tuple: the ray along its unit
+        direction."""
+        if name not in self.ideals.names:
+            raise DanglingReference(f"unknown ideal name {name!r}")
+        direction = [int(n == name) for n in self.ideals.names]
+        return self.wall_ray_restriction(direction, upto)
 
     def wall_ray_restriction(self, direction, t_max) -> list[Fraction]:
         """Jumping values of t for the family along the ray t * direction.

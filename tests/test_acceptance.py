@@ -243,12 +243,12 @@ def test_criterion_5_membership_matches_polytope():
 # -- criterion 6: verification reports at every golden jumping point -------------
 
 
-def test_criterion_6_verifiers_and_facet_constancy(ideals, canonical, engine, golden_run):
+def test_criterion_6_verifiers_and_facet_constancy(engine, golden_run):
     jumping = [point(lam) for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
     for lam in jumping:
-        assert verify_jump_identity(ideals, canonical, lam).passed
-        assert verify_numeric_conditions(ideals, canonical, lam).passed
-        report = verify_contribution_dichotomy(ideals, canonical, lam)
+        assert verify_jump_identity(engine, lam).passed
+        assert verify_numeric_conditions(engine, lam).passed
+        report = verify_contribution_dichotomy(engine, lam)
         assert report.passed and not report.partial
 
     for rec in golden_run.records:
@@ -265,9 +265,9 @@ def test_criterion_6_verifiers_and_facet_constancy(ideals, canonical, engine, go
             assert engine.mmi(two_thirds) == mid_divisor
             # so is the minimal jumping divisor, and its hyperplane is the
             # facet's own wall line
-            g_mid = minimal_jumping_divisor(ideals, canonical, facet.midpoint)
+            g_mid = minimal_jumping_divisor(engine, facet.midpoint)
             for probe in (third, two_thirds):
-                g = minimal_jumping_divisor(ideals, canonical, probe)
+                g = minimal_jumping_divisor(engine, probe)
                 assert g.components == g_mid.components
             normal, constant = g_mid.hyperplanes[facet.component]
             assert normal == facet.coeffs
@@ -279,7 +279,7 @@ def test_criterion_6_verifiers_and_facet_constancy(ideals, canonical, engine, go
 
 def test_criterion_7_full_coverage(engine, full_run):
     assert full_run.queue == []
-    assert full_run.distinct_divisors() == len(full_run.records)
+    assert len({rec.divisor for rec in full_run.records}) == len(full_run.records)
     for i in range(51):
         for j in range(51):
             lam = (Fraction(i, 50), Fraction(3 * j, 50))

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+import mmideals.divisors
 from mmideals.cli import main
 
 from conftest import EXAMPLE_PATH, GOLDEN
@@ -170,6 +172,58 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
     code, _, err = run(capsys, "canonical", "--input", str(bad))
     assert code == 2
     assert "NotNegativeDefinite" in err
+
+
+_ONE = {"exceptional": [{"id": "E1", "self": -1}], "ideals": [{"mult": {"E1": 1}}]}
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"exceptional": [1]},
+        {"exceptional": {"id": "E1"}},
+        dict(_ONE, edges=[5]),
+        dict(_ONE, affine=[3]),
+        dict(_ONE, ideals=[1]),
+    ],
+    ids=["exceptional-item", "exceptional-object", "edges-item", "affine-item", "ideals-item"],
+)
+def test_exit_2_on_malformed_shape(tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "mmi", "--input", str(bad), "--lambda", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: PreconditionViolated: ")
+
+
+def closure_count(monkeypatch, capsys, *argv) -> int:
+    """Run one CLI call and count its antinef closures, rebinding every
+    alias of `antinef_closure` in the package's modules."""
+    original = mmideals.divisors.antinef_closure
+    calls = []
+
+    def counted(divisor):
+        calls.append(divisor)
+        return original(divisor)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmideals" or name.startswith("mmideals."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "command,most,least",
+    [("verify", 6, 0), ("min-jumping-divisor", 2, 2), ("mmi", 2, 2)],
+)
+def test_closures_per_point(monkeypatch, capsys, command, most, least):
+    count = closure_count(monkeypatch, capsys, command, "--input", INPUT, "--lambda", "1/6,1")
+    assert least <= count <= most
 
 
 def test_exit_2_on_unparseable_json(tmp_path, capsys):

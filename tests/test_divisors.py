@@ -14,9 +14,6 @@ from mmideals import (
     compare_nonclosed,
     ideal_contains,
     is_antinef,
-    mixed_divisor_floor,
-    mmi_at,
-    mmi_left_limit,
     parse_point,
     unload_once,
 )
@@ -135,9 +132,10 @@ def test_closure_keeps_affine_coordinates(graph):
     assert closed.coeffs[5] == 2 and closed.coeffs[6] == 5
 
 
-def test_closure_iteration_cap(graph):
+def test_closure_iteration_cap(graph, monkeypatch):
+    monkeypatch.setenv("MMI_MAX_UNLOAD_ITERS", "2")
     with pytest.raises(NonTermination, match="2 sweeps"):
-        antinef_closure(D(graph, (0, 3, 0, 0, 0)), max_iters=2)
+        antinef_closure(D(graph, (0, 3, 0, 0, 0)))
 
 
 def test_closure_cap_from_environment(graph, monkeypatch):
@@ -210,28 +208,28 @@ def test_parse_point():
 
 
 @pytest.mark.parametrize("lam,want", sorted(GOLDEN["floors"].items()))
-def test_mixed_divisor_floor(ideals, canonical, lam, want):
-    assert exc(mixed_divisor_floor(ideals, canonical, point(lam))) == want
+def test_mixed_divisor_floor(engine, lam, want):
+    assert exc(engine.at(point(lam)).floor) == want
 
 
 @pytest.mark.parametrize("lam,want", sorted(GOLDEN["mmi"].items()))
-def test_mmi_golden(ideals, canonical, lam, want):
-    assert exc(mmi_at(ideals, canonical, point(lam))) == want
+def test_mmi_golden(engine, lam, want):
+    assert exc(engine.at(point(lam)).divisor) == want
 
 
 @pytest.mark.parametrize("lam,want", sorted(GOLDEN["left"].items()))
-def test_left_limit_golden(ideals, canonical, lam, want):
-    assert exc(mmi_left_limit(ideals, canonical, point(lam))) == want
+def test_left_limit_golden(engine, lam, want):
+    assert exc(engine.at(point(lam)).left) == want
 
 
-def test_left_limit_at_origin(ideals, canonical):
+def test_left_limit_at_origin(engine):
     with pytest.raises(ZeroPoint):
-        mmi_left_limit(ideals, canonical, (0, 0))
+        engine.at((0, 0)).left
 
 
-def test_left_limit_off_walls_matches_value(ideals, canonical, engine):
+def test_left_limit_off_walls_matches_value(engine):
     lam = point(("1/12", "1/2"))  # interior of the first region
-    assert mmi_left_limit(ideals, canonical, lam) == mmi_at(ideals, canonical, lam)
+    assert engine.at(lam).left == engine.at(lam).divisor
 
 
 # -- property tests -----------------------------------------------------------
@@ -264,16 +262,16 @@ lam_coords = st.fractions(min_value=0, max_value=3, max_denominator=8)
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.tuples(lam_coords, lam_coords), st.tuples(lam_coords, lam_coords))
-def test_mmi_monotone_in_lambda(ideals, canonical, a, b):
+def test_mmi_monotone_in_lambda(engine, a, b):
     lo = tuple(min(x, y) for x, y in zip(a, b))
     hi = tuple(max(x, y) for x, y in zip(a, b))
-    assert mmi_at(ideals, canonical, lo).le(mmi_at(ideals, canonical, hi))
+    assert engine.at(lo).divisor.le(engine.at(hi).divisor)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.tuples(lam_coords, lam_coords))
-def test_left_limit_below_value(ideals, canonical, lam):
+def test_left_limit_below_value(engine, lam):
     if all(c == 0 for c in lam):
         return
-    left = mmi_left_limit(ideals, canonical, lam)
-    assert left.le(mmi_at(ideals, canonical, lam))
+    left = engine.at(lam).left
+    assert left.le(engine.at(lam).divisor)

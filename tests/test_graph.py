@@ -10,9 +10,8 @@ import pytest
 from mmideals import (
     IdealDivisorSet,
     Divisor,
+    Classification,
     build_ideals,
-    classify_components,
-    excesses,
     relative_canonical,
     validate_graph,
 )
@@ -68,13 +67,13 @@ def test_relative_canonical(graph):
 
 
 def test_excess_table(graph, ideals):
-    rho = excesses(graph, ideals)
+    rho = ideals.excess
     assert rho[0] == tuple(Fraction(v) for v in GOLDEN["excess_a1"])
     assert rho[1] == tuple(Fraction(v) for v in GOLDEN["excess_a2"])
 
 
 def test_classification(graph, ideals):
-    cls = classify_components(graph, ideals)
+    cls = Classification(graph, ideals)
     named = cls.ids(graph)
     assert named["rupture"] == GOLDEN["rupture_ids"]
     assert named["dicritical"] == GOLDEN["dicritical_ids"]
@@ -94,7 +93,7 @@ def test_rupture_needs_three_exceptional_neighbors():
     }
     graph = validate_graph(raw)
     ideals = build_ideals(graph, raw["ideals"])
-    cls = classify_components(graph, ideals)
+    cls = Classification(graph, ideals)
     assert cls.ids(graph)["rupture"] == ("C",)
 
 

@@ -14,7 +14,6 @@ from mmideals import (
     contributes,
     is_jumping_point,
     minimal_jumping_divisor,
-    relative_canonical,
     validate_graph,
     verify_contribution_dichotomy,
     verify_jump_identity,
@@ -34,18 +33,18 @@ from conftest import EXAMPLE_PATH, GOLDEN, point
 JUMPING = [lam for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
 
 
-def test_is_jumping_point(ideals, canonical):
+def test_is_jumping_point(engine):
     for lam in JUMPING:
-        assert is_jumping_point(ideals, canonical, point(lam))
-    assert not is_jumping_point(ideals, canonical, point(("1/7", "1")))
-    assert not is_jumping_point(ideals, canonical, point(("1/12", "1/2")))
+        assert is_jumping_point(engine, point(lam))
+    assert not is_jumping_point(engine, point(("1/7", "1")))
+    assert not is_jumping_point(engine, point(("1/12", "1/2")))
     with pytest.raises(ZeroPoint):
-        is_jumping_point(ideals, canonical, (0, 0))
+        is_jumping_point(engine, (0, 0))
 
 
 @pytest.mark.parametrize("lam,want", sorted(GOLDEN["gmin"].items()))
-def test_minimal_jumping_divisor(ideals, canonical, lam, want):
-    g = minimal_jumping_divisor(ideals, canonical, point(lam))
+def test_minimal_jumping_divisor(engine, ideals, lam, want):
+    g = minimal_jumping_divisor(engine, point(lam))
     assert g.components == want
     assert g.point == point(lam)
     # indicator and divisor agree with the member list
@@ -54,8 +53,8 @@ def test_minimal_jumping_divisor(ideals, canonical, lam, want):
         assert g.divisor.coeffs[j] == flag
 
 
-def test_minimal_jumping_divisor_hyperplane(ideals, canonical):
-    g = minimal_jumping_divisor(ideals, canonical, point(("1/6", "1")))
+def test_minimal_jumping_divisor_hyperplane(engine):
+    g = minimal_jumping_divisor(engine, point(("1/6", "1")))
     normal, constant = g.hyperplanes["E2"]
     assert normal == GOLDEN["wall_normals"]["E2"]
     assert constant == 3
@@ -64,11 +63,11 @@ def test_minimal_jumping_divisor_hyperplane(ideals, canonical):
     assert sum(a * c for a, c in zip(normal, lam)) == constant
 
 
-def test_minimal_jumping_divisor_rejects_non_jumps(ideals, canonical):
+def test_minimal_jumping_divisor_rejects_non_jumps(engine):
     with pytest.raises(NotAJumpingPoint):
-        minimal_jumping_divisor(ideals, canonical, point(("1/7", "1")))
+        minimal_jumping_divisor(engine, point(("1/7", "1")))
     with pytest.raises(ZeroPoint):
-        minimal_jumping_divisor(ideals, canonical, (0, 0))
+        minimal_jumping_divisor(engine, (0, 0))
 
 
 def test_affine_member_when_arrow_carries_multiplicity():
@@ -77,93 +76,93 @@ def test_affine_member_when_arrow_carries_multiplicity():
     graph = validate_graph(raw)
     ideals = build_ideals(graph, raw["ideals"])
     assert not ideals.is_m_primary()
-    canonical = relative_canonical(graph)
-    g = minimal_jumping_divisor(ideals, canonical, point(("1/6", "1")))
+    engine = RegionEngine(ideals)
+    g = minimal_jumping_divisor(engine, point(("1/6", "1")))
     # the arrow reaches the critical value together with E2
     assert g.components == ("E2", "A1")
     assert g.valences == {"E2": 1, "A1": 1}
-    assert verify_jump_identity(ideals, canonical, point(("1/6", "1"))).passed
+    assert verify_jump_identity(engine, point(("1/6", "1"))).passed
 
 
 # -- contribution --------------------------------------------------------------
 
 
-def test_contributes_critically(ideals, canonical):
-    assert contributes(ideals, canonical, ["E2"], point(("1/6", "1"))) is Contribution.CRITICALLY
-    assert contributes(ideals, canonical, ["E5"], point(("17/42", "1/4"))) is Contribution.CRITICALLY
+def test_contributes_critically(engine):
+    assert contributes(engine, ["E2"], point(("1/6", "1"))) is Contribution.CRITICALLY
+    assert contributes(engine, ["E5"], point(("17/42", "1/4"))) is Contribution.CRITICALLY
 
 
-def test_contributes_empty_set(ideals, canonical):
-    assert contributes(ideals, canonical, [], point(("1/6", "1"))) is Contribution.NO
+def test_contributes_empty_set(engine):
+    assert contributes(engine, [], point(("1/6", "1"))) is Contribution.NO
 
 
-def test_contributes_superset(ideals, canonical):
+def test_contributes_superset(engine):
     # E2 + E4 still reaches the left limit, but E2 alone already does, so the
     # pair contributes without being critical
-    got = contributes(ideals, canonical, ["E2", "E4"], point(("1/2", "1")))
+    got = contributes(engine, ["E2", "E4"], point(("1/2", "1")))
     assert got is Contribution.CONTRIBUTES
 
 
-def test_contributes_wrong_component(ideals, canonical):
-    assert contributes(ideals, canonical, ["E4"], point(("1/2", "1"))) is Contribution.NO
+def test_contributes_wrong_component(engine):
+    assert contributes(engine, ["E4"], point(("1/2", "1"))) is Contribution.NO
 
 
-def test_contributes_integrality(ideals, canonical):
+def test_contributes_integrality(engine):
     with pytest.raises(IntegralityViolated, match="E5"):
-        contributes(ideals, canonical, ["E5"], point(("1/6", "1")))
+        contributes(engine, ["E5"], point(("1/6", "1")))
 
 
-def test_contributes_validates_components(ideals, canonical):
+def test_contributes_validates_components(engine):
     with pytest.raises(DanglingReference):
-        contributes(ideals, canonical, ["E9"], point(("1/6", "1")))
+        contributes(engine, ["E9"], point(("1/6", "1")))
     with pytest.raises(PreconditionViolated, match="twice"):
-        contributes(ideals, canonical, ["E2", "E2"], point(("1/6", "1")))
+        contributes(engine, ["E2", "E2"], point(("1/6", "1")))
     with pytest.raises(PreconditionViolated, match="support"):
-        contributes(ideals, canonical, ["A1"], point(("1/6", "1")))
+        contributes(engine, ["A1"], point(("1/6", "1")))
 
 
 # -- verification reports --------------------------------------------------------
 
 
 @pytest.mark.parametrize("lam", JUMPING)
-def test_verify_jump_identity(ideals, canonical, lam):
-    report = verify_jump_identity(ideals, canonical, point(lam))
+def test_verify_jump_identity(engine, lam):
+    report = verify_jump_identity(engine, point(lam))
     assert report.kind == "jump_identity"
     assert report.passed, report.failures()
 
 
 @pytest.mark.parametrize("lam", JUMPING)
-def test_verify_numeric_conditions(ideals, canonical, lam):
-    report = verify_numeric_conditions(ideals, canonical, point(lam))
+def test_verify_numeric_conditions(engine, lam):
+    report = verify_numeric_conditions(engine, point(lam))
     assert report.passed, report.failures()
     # the report carries one block of checks per member of G
     assert report.checks
 
 
 @pytest.mark.parametrize("lam", JUMPING)
-def test_verify_contribution_dichotomy(ideals, canonical, lam):
-    report = verify_contribution_dichotomy(ideals, canonical, point(lam))
+def test_verify_contribution_dichotomy(engine, lam):
+    report = verify_contribution_dichotomy(engine, point(lam))
     assert report.passed, report.failures()
     assert not report.partial
 
 
-def test_verify_reports_reject_non_jumps(ideals, canonical):
+def test_verify_reports_reject_non_jumps(engine):
     with pytest.raises(NotAJumpingPoint):
-        verify_jump_identity(ideals, canonical, point(("1/7", "1")))
+        verify_jump_identity(engine, point(("1/7", "1")))
 
 
-def test_dichotomy_sampling_above_cap(ideals, canonical):
+def test_dichotomy_sampling_above_cap(engine):
     # force the sampling path with a tiny cap; anchors keep both dichotomy
     # directions covered, and the report says it was partial
-    report = verify_contribution_dichotomy(ideals, canonical, point(("1/2", "1")), cap=1)
+    report = verify_contribution_dichotomy(engine, point(("1/2", "1")), cap=1)
     assert report.passed
     assert report.partial
 
 
-def test_dichotomy_cap_can_refuse(ideals, canonical):
+def test_dichotomy_cap_can_refuse(engine):
     from mmideals.errors import CandidateExplosion
 
     with pytest.raises(CandidateExplosion):
         verify_contribution_dichotomy(
-            ideals, canonical, point(("1/2", "1")), cap=1, sample_above_cap=False
+            engine, point(("1/2", "1")), cap=1, sample_above_cap=False
         )

@@ -115,7 +115,7 @@ def test_walk_queue_after_nine(golden_run):
 
 def test_walk_divisors_and_constants(golden_run):
     assert len(golden_run.records) == 5
-    assert golden_run.distinct_divisors() == 5
+    assert len({rec.divisor for rec in golden_run.records}) == 5
     for rec, want_div, want_consts in zip(
         golden_run.records, GOLDEN["walk_divisors"], GOLDEN["walk_constants"]
     ):
@@ -162,7 +162,7 @@ def test_walk_nothing_truncated(golden_run):
 
 def test_full_run_terminates_and_covers(full_run, engine):
     assert len(full_run.queue) == 0
-    assert full_run.distinct_divisors() == len(full_run.records)
+    assert len({rec.divisor for rec in full_run.records}) == len(full_run.records)
     # a grid over the box: every value the family takes inside the box has a
     # record (walls included, box corner included)
     for i in range(0, 13):
