@@ -40,27 +40,34 @@ def _split_list(raw: str, what: str) -> list[str]:
     return parts
 
 
+_LAMBDA = {"--lambda": "point, e.g. 1/6,1"}
+_BOX = {"--box": "box corner, e.g. 1,3"}
+_CHAIN = {
+    "--ideal": "ideal name for jumping-number chains",
+    "--direction": "ray direction, e.g. 1,1",
+    "--upto": "upper bound for jumping-number chains",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmideals", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # command -> (help, the flags it takes besides --input/--format/--output)
     commands = {
-        "canonical": "relative canonical divisor of the input graph",
-        "mmi": "mixed multiplier ideal divisor at a point",
-        "region": "constancy region inequalities at a point",
-        "enumerate": "enumerate constancy regions inside a box",
-        "walls": "wall diagram of the constancy regions inside a box",
-        "jumping-numbers": "jumping numbers of one ideal or along a ray",
-        "min-jumping-divisor": "minimal jumping divisor at a jumping point",
-        "verify": "verify jump identities at a jumping point",
+        "canonical": ("relative canonical divisor of the input graph", {}),
+        "mmi": ("mixed multiplier ideal divisor at a point", _LAMBDA),
+        "region": ("constancy region inequalities at a point", _LAMBDA),
+        "enumerate": ("enumerate constancy regions inside a box", _BOX),
+        "walls": ("wall diagram of the constancy regions inside a box", _BOX),
+        "jumping-numbers": ("jumping numbers of one ideal or along a ray", _CHAIN),
+        "min-jumping-divisor": ("minimal jumping divisor at a jumping point", _LAMBDA),
+        "verify": ("verify jump identities at a jumping point", _LAMBDA),
     }
-    for name, help_text in commands.items():
+    for name, (help_text, flags) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--box", help="box corner, e.g. 1,3")
-        p.add_argument("--lambda", dest="lam", help="point, e.g. 1/6,1")
-        p.add_argument("--direction", help="ray direction, e.g. 1,1")
-        p.add_argument("--upto", help="upper bound for jumping-number chains")
-        p.add_argument("--ideal", help="ideal name for jumping-number chains")
+        for flag, flag_help in flags.items():
+            p.add_argument(flag, help=flag_help)
         p.add_argument(
             "--format",
             choices=("json", "svg", "text"),
@@ -103,7 +110,7 @@ def _cmd_canonical(args, fmt: str):
 
 def _cmd_mmi(args, fmt: str):
     engine = _engine(args)
-    lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
+    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
     point = engine.point(lam)
     divisor = engine.mmi(point)
     payload = {
@@ -127,7 +134,7 @@ def _cmd_mmi(args, fmt: str):
 
 def _cmd_region(args, fmt: str):
     engine = _engine(args)
-    lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
+    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
     region = engine.region_of(lam)
     payload = {
         "command": "region",
@@ -195,7 +202,7 @@ def _cmd_jumping_numbers(args, fmt: str):
 
 def _cmd_min_jumping_divisor(args, fmt: str):
     engine = _engine(args)
-    lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
+    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
     context = engine.at(lam)
     point, gmin = context.coords, context.gmin
     if fmt == "text":
@@ -206,7 +213,7 @@ def _cmd_min_jumping_divisor(args, fmt: str):
         "components": list(gmin.components),
         "valences": {cid: v for cid, v in gmin.valences.items()},
         "hyperplanes": {
-            cid: {"coeffs": [int(a) for a in normal], "rhs": str(constant)}
+            cid: {"coeffs": list(normal), "rhs": str(constant)}
             for cid, (normal, constant) in gmin.hyperplanes.items()
         },
         "divisor_at": reportio.divisor_json(engine.mmi(point)),
@@ -217,7 +224,7 @@ def _cmd_min_jumping_divisor(args, fmt: str):
 
 def _cmd_verify(args, fmt: str):
     engine = _engine(args)
-    lam = _split_list(_require(args, "lam", "--lambda"), "--lambda")
+    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
     point = engine.point(lam)
     reports = [
         verify_jump_identity(engine, point),

@@ -50,7 +50,10 @@ class Divisor:
     """A divisor with rational coefficients on a :class:`DualGraph`.
 
     Coefficients run over the global component index (exceptional, then
-    affine).  Instances are immutable and hashable.
+    affine).  Each is an ``int`` when it is integral and a ``Fraction``
+    otherwise.  Instances are immutable and hashable.  Equality and the
+    arithmetic check the graph by identity: divisors compare and combine only
+    within one graph object.
     """
 
     __slots__ = ("graph", "coeffs")
@@ -61,7 +64,8 @@ class Divisor:
                 f"expected {graph.n_total} coefficients, got {len(coeffs)}"
             )
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        exact = (c if type(c) is int else Fraction(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", tuple(q.numerator if q.denominator == 1 else q for q in exact))
 
     def __setattr__(self, *args):
         raise AttributeError("Divisor is immutable")
@@ -80,18 +84,18 @@ class Divisor:
     def __eq__(self, other):
         return (
             isinstance(other, Divisor)
-            and self.graph == other.graph
+            and self.graph is other.graph
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.graph, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return "Divisor(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
     def _check_same_graph(self, other: "Divisor"):
-        if self.graph != other.graph:
+        if self.graph is not other.graph:
             raise GraphMismatch("divisors live on different graphs")
 
     # -- arithmetic -------------------------------------------------------
@@ -109,10 +113,10 @@ class Divisor:
         return Divisor(self.graph, [q * c for c in self.coeffs])
 
     def floor(self) -> "Divisor":
-        return Divisor(self.graph, [Fraction(math.floor(c)) for c in self.coeffs])
+        return Divisor(self.graph, [math.floor(c) for c in self.coeffs])
 
     def ceil(self) -> "Divisor":
-        return Divisor(self.graph, [Fraction(math.ceil(c)) for c in self.coeffs])
+        return Divisor(self.graph, [math.ceil(c) for c in self.coeffs])
 
     def le(self, other: "Divisor") -> bool:
         """Componentwise <= (the divisor partial order)."""
@@ -120,18 +124,18 @@ class Divisor:
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    def exceptional_part(self) -> tuple[Fraction, ...]:
+    def exceptional_part(self) -> tuple[int | Fraction, ...]:
         return self.coeffs[: self.graph.n_exc]
 
     def as_ints(self) -> tuple[int, ...]:
         if not self.is_integral():
             raise NonIntegralDivisor("divisor has fractional coefficients")
-        return tuple(int(c) for c in self.coeffs)
+        return self.coeffs
 
 
 def is_antinef(divisor: Divisor) -> bool:
@@ -150,12 +154,12 @@ def unload_once(divisor: Divisor) -> Divisor:
     unchanged, which is the loop's fixed-point test.
     """
     g = divisor.graph
-    coeffs = [Fraction(math.ceil(c)) for c in divisor.coeffs]
-    updates: list[tuple[int, Fraction]] = []
+    coeffs = [math.ceil(c) for c in divisor.coeffs]
+    updates: list[tuple[int, int]] = []
     for i in range(g.n_exc):
         rho = -g.dot_exceptional(coeffs, i)
         if rho < 0:
-            step = Fraction(math.ceil(rho / g.self_int[i]))
+            step = -(-rho // g.self_int[i])
             if step < 1:
                 raise PreconditionViolated("unloading step collapsed; corrupt graph data")
             updates.append((i, step))

@@ -60,40 +60,6 @@ def _as_fraction(value, what: str) -> Fraction:
     raise PreconditionViolated(f"{what}: unsupported value {value!r}")
 
 
-def _solve_exact(rows: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # Gauss-Jordan over Fraction; the matrix is negative definite, hence invertible.
-    n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise InternalInvariant("singular intersection matrix slipped past validation")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
-def _is_negative_definite(matrix: Sequence[Sequence[int]]) -> bool:
-    """Exact pivot test: -M is positive definite iff elimination without row
-    exchanges keeps every pivot positive."""
-    n = len(matrix)
-    a = [[Fraction(-matrix[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = a[i][k] / a[k][k]
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return True
-
-
 class DualGraph:
     """Validated dual graph.  Build one with :func:`validate_graph`."""
 
@@ -137,6 +103,17 @@ class DualGraph:
             adjacency.append(tuple(sorted(meets)))
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
 
+        # Breadth-first order of the exceptional components reached from
+        # component 0, each with its parent (-1 at the root).
+        parent = {0: -1}
+        order = [0]
+        for i in order:
+            for j in self.exc_adj[i]:
+                if j not in parent:
+                    parent[j] = i
+                    order.append(j)
+        self.tree_order: tuple[tuple[int, int], ...] = tuple((i, parent[i]) for i in order)
+
     # -- identity -----------------------------------------------------------
 
     def _key(self):
@@ -177,12 +154,12 @@ class DualGraph:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def coefficients(self, mapping: Mapping[str, object], what: str = "divisor") -> list[Fraction]:
+    def coefficients(self, mapping: Mapping[str, object], what: str = "divisor") -> list:
         """Turn an id->value mapping into a global coefficient vector.
 
         Missing ids default to 0; unknown ids raise DanglingReference.
         """
-        coeffs = [Fraction(0)] * self.n_total
+        coeffs = [0] * self.n_total
         for cid, value in mapping.items():
             if cid not in self.index:
                 raise DanglingReference(f"{what}: unknown component id {cid!r}")
@@ -274,42 +251,45 @@ def validate_graph(raw: Mapping) -> DualGraph:
     n = len(exc_ids)
     if len(edges) != n - 1:
         raise NotATree(f"tree on {n} components needs {n - 1} edges, got {len(edges)}")
-    # Connectivity by breadth-first search from component 0.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adj[i]:
-                if j not in reached:
-                    reached.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    if len(reached) != n:
-        raise NotATree("exceptional graph is disconnected")
-
     graph = DualGraph(tuple(exc_ids), tuple(self_int), tuple(edges), tuple(aff_ids), tuple(meets_idx))
-    if not _is_negative_definite(graph.intersection_matrix()):
-        raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
+    if len(graph.tree_order) != n:
+        raise NotATree("exceptional graph is disconnected")
+    _tree_solve(graph, [0] * n)  # raises NotNegativeDefinite
     return graph
+
+
+def _tree_solve(graph: DualGraph, rhs: Sequence[int]) -> list[Fraction]:
+    """Solve M x = rhs for the exceptional intersection matrix M of a tree by
+    leaf-first elimination (Laufer), then back-substitution from the root.
+    The pivot of a component is d_i = E_i^2 - sum over its children c of
+    1/d_c; M is negative definite exactly when every pivot is < 0, and a
+    pivot that is not raises NotNegativeDefinite."""
+    pivot = [Fraction(s) for s in graph.self_int]
+    reduced = [Fraction(b) for b in rhs]
+    for i, parent in reversed(graph.tree_order):
+        if pivot[i] >= 0:
+            raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
+        if parent >= 0:
+            pivot[parent] -= 1 / pivot[i]
+            reduced[parent] -= reduced[i] / pivot[i]
+    x: list[Fraction] = [Fraction(0)] * graph.n_exc
+    for i, parent in graph.tree_order:
+        x[i] = (reduced[i] - (x[parent] if parent >= 0 else 0)) / pivot[i]
+    return x
 
 
 def relative_canonical(graph: DualGraph):
     """Relative canonical divisor, normalized so adjunction reads
     (K + E_i) . E_i = -2 on every exceptional component.
 
-    Coefficients solve M k = b with b_i = -2 - E_i^2; affine components carry
-    coefficient 0.
+    Coefficients solve M k = b with b_i = -2 - E_i^2 by leaf-first
+    elimination over the tree; affine components carry coefficient 0.  Like
+    every divisor, K holds ints where it is integral (always on a smooth
+    surface) and Fractions elsewhere.
     """
     from .divisors import Divisor  # local import to avoid a cycle
 
-    rhs = [Fraction(-2 - s) for s in graph.self_int]
-    k_exc = _solve_exact(graph.intersection_matrix(), rhs)
-    coeffs = list(k_exc) + [Fraction(0)] * graph.n_aff
+    coeffs = _tree_solve(graph, [-2 - s for s in graph.self_int]) + [0] * graph.n_aff
     for i in range(graph.n_exc):
         if graph.dot_exceptional(coeffs, i) + graph.self_int[i] != -2:
             raise InternalInvariant("adjunction check failed for the relative canonical divisor")
@@ -331,7 +311,7 @@ class IdealDivisorSet:
             raise DuplicateId("ideal names must be unique")
         checked: list[Divisor] = []
         for name, div in zip(names, divisors):
-            if div.graph != graph:
+            if div.graph is not graph:
                 raise GraphMismatch(f"ideal {name!r} lives on a different graph")
             if not div.is_integral():
                 raise NonIntegralDivisor(f"ideal {name!r}: multiplicities must be integers")

@@ -94,9 +94,9 @@ class MinimalJumpingDivisor:
 
 
 def _indicator_divisor(ideals: IdealDivisorSet, members: Iterable[int]) -> Divisor:
-    coeffs = [Fraction(0)] * ideals.graph.n_total
+    coeffs = [0] * ideals.graph.n_total
     for j in members:
-        coeffs[j] = Fraction(1)
+        coeffs[j] = 1
     return Divisor(ideals.graph, coeffs)
 
 
@@ -149,7 +149,7 @@ def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
         form, q = rows[j]
         if q == 1 + left.coeffs[j]:
             members.append(j)
-            normal = tuple(int(d.coeffs[j]) for d in ideals.divisors)
+            normal = tuple(d.coeffs[j] for d in ideals.divisors)
             hyperplanes[graph.ids[j]] = (normal, form)
     if not members:
         raise InternalInvariant("jumping point without attaining components")
@@ -243,7 +243,8 @@ def contributes(engine: RegionEngine, component_ids: Sequence[str], lam) -> Cont
         return Contribution.NO
     if len(members) > 16:
         raise CandidateExplosion("criticality check over more than 2^16 subdivisors")
-    for mask in range((1 << len(members)) - 1):
+    # Mask 0 would close floor - 0, which is `at` itself.
+    for mask in range(1, (1 << len(members)) - 1):
         subset = [members[i] for i in range(len(members)) if mask >> i & 1]
         sub = antinef_closure(floor_div - _indicator_divisor(ideals, subset))
         if sub != at:
@@ -432,7 +433,8 @@ def verify_contribution_dichotomy(
     for mask in masks:
         count += 1
         subset = frozenset(candidates[i] for i in range(n) if mask >> i & 1)
-        closed = antinef_closure(floor_div - _indicator_divisor(ideals, subset))
+        # The empty subset closes floor - 0, which is `at` itself.
+        closed = antinef_closure(floor_div - _indicator_divisor(ideals, subset)) if subset else at
         if not (left.le(closed) and closed.le(at)):
             bad_between += 1
         reaches_left = closed == left

@@ -357,8 +357,8 @@ class RegionEngine:
         return region
 
     def _wall(self, j: int, divisor: Divisor) -> WallInequality:
-        normal = tuple(int(d.coeffs[j]) for d in self.ideals.divisors)
-        constant = self.canonical.coeffs[j] + 1 + divisor.coeffs[j]
+        normal = tuple(d.coeffs[j] for d in self.ideals.divisors)
+        constant = Fraction(self.canonical.coeffs[j] + 1 + divisor.coeffs[j])
         return WallInequality(self.graph.exc_ids[j], normal, constant)
 
     # -- enumeration -------------------------------------------------------
@@ -613,7 +613,7 @@ def next_jumping_number(ideal_divisor: Divisor, canonical: Divisor, t_prev) -> F
     best: Fraction | None = None
     for j, e in enumerate(ideal_divisor.coeffs):
         if e > 0:
-            ratio = (canonical.coeffs[j] + 1 + current.coeffs[j]) / e
+            ratio = Fraction(canonical.coeffs[j] + 1 + current.coeffs[j]) / e
             if best is None or ratio < best:
                 best = ratio
     if best is None or best <= t0:

@@ -219,7 +219,7 @@ def closure_count(monkeypatch, capsys, *argv) -> int:
 
 @pytest.mark.parametrize(
     "command,most,least",
-    [("verify", 6, 0), ("min-jumping-divisor", 2, 2), ("mmi", 2, 2)],
+    [("verify", 5, 0), ("min-jumping-divisor", 2, 2), ("mmi", 2, 2)],
 )
 def test_closures_per_point(monkeypatch, capsys, command, most, least):
     count = closure_count(monkeypatch, capsys, command, "--input", INPUT, "--lambda", "1/6,1")
@@ -265,3 +265,11 @@ def test_missing_required_flag(capsys):
     code, _, err = run(capsys, "mmi", "--input", INPUT)
     assert code == 2
     assert "--lambda" in err
+
+
+def test_flag_of_another_command_rejected(capsys):
+    # each subcommand takes only its own flags; argparse exits 2 with usage
+    with pytest.raises(SystemExit) as exit_info:
+        main(["canonical", "--input", INPUT, "--box", "1,2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --box" in capsys.readouterr().err

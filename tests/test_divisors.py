@@ -36,10 +36,11 @@ def D(graph, exceptional, affine=(0, 0)):
 # -- Divisor basics ---------------------------------------------------------
 
 
-def test_coefficients_are_fractions(graph):
-    d = Divisor(graph, ("1/2", 1, 0, 0, 0, 0, 0))
-    assert d.coeffs[0] == Fraction(1, 2)
-    assert isinstance(d.coeffs[1], Fraction)
+def test_coefficients_are_exact(graph):
+    d = Divisor(graph, ("1/2", 1, "3", Fraction(4, 2), 0, 0, 0))
+    assert d.coeffs[0] == Fraction(1, 2) and type(d.coeffs[0]) is Fraction
+    assert d.coeffs[1:4] == (1, 3, 2)
+    assert all(type(c) is int for c in d.coeffs[1:])
 
 
 def test_length_must_match(graph):
@@ -80,6 +81,17 @@ def test_cross_graph_arithmetic_rejected(graph):
     )
     with pytest.raises(GraphMismatch):
         D(graph, (1, 2, 3, 6, 9)) + Divisor(other, (1,))
+
+
+def test_divisors_need_the_same_graph_object(example_raw, graph):
+    from mmideals import validate_graph
+
+    twin = validate_graph(example_raw)
+    assert twin == graph  # graphs compare structurally, divisors by identity
+    a, b = D(graph, (1, 2, 3, 6, 9)), D(twin, (1, 2, 3, 6, 9))
+    assert a != b
+    with pytest.raises(GraphMismatch):
+        a.le(b)
 
 
 def test_as_ints(graph):

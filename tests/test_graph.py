@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,70 @@ def test_relative_canonical(graph):
     # adjunction: (K + E_i) . E_i = -2
     for i in range(graph.n_exc):
         assert graph.dot_exceptional(k.coeffs, i) + graph.self_int[i] == -2
+
+
+# -- leaf-first tree elimination against the dense reference -------------------
+
+
+def dense_is_negative_definite(matrix) -> bool:
+    """Reference: -M is positive definite iff elimination without row
+    exchanges keeps every pivot positive."""
+    n = len(matrix)
+    a = [[Fraction(-matrix[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            factor = a[i][k] / a[k][k]
+            if factor:
+                for j in range(k, n):
+                    a[i][j] -= factor * a[k][j]
+    return True
+
+
+def dense_solve(rows, rhs) -> tuple[Fraction, ...]:
+    """Reference: Gauss-Jordan over Fraction on an invertible matrix."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[i][n] for i in range(n))
+
+
+def test_tree_elimination_matches_dense_reference():
+    rng = random.Random(20261018)
+    verdicts = {True: 0, False: 0}
+    fractional = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        selfs = [-rng.randint(1, 4) for _ in range(n)]
+        # a random recursive tree, relabelled so component 0 is any vertex
+        label = rng.sample(range(n), n)
+        edges = [(label[rng.randrange(i)], label[i]) for i in range(1, n)]
+        matrix = [[selfs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            matrix[i][j] = matrix[j][i] = 1
+        raw = {
+            "exceptional": [{"id": f"E{i}", "self": s} for i, s in enumerate(selfs)],
+            "edges": [[f"E{i}", f"E{j}"] for i, j in edges],
+        }
+        definite = dense_is_negative_definite(matrix)
+        verdicts[definite] += 1
+        if not definite:
+            with pytest.raises(NotNegativeDefinite):
+                validate_graph(raw)
+            continue
+        k = relative_canonical(validate_graph(raw))
+        assert k.exceptional_part() == dense_solve(matrix, [-2 - s for s in selfs])
+        fractional += not k.is_integral()
+    assert min(verdicts.values()) >= 50
+    assert fractional >= 10
 
 
 def test_excess_table(graph, ideals):

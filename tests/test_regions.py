@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,50 @@ def test_walks_of_random_boxes_cover_their_corners(engine, b1, b2):
     assert result.record_for(engine.mmi((b1, b2))) is not None
     divisors = [rec.divisor for rec in result.records]
     assert len(set(divisors)) == len(divisors)
+
+
+@pytest.fixture(scope="module")
+def affine_engine(example_raw):
+    """The example with A1 carrying multiplicity 1 in the second ideal, so
+    the tuple is not m-primary."""
+    raw = copy.deepcopy(example_raw)
+    raw["ideals"][1]["mult"]["A1"] = 1
+    return RegionEngine(build_ideals(validate_graph(raw), raw["ideals"]))
+
+
+def _engines(engine, affine_engine):
+    return {"m-primary": engine, "affine": affine_engine}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(coords, coords), st.sampled_from(["m-primary", "affine"]))
+def test_integral_values_are_ints_and_the_rest_fractions(engine, affine_engine, lam, which):
+    eng = _engines(engine, affine_engine)[which]
+    context = eng.at(lam)
+    integral = list(context.floor.coeffs) + list(context.divisor.coeffs)
+    integral += [rho for row in eng.ideals.excess for rho in row]
+    if any(lam):
+        integral += list(context.left.coeffs)
+    assert all(type(c) is int for c in integral)
+
+    region = eng.region_of(lam)
+    rational = [q.constant for q in region.inequalities]
+    rational += [region.extent(axis) for axis in range(2)]
+    if any(lam):
+        rational += eng.wall_ray_restriction(lam, 1)
+    assert all(type(q) is Fraction for q in rational if q is not None)
+
+    values = [v for row in context.rows for v in row] + list(context.coords)
+    assert not any(isinstance(v, float) for v in integral + rational + values)
+
+
+@pytest.mark.parametrize("which", ["m-primary", "affine"])
+def test_walk_facet_endpoints_are_fractions(engine, affine_engine, which):
+    result = _engines(engine, affine_engine)[which].enumerate_constancy_regions(("1", "3"))
+    ends = [
+        z
+        for rec in result.records
+        for facet in rec.cfacets
+        for z in facet.start + facet.end + facet.midpoint
+    ]
+    assert ends and all(type(z) is Fraction for z in ends)
