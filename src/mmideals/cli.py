@@ -2,15 +2,8 @@
 
     mmideals <command> --input data.json [options]
 
-Commands:
-    canonical             relative canonical divisor (exceptional part)
-    mmi                   divisor of the mixed multiplier ideal at --lambda
-    region                wall inequalities of the constancy region at --lambda
-    enumerate             walk all constancy regions meeting --box
-    walls                 same walk, rendered as an SVG wall diagram
-    jumping-numbers       chain for --ideal, or along --direction, up to --upto
-    min-jumping-divisor   minimal jumping divisor at --lambda
-    verify                run the jump-identity / numeric / dichotomy checks
+Everything about a command (handler, help, flags, output formats) lives in
+`_COMMANDS`; `mmideals --help` lists the commands.
 
 Exit codes: 0 success, 2 invalid input, 3 unsupported geometry, 4 broken
 internal invariant.  JSON output is byte-identical for identical input.
@@ -22,10 +15,10 @@ import argparse
 import sys
 import traceback
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import io as reportio
 from .errors import MMIError, PreconditionViolated
-from .graph import relative_canonical
 from .jumping import verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
 from .regions import RegionEngine
 from .svg import render_walls
@@ -40,54 +33,49 @@ def _split_list(raw: str, what: str) -> list[str]:
     return parts
 
 
-_LAMBDA = {"--lambda": "point, e.g. 1/6,1"}
-_BOX = {"--box": "box corner, e.g. 1,3"}
-_CHAIN = {
-    "--ideal": "ideal name for jumping-number chains",
-    "--direction": "ray direction, e.g. 1,1",
-    "--upto": "upper bound for jumping-number chains",
+# flag -> (help, required by every command taking it, split at commas by
+# `main`).  jumping-numbers splits --direction only once it is asked for.
+_FLAGS = {
+    "--lambda": ("point, e.g. 1/6,1", True, True),
+    "--box": ("box corner, e.g. 1,3", True, True),
+    "--ideal": ("ideal name for jumping-number chains", False, False),
+    "--direction": ("ray direction, e.g. 1,1", False, False),
+    "--upto": ("upper bound for jumping-number chains", True, False),
 }
 
 
+class Command(NamedTuple):
+    run: Callable  # run(engine, opts, fmt) -> text, or (text, exit code)
+    help: str
+    flags: tuple[str, ...] = ()  # keys of _FLAGS
+    formats: tuple[str, ...] = ("json", "text")  # the first is the default
+
+
+def _commands_where(test) -> str:
+    return ", ".join(name for name, command in _COMMANDS.items() if test(command))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mmideals", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    # command -> (help, the flags it takes besides --input/--format/--output)
-    commands = {
-        "canonical": ("relative canonical divisor of the input graph", {}),
-        "mmi": ("mixed multiplier ideal divisor at a point", _LAMBDA),
-        "region": ("constancy region inequalities at a point", _LAMBDA),
-        "enumerate": ("enumerate constancy regions inside a box", _BOX),
-        "walls": ("wall diagram of the constancy regions inside a box", _BOX),
-        "jumping-numbers": ("jumping numbers of one ideal or along a ray", _CHAIN),
-        "min-jumping-divisor": ("minimal jumping divisor at a jumping point", _LAMBDA),
-        "verify": ("verify jump identities at a jumping point", _LAMBDA),
-    }
-    for name, (help_text, flags) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="input JSON file")
-        for flag, flag_help in flags.items():
-            p.add_argument(flag, help=flag_help)
-        p.add_argument(
-            "--format",
-            choices=("json", "svg", "text"),
-            default=None,
-            help="output format (default: svg for walls, json otherwise)",
-        )
-        p.add_argument("--output", help="write to this file instead of stdout")
+    listing = "\n".join(f"  {name:<21} {command.help}" for name, command in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="mmideals",
+        description="commands:\n" + listing,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the above")
+    parser.add_argument("--input", required=True, help="input JSON file")
+    for flag, (flag_help, _, _) in _FLAGS.items():
+        takers = _commands_where(lambda c: flag in c.flags)
+        parser.add_argument(flag, help=f"{flag_help} ({takers})")
+    svg = _commands_where(lambda c: "svg" in c.formats)
+    svg_first = _commands_where(lambda c: c.formats[0] == "svg")
+    parser.add_argument(
+        "--format",
+        choices=("json", "svg", "text"),
+        help=f"output format; svg only for {svg} (default: svg for {svg_first}, json otherwise)",
+    )
+    parser.add_argument("--output", help="write to this file instead of stdout")
     return parser
-
-
-def _require(args, attr: str, flag: str):
-    value = getattr(args, attr)
-    if value is None:
-        raise PreconditionViolated(f"{args.command} needs {flag}")
-    return value
-
-
-def _engine(args) -> RegionEngine:
-    _, ideals = reportio.load_input(args.input)
-    return RegionEngine(ideals)
 
 
 def _fmt_tuple(values) -> str:
@@ -99,19 +87,15 @@ def _text_inequality(ineq) -> str:
     return f"{ineq.component}: {lhs or '0'} < {ineq.constant}"
 
 
-def _cmd_canonical(args, fmt: str):
-    graph, _ = reportio.load_input(args.input)
-    k = relative_canonical(graph)
-    exc = [reportio.rational_json(c) for c in k.exceptional_part()]
+def _cmd_canonical(engine, opts, fmt: str):
+    k = engine.canonical.exceptional_part()
     if fmt == "text":
-        return "K = " + _fmt_tuple(k.exceptional_part()) + "\n"
-    return reportio.dump_json(exc)
+        return "K = " + _fmt_tuple(k) + "\n"
+    return reportio.dump_json([reportio.rational_json(c) for c in k])
 
 
-def _cmd_mmi(args, fmt: str):
-    engine = _engine(args)
-    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
-    point = engine.point(lam)
+def _cmd_mmi(engine, opts, fmt: str):
+    point = engine.point(opts["lambda"])
     divisor = engine.mmi(point)
     payload = {
         "command": "mmi",
@@ -132,10 +116,8 @@ def _cmd_mmi(args, fmt: str):
     return reportio.dump_json(payload)
 
 
-def _cmd_region(args, fmt: str):
-    engine = _engine(args)
-    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
-    region = engine.region_of(lam)
+def _cmd_region(engine, opts, fmt: str):
+    region = engine.region_of(opts["lambda"])
     payload = {
         "command": "region",
         "lambda": reportio.point_json(region.lam),
@@ -166,31 +148,28 @@ def _enumeration_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_walk(args, fmt: str):
+def _cmd_walk(engine, opts, fmt: str):
     """`enumerate` and `walls`: the same walk, told apart only by the
     default format and the payload's `command`."""
-    engine = _engine(args)
-    box = _split_list(_require(args, "box", "--box"), "--box")
-    result = engine.enumerate_constancy_regions(box)
+    result = engine.enumerate_constancy_regions(opts["box"])
     if fmt == "svg":
         return render_walls(result)
     if fmt == "text":
         return _enumeration_text(result)
     payload = reportio.enumeration_json(result)
-    payload["command"] = args.command
+    payload["command"] = opts["command"]
     return reportio.dump_json(payload)
 
 
-def _cmd_jumping_numbers(args, fmt: str):
-    engine = _engine(args)
-    upto = _require(args, "upto", "--upto")
-    if (args.ideal is None) == (args.direction is None):
+def _cmd_jumping_numbers(engine, opts, fmt: str):
+    upto, ideal = opts["upto"], opts["ideal"]
+    if (ideal is None) == (opts["direction"] is None):
         raise PreconditionViolated("jumping-numbers needs exactly one of --ideal / --direction")
-    if args.ideal is not None:
-        values = engine.jumping_numbers_of(args.ideal, upto)
-        source: dict = {"ideal": args.ideal}
+    if ideal is not None:
+        values = engine.jumping_numbers_of(ideal, upto)
+        source: dict = {"ideal": ideal}
     else:
-        direction = _split_list(args.direction, "--direction")
+        direction = _split_list(opts["direction"], "--direction")
         values = engine.wall_ray_restriction(direction, upto)
         source = {"direction": [str(Fraction(d)) for d in direction]}
     if fmt == "text":
@@ -200,10 +179,8 @@ def _cmd_jumping_numbers(args, fmt: str):
     return reportio.dump_json(payload)
 
 
-def _cmd_min_jumping_divisor(args, fmt: str):
-    engine = _engine(args)
-    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
-    context = engine.at(lam)
+def _cmd_min_jumping_divisor(engine, opts, fmt: str):
+    context = engine.at(opts["lambda"])
     point, gmin = context.coords, context.gmin
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
@@ -222,10 +199,8 @@ def _cmd_min_jumping_divisor(args, fmt: str):
     return reportio.dump_json(payload)
 
 
-def _cmd_verify(args, fmt: str):
-    engine = _engine(args)
-    lam = _split_list(_require(args, "lambda", "--lambda"), "--lambda")
-    point = engine.point(lam)
+def _cmd_verify(engine, opts, fmt: str):
+    point = engine.point(opts["lambda"])
     reports = [
         verify_jump_identity(engine, point),
         verify_numeric_conditions(engine, point),
@@ -262,26 +237,48 @@ def _cmd_verify(args, fmt: str):
 
 
 _COMMANDS = {
-    "canonical": _cmd_canonical,
-    "mmi": _cmd_mmi,
-    "region": _cmd_region,
-    "enumerate": _cmd_walk,
-    "walls": _cmd_walk,
-    "jumping-numbers": _cmd_jumping_numbers,
-    "min-jumping-divisor": _cmd_min_jumping_divisor,
-    "verify": _cmd_verify,
+    "canonical": Command(_cmd_canonical, "relative canonical divisor of the input graph"),
+    "mmi": Command(_cmd_mmi, "mixed multiplier ideal divisor at a point", ("--lambda",)),
+    "region": Command(_cmd_region, "constancy region inequalities at a point", ("--lambda",)),
+    "enumerate": Command(
+        _cmd_walk, "enumerate constancy regions inside a box", ("--box",), ("json", "svg", "text")
+    ),
+    "walls": Command(
+        _cmd_walk, "wall diagram of the constancy regions inside a box", ("--box",), ("svg", "json", "text")
+    ),
+    "jumping-numbers": Command(
+        _cmd_jumping_numbers,
+        "jumping numbers of one ideal or along a ray",
+        ("--ideal", "--direction", "--upto"),
+    ),
+    "min-jumping-divisor": Command(
+        _cmd_min_jumping_divisor, "minimal jumping divisor at a jumping point", ("--lambda",)
+    ),
+    "verify": Command(_cmd_verify, "verify jump identities at a jumping point", ("--lambda",)),
 }
-
-_SVG_COMMANDS = {"walls", "enumerate"}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fmt = args.format or ("svg" if args.command == "walls" else "json")
+    parser = build_parser()
+    opts = vars(parser.parse_args(argv))
+    name = opts["command"]
+    command = _COMMANDS[name]
+    foreign = [f"{f} {opts[f[2:]]}" for f in _FLAGS if f not in command.flags and opts[f[2:]] is not None]
+    if foreign:
+        parser.error("unrecognized arguments: " + " ".join(foreign))
+    fmt = opts["format"] or command.formats[0]
     try:
-        if fmt == "svg" and args.command not in _SVG_COMMANDS:
-            raise PreconditionViolated(f"{args.command} has no SVG rendering")
-        outcome = _COMMANDS[args.command](args, fmt)
+        if fmt not in command.formats:
+            raise PreconditionViolated(f"{name} has no SVG rendering")
+        _, ideals = reportio.load_input(opts["input"])
+        engine = RegionEngine(ideals)
+        for flag in command.flags:
+            key, (_, required, split) = flag[2:], _FLAGS[flag]
+            if required and opts[key] is None:
+                raise PreconditionViolated(f"{name} needs {flag}")
+            if split:
+                opts[key] = _split_list(opts[key], flag)
+        outcome = command.run(engine, opts, fmt)
     except MMIError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -289,8 +286,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         return 4
     text, code = outcome if isinstance(outcome, tuple) else (outcome, 0)
-    if args.output:
-        with open(args.output, "w") as handle:
+    if opts["output"]:
+        with open(opts["output"], "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

@@ -2,8 +2,8 @@
 
 Every error raised on purpose by this package derives from :class:`MMIError`
 and carries the process exit code the command line tool maps it to:
-2 for rejected input, 3 for geometry the engine does not support, 4 for a
-broken internal invariant (always a bug).
+2 for rejected input or a request over a size cap, 3 for geometry the
+engine does not support, 4 for a broken internal invariant (always a bug).
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ class IntegralityViolated(MMIError):
 
 class CandidateExplosion(MMIError):
     """Exhaustive subset enumeration would exceed the configured cap."""
+
+
+class LimitReached(MMIError):
+    """A request reached a size cap (ENUMERATION_GUARD, CHAIN_GUARD in
+    :mod:`mmideals.regions`): it asks for too much, which is not a bug."""
 
 
 class UnsupportedGeometry(MMIError):

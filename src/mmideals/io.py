@@ -74,10 +74,9 @@ def build_ideals(graph: DualGraph, raw_ideals) -> IdealDivisorSet:
 # -- JSON value conventions ---------------------------------------------------
 
 
-def rational_json(q: Fraction):
+def rational_json(q: int | Fraction):
     """Integers as JSON numbers, everything else as a 'p/q' string."""
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else str(q)
+    return q.numerator if q.denominator == 1 else str(q)
 
 
 def point_json(point) -> list[str]:

@@ -29,7 +29,7 @@ from .errors import (
     DimensionMismatch,
     GeometryDegeneracy,
     InternalInvariant,
-    NonTermination,
+    LimitReached,
     PreconditionViolated,
     UnsupportedGeometry,
     ZeroDivisor,
@@ -51,7 +51,9 @@ __all__ = [
 
 Point = tuple  # tuple[Fraction, ...]
 
-ENUMERATION_GUARD = 200_000
+# Size caps a request can reach; hitting one raises LimitReached (exit 2).
+ENUMERATION_GUARD = 200_000  # walk steps
+CHAIN_GUARD = 100_000  # jumping numbers computed along one ray
 
 
 class WallInequality:
@@ -159,19 +161,17 @@ class ConstancyRecord:
 
 
 class EnumerationResult:
-    def __init__(self, box, records, representatives, queue, warnings, m_primary):
+    def __init__(self, box, by_divisor, representatives, queue, warnings, m_primary):
         self.box = box
-        self.records = records
+        self.by_divisor = by_divisor  # divisor -> its record, in discovery order
+        self.records = list(by_divisor.values())
         self.representatives = representatives  # processed points, in order (D)
         self.queue = queue  # unprocessed seeds left over (N)
         self.warnings = warnings
         self.m_primary = m_primary
 
     def record_for(self, divisor: Divisor) -> ConstancyRecord | None:
-        for rec in self.records:
-            if rec.divisor == divisor:
-                return rec
-        return None
+        return self.by_divisor.get(divisor)
 
 
 # -- exact line clipping ------------------------------------------------------
@@ -387,8 +387,8 @@ class RegionEngine:
         queue: list[Point] = [origin]
         seen: set[Point] = {origin}
         representatives: list[Point] = []
-        records: list[ConstancyRecord] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
+        records = by_divisor.values()  # in discovery order
         warnings: list[str] = []
 
         steps = 0
@@ -397,16 +397,16 @@ class RegionEngine:
                 break
             steps += 1
             if steps > ENUMERATION_GUARD:
-                raise NonTermination(f"enumeration exceeded {ENUMERATION_GUARD} steps")
+                raise LimitReached(f"walk passed ENUMERATION_GUARD = {ENUMERATION_GUARD} steps; shrink --box")
 
             self._prioritize(queue)
             lam = queue.pop(0)
+            representatives.append(lam)
             divisor = self.mmi(lam)
 
             known = by_divisor.get(divisor)
             if known is not None:
                 known.representatives.append(lam)
-                representatives.append(lam)
                 continue
 
             region = self.region_of(lam)
@@ -417,14 +417,11 @@ class RegionEngine:
                 divisor=divisor,
                 region=region,
                 cfacets=facets,
-                predecessors=tuple(
-                    r.index for r in records if r.divisor.le(divisor) and r.divisor != divisor
-                ),
+                # `divisor` has no record yet, so `le` here means strictly below
+                predecessors=tuple(r.index for r in records if r.divisor.le(divisor)),
                 truncated=self._truncated(region, box_pt),
             )
-            records.append(record)
             by_divisor[divisor] = record
-            representatives.append(lam)
             if record.index == 0 and not seeds:
                 warnings.append(
                     "BoxTooSmall: the box misses the boundary of the first region; "
@@ -437,7 +434,7 @@ class RegionEngine:
 
         return EnumerationResult(
             box=box_pt,
-            records=records,
+            by_divisor=by_divisor,
             representatives=representatives,
             queue=list(queue),
             warnings=warnings,
@@ -445,24 +442,20 @@ class RegionEngine:
         )
 
     def _prioritize(self, queue: list[Point]):
-        # Move the first queued point whose divisor sits strictly below the
-        # head's to the front, until the head is minimal.  Strict descent in
-        # the divisor lattice, so this terminates.
-        guard = 0
-        while True:
-            head_divisor = self.mmi(queue[0])
-            moved = False
-            for idx in range(1, len(queue)):
-                cand = self.mmi(queue[idx])
-                if cand != head_divisor and cand.le(head_divisor):
-                    queue.insert(0, queue.pop(idx))
-                    moved = True
-                    break
-            if not moved:
-                return
-            guard += 1
-            if guard > len(queue) + 10_000:
-                raise InternalInvariant("queue prioritization cycled")
+        # Repeatedly moving the first point strictly below the head to the
+        # front, in one scan: after picks x_1..x_k the queue is [x_k, ...,
+        # x_1, head, rest], and no point before x_k is strictly below x_k (it
+        # would be below x_{k-1} and picked first), so x_{k+1} follows x_k.
+        current = self.mmi(queue[0])
+        picked, rest = [queue[0]], []
+        for lam in queue[1:]:
+            cand = self.mmi(lam)
+            if cand != current and cand.le(current):
+                picked.append(lam)
+                current = cand
+            else:
+                rest.append(lam)
+        queue[:] = picked[::-1] + rest
 
     def _truncated(self, region: RegionPolytope, box_pt: Point) -> bool:
         for axis, limit in enumerate(box_pt):
@@ -585,12 +578,12 @@ class RegionEngine:
         limit = _as_fraction(t_max, "upto")
         values: list[Fraction] = []
         t = Fraction(0)
-        for _ in range(100_000):
+        for _ in range(CHAIN_GUARD):
             t = next_jumping_number(combined, self.canonical, t)
             if t > limit:
                 return values
             values.append(t)
-        raise NonTermination("ray restriction did not reach the limit")
+        raise LimitReached(f"ray passed CHAIN_GUARD = {CHAIN_GUARD} jumping numbers below {limit}; lower --upto")
 
 
 def next_jumping_number(ideal_divisor: Divisor, canonical: Divisor, t_prev) -> Fraction:

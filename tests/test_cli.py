@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import mmideals.divisors
+import mmideals.regions
 from mmideals.cli import main
 
 from conftest import EXAMPLE_PATH, GOLDEN
@@ -273,3 +274,55 @@ def test_flag_of_another_command_rejected(capsys):
         main(["canonical", "--input", INPUT, "--box", "1,2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("canonical", "--lambda"),
+        ("mmi", "--box"),
+        ("region", "--upto"),
+        ("enumerate", "--lambda"),
+        ("walls", "--ideal"),
+        ("jumping-numbers", "--box"),
+        ("min-jumping-divisor", "--direction"),
+        ("verify", "--upto"),
+    ],
+)
+def test_every_command_rejects_a_foreign_flag(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--input", INPUT, flag, "1,2"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1,2" in capsys.readouterr().err
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    commands = (
+        "canonical", "mmi", "region", "enumerate", "walls",
+        "jumping-numbers", "min-jumping-divisor", "verify",
+    )
+    flags = (
+        "--input", "--lambda", "--box", "--ideal", "--direction", "--upto", "--format", "--output",
+    )
+    for word in commands + flags:
+        assert word in out
+
+
+def test_exit_2_when_the_ray_chain_reaches_its_cap(capsys, monkeypatch):
+    monkeypatch.setattr(mmideals.regions, "CHAIN_GUARD", 1)
+    code, out, err = run(capsys, "jumping-numbers", "--input", INPUT, "--ideal", "a2", "--upto", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: LimitReached: ")
+    assert "CHAIN_GUARD" in err and "--upto" in err
+
+
+def test_exit_2_when_the_walk_reaches_its_cap(capsys, monkeypatch):
+    monkeypatch.setattr(mmideals.regions, "ENUMERATION_GUARD", 3)
+    code, out, err = run(capsys, "enumerate", "--input", INPUT, "--box", "1,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: LimitReached: ")
+    assert "ENUMERATION_GUARD" in err and "--box" in err

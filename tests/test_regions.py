@@ -12,6 +12,7 @@ from mmideals import (
     Divisor,
     RegionEngine,
     build_ideals,
+    enumeration_json,
     next_jumping_number,
     validate_graph,
 )
@@ -355,3 +356,38 @@ def test_walk_facet_endpoints_are_fractions(engine, affine_engine, which):
         for z in facet.start + facet.end + facet.midpoint
     ]
     assert ends and all(type(z) is Fraction for z in ends)
+
+
+def _prioritize_by_rescanning(self, queue):
+    """The queue priority as first written: move the first queued point
+    strictly below the head to the front, rescanning from the head after
+    every move.  Oracle for the single-scan `RegionEngine._prioritize`."""
+    guard = 0
+    while True:
+        head_divisor = self.mmi(queue[0])
+        moved = False
+        for idx in range(1, len(queue)):
+            cand = self.mmi(queue[idx])
+            if cand != head_divisor and cand.le(head_divisor):
+                queue.insert(0, queue.pop(idx))
+                moved = True
+                break
+        if not moved:
+            return
+        guard += 1
+        if guard > len(queue) + 10_000:
+            raise AssertionError("queue prioritization cycled")
+
+
+@pytest.mark.parametrize("which", ["m-primary", "affine"])
+@pytest.mark.parametrize("box", [("1", "3"), ("2", "6"), ("3/4", "5/2")])
+@pytest.mark.parametrize("max_points", [None, 7, 30])
+def test_prioritize_matches_the_rescanning_oracle(
+    engine, affine_engine, monkeypatch, which, box, max_points
+):
+    eng = _engines(engine, affine_engine)[which]
+    fast = eng.enumerate_constancy_regions(box, max_points=max_points)
+    monkeypatch.setattr(RegionEngine, "_prioritize", _prioritize_by_rescanning)
+    slow = eng.enumerate_constancy_regions(box, max_points=max_points)
+    # the payload holds every record, the representatives and the queue
+    assert enumeration_json(fast) == enumeration_json(slow)
