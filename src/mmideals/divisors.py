@@ -16,7 +16,6 @@ on the per-point context `RegionEngine.at(lam)` in :mod:`mmideals.regions`.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from fractions import Fraction
@@ -33,13 +32,9 @@ from .graph import DualGraph, _as_fraction
 
 __all__ = [
     "Divisor",
-    "Containment",
-    "NonclosedComparison",
     "is_antinef",
     "unload_once",
     "antinef_closure",
-    "ideal_contains",
-    "compare_nonclosed",
     "parse_point",
 ]
 
@@ -71,15 +66,6 @@ class Divisor:
         raise AttributeError("Divisor is immutable")
 
     # -- basics ---------------------------------------------------------
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __iter__(self):
-        return iter(self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -199,70 +185,6 @@ def antinef_closure(divisor: Divisor) -> Divisor:
             return current
         current = bumped
     raise NonTermination(f"unloading did not stabilize within {cap} sweeps")
-
-
-class Containment(enum.Enum):
-    EQUAL = "Equal"
-    STRICTLY_CONTAINS = "StrictlyContains"
-    STRICTLY_CONTAINED = "StrictlyContained"
-    INCOMPARABLE = "Incomparable"
-
-
-def ideal_contains(d1: Divisor, d2: Divisor) -> Containment:
-    """Compare the complete ideals encoded by two antinef divisors.
-
-    Containment of ideals reverses the divisor order: the ideal of d1
-    contains the ideal of d2 exactly when d1 <= d2 componentwise.
-    """
-    d1._check_same_graph(d2)
-    for d in (d1, d2):
-        if not d.is_integral():
-            raise NonIntegralDivisor("ideal comparison needs integral divisors")
-        if not is_antinef(d):
-            raise PreconditionViolated("ideal comparison needs antinef divisors")
-    if d1 == d2:
-        return Containment.EQUAL
-    if d1.le(d2):
-        return Containment.STRICTLY_CONTAINS
-    if d2.le(d1):
-        return Containment.STRICTLY_CONTAINED
-    return Containment.INCOMPARABLE
-
-
-class NonclosedComparison:
-    """Result of :func:`compare_nonclosed`: equality flag plus, when the
-    ideals differ, one component id witnessing the strict drop."""
-
-    __slots__ = ("equal", "witness")
-
-    def __init__(self, equal: bool, witness: str | None):
-        self.equal = equal
-        self.witness = witness
-
-    def __bool__(self):
-        return self.equal
-
-    def __repr__(self):
-        if self.equal:
-            return "NonclosedComparison(equal)"
-        return f"NonclosedComparison(differs at {self.witness})"
-
-
-def compare_nonclosed(d1: Divisor, d2: Divisor) -> NonclosedComparison:
-    """Decide whether two nested non-closed divisors cut the same ideal.
-
-    Precondition: d1 <= d2.  The ideals agree exactly when the antinef
-    closure of d1 already dominates d2; otherwise some coefficient of the
-    closure stays strictly below d2 and that component is reported.
-    """
-    d1._check_same_graph(d2)
-    if not d1.le(d2):
-        raise PreconditionViolated("compare_nonclosed needs d1 <= d2")
-    closed = antinef_closure(d1)
-    for i, (a, b) in enumerate(zip(closed.coeffs, d2.coeffs)):
-        if a < b:
-            return NonclosedComparison(False, d1.graph.ids[i])
-    return NonclosedComparison(True, None)
 
 
 def parse_point(lam, r: int) -> tuple[Fraction, ...]:

@@ -64,10 +64,6 @@ class IntegralityViolated(MMIError):
     integer, so the contribution test is meaningless there."""
 
 
-class CandidateExplosion(MMIError):
-    """Exhaustive subset enumeration would exceed the configured cap."""
-
-
 class LimitReached(MMIError):
     """A request reached a size cap (ENUMERATION_GUARD, CHAIN_GUARD in
     :mod:`mmideals.regions`): it asks for too much, which is not a bug."""

@@ -91,7 +91,7 @@ def divisor_json(divisor: Divisor) -> list:
 def inequality_json(ineq: WallInequality) -> dict:
     return {
         "component": ineq.component,
-        "coeffs": [int(a) for a in ineq.coeffs],
+        "coeffs": list(ineq.coeffs),
         "rhs": str(ineq.constant),
     }
 

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .divisors import Divisor, antinef_closure
 from .errors import (
-    CandidateExplosion,
     DanglingReference,
     IntegralityViolated,
     InternalInvariant,
@@ -56,6 +55,7 @@ __all__ = [
     "SUBSET_CAP",
 ]
 
+# Above this many candidate subsets the contribution dichotomy samples them.
 SUBSET_CAP = 2**16
 
 
@@ -75,16 +75,15 @@ class MinimalJumpingDivisor:
     Attributes:
         point: the jumping point.
         components: ids of the members, in graph order.
-        indicator: 0/1 coefficient vector over all components.
         valences: id -> number of other members adjacent to it.
         hyperplanes: id -> (normal, constant) of the supporting hyperplane
             sum_i lam_i e_{i,j} = k_j + 1 + e_j(left).
+        divisor: the reduced divisor on the members (0/1 coefficients).
     """
 
-    def __init__(self, point, components, indicator, valences, hyperplanes, divisor):
+    def __init__(self, point, components, valences, hyperplanes, divisor):
         self.point = point
         self.components = components
-        self.indicator = indicator
         self.valences = valences
         self.hyperplanes = hyperplanes
         self.divisor = divisor
@@ -125,10 +124,11 @@ def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
     """Compute the minimal jumping divisor at a jumping point.
 
     Membership is the value equation against the left-limit divisor; the
-    structural invariants (values in Z_{>0}, ends of every connected block
-    rupture or dicritical) are validated before returning.  Affine members
-    are legitimate: they carry the jumps of the affine coordinates and count
-    as valuation-carrying ends.  `engine.at(lam).gmin` caches the result.
+    structural invariants (values in Z_{>0}; every end, a member with at most
+    one member neighbour, rupture or dicritical) are validated before
+    returning.  Affine members are legitimate: they carry the jumps of the
+    affine coordinates and count as valuation-carrying ends.
+    `engine.at(lam).gmin` caches the result.
     """
     context = engine.at(lam)
     coords = context.coords
@@ -172,21 +172,17 @@ def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
         for j in range(graph.n_exc)
         if any(total.coeffs[a] > 0 for a in graph.aff_cross[j])
     }
-    for block in _connected_parts(graph, members):
-        for j in block:
-            degree = sum(1 for nb in graph.adjacency[j] if j != nb and nb in member_set)
-            if degree <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
-                raise InternalInvariant(
-                    f"end component {graph.ids[j]} of the jumping divisor is neither "
-                    "rupture nor dicritical nor crossed by an affine component "
-                    "with multiplicity"
-                )
+    for j in members:
+        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
+            raise InternalInvariant(
+                f"end component {graph.ids[j]} of the jumping divisor is neither "
+                "rupture nor dicritical nor crossed by an affine component "
+                "with multiplicity"
+            )
 
-    indicator = tuple(1 if j in member_set else 0 for j in range(graph.n_total))
     return MinimalJumpingDivisor(
         point=coords,
         components=tuple(graph.ids[j] for j in members),
-        indicator=indicator,
         valences=valences,
         hyperplanes=hyperplanes,
         divisor=_indicator_divisor(ideals, members),
@@ -241,13 +237,12 @@ def contributes(engine: RegionEngine, component_ids: Sequence[str], lam) -> Cont
     full = antinef_closure(floor_div - _indicator_divisor(ideals, members))
     if full == at:
         return Contribution.NO
-    if len(members) > 16:
-        raise CandidateExplosion("criticality check over more than 2^16 subdivisors")
-    # Mask 0 would close floor - 0, which is `at` itself.
-    for mask in range(1, (1 << len(members)) - 1):
-        subset = [members[i] for i in range(len(members)) if mask >> i & 1]
-        sub = antinef_closure(floor_div - _indicator_divisor(ideals, subset))
-        if sub != at:
+    # Closure is monotone, so a proper subdivisor H of G contributes exactly
+    # when a maximal one G - {j} containing H does: floor - (G - {j}) <=
+    # floor - H puts its closure at or below that of H, strictly below `at`.
+    for j in members:
+        rest = [i for i in members if i != j]
+        if antinef_closure(floor_div - _indicator_divisor(ideals, rest)) != at:
             return Contribution.CONTRIBUTES
     return Contribution.CRITICALLY
 
@@ -340,7 +335,6 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     special = set(engine.classification.wall_relevant)
 
     member_idx = [graph.index[cid] for cid in gmin.components]
-    member_set = set(member_idx)
     checks: list[Check] = []
     for i in member_idx:
         if i >= graph.n_exc:
@@ -369,8 +363,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
 
     for block in _connected_parts(graph, member_idx):
         for j in block:
-            degree = sum(1 for nb in graph.adjacency[j] if nb in member_set and nb != j)
-            if degree <= 1 and j < graph.n_exc:
+            if gmin.valences[graph.ids[j]] <= 1 and j < graph.n_exc:
                 checks.append(
                     Check(
                         f"{graph.ids[j]}: end is rupture or dicritical",
@@ -381,21 +374,15 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     return VerificationReport("numeric_conditions", coords, checks)
 
 
-def verify_contribution_dichotomy(
-    engine: RegionEngine,
-    lam,
-    cap: int = SUBSET_CAP,
-    sample_above_cap: bool = True,
-) -> VerificationReport:
+def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationReport:
     """Sweep reduced divisors on integral-valued components at a jumping
     point and check the dichotomy: every candidate ideal sits between the
     ideal at lam and its left limit, and it equals the left limit exactly
     when the candidate contains the minimal jumping divisor.
 
-    With more than log2(cap) candidate components the full sweep explodes;
-    by default a seeded sample of `cap` subsets is checked instead and the
-    report is flagged partial.  Passing sample_above_cap=False raises
-    CandidateExplosion in that case.
+    When the 2^n subsets of the n candidate components exceed SUBSET_CAP,
+    a seeded sample of 1024 subsets plus the empty and the full one is
+    checked instead and the report is flagged partial.
     """
     context = engine.at(lam)
     gmin = context.gmin
@@ -413,18 +400,15 @@ def verify_contribution_dichotomy(
         raise InternalInvariant("minimal jumping divisor escapes the candidate set")
 
     n = len(candidates)
-    partial = False
-    if n <= 16 and (1 << n) <= cap:
-        masks: Iterable[int] = range(1 << n)
-    elif sample_above_cap:
+    universe = 1 << n
+    partial = universe > SUBSET_CAP
+    if partial:
         # Sampling keeps the check useful without 2^n closures; anchor with
         # the empty and the full subset, which pin both sides of the iff.
         rng = random.Random(0)
-        universe = 1 << n
-        masks = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
-        partial = True
+        masks: Iterable[int] = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
     else:
-        raise CandidateExplosion(f"2^{n} candidate subdivisors exceed the cap {cap}")
+        masks = range(universe)
 
     checks: list[Check] = []
     bad_between = 0

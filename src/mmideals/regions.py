@@ -67,7 +67,7 @@ class WallInequality:
         self.constant = constant
 
     def value_at(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((Fraction(a) * z for a, z in zip(self.coeffs, point)), Fraction(0))
+        return sum(a * z for a, z in zip(self.coeffs, point))
 
     def __repr__(self):
         lhs = " + ".join(f"{a}*z{i + 1}" for i, a in enumerate(self.coeffs))
@@ -76,13 +76,23 @@ class WallInequality:
 
 class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
-    {z >= 0, coeffs . z < constant for every wall}."""
+    {z >= 0, coeffs . z < constant for every wall}.
+
+    For two ideals, `halfplanes` lists its closure as triples (a1, a2, b)
+    meaning a . z <= b, the two axes first; every b is a Fraction.
+    """
 
     def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...]):
         self.lam = lam
         self.divisor = divisor
         self.inequalities = inequalities
         self._by_component = {ineq.component: ineq for ineq in inequalities}
+
+    @cached_property
+    def halfplanes(self) -> list[tuple[int, int, Fraction]]:
+        return [(-1, 0, Fraction(0)), (0, -1, Fraction(0))] + [
+            (*ineq.coeffs, ineq.constant) for ineq in self.inequalities
+        ]
 
     @property
     def dim(self) -> int:
@@ -188,7 +198,7 @@ def _clip_parameter(constraints, p0, direction, lo, hi):
             if beta < 0:
                 return None
             continue
-        bound = Fraction(beta) / alpha
+        bound = beta / alpha
         if alpha > 0:
             if hi is None or bound < hi:
                 hi = bound
@@ -198,13 +208,6 @@ def _clip_parameter(constraints, p0, direction, lo, hi):
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
-
-
-def _halfplanes_of_closure(region: RegionPolytope):
-    planes = [(-1, 0, Fraction(0)), (0, -1, Fraction(0))]  # z1 >= 0, z2 >= 0
-    for ineq in region.inequalities:
-        planes.append((ineq.coeffs[0], ineq.coeffs[1], ineq.constant))
-    return planes
 
 
 def _subtract_intervals(lo: Fraction, hi: Fraction, cuts: list[tuple[Fraction, Fraction]]):
@@ -490,7 +493,6 @@ class RegionEngine:
         return (facet,), seeds
 
     def _facets_r2(self, region: RegionPolytope, priors, box_pt):
-        closure_planes = _halfplanes_of_closure(region)
         box_planes = [(1, 0, box_pt[0]), (0, 1, box_pt[1])]
         facets: list[CFacet] = []
         seeds: list[Point] = []
@@ -503,8 +505,8 @@ class RegionEngine:
                 p0 = (Fraction(c, a1), Fraction(0))
             else:
                 p0 = (Fraction(0), Fraction(c, a2))
-            direction = (Fraction(a2), Fraction(-a1))
-            span = _clip_parameter(closure_planes, p0, direction, None, None)
+            direction = (a2, -a1)
+            span = _clip_parameter(region.halfplanes, p0, direction, None, None)
             if span is None:
                 continue
             lo, hi = span
@@ -518,9 +520,7 @@ class RegionEngine:
                 prior_c = prior.region.constant_for(ineq.component)
                 if prior_c is not None and prior_c < c:
                     continue  # prior closure cannot reach this wall line
-                cut = _clip_parameter(
-                    _halfplanes_of_closure(prior.region), p0, direction, lo, hi
-                )
+                cut = _clip_parameter(prior.region.halfplanes, p0, direction, lo, hi)
                 if cut is not None:
                     u0, u1 = cut
                     cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))

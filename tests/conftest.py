@@ -16,13 +16,18 @@ compare against these frozen numbers, never against the code's own output.
 
 from __future__ import annotations
 
+import copy
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mmideals import RegionEngine, load_input, relative_canonical
+import mmideals.divisors
+from mmideals import RegionEngine, load_input
+from mmideals.graph import relative_canonical, validate_graph
+from mmideals.io import build_ideals
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE_PATH = DATA / "example_two_ideals.json"
@@ -169,6 +174,24 @@ def point(pair) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(c) for c in pair)
 
 
+def count_closures(monkeypatch) -> list:
+    """Rebind every alias of `antinef_closure` in the package's modules to a
+    wrapper that records its argument; returns the list it appends to."""
+    original = mmideals.divisors.antinef_closure
+    calls = []
+
+    def counted(divisor):
+        calls.append(divisor)
+        return original(divisor)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mmideals" or name.startswith("mmideals."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def example_raw() -> dict:
     return json.loads(EXAMPLE_PATH.read_text())
@@ -197,6 +220,15 @@ def canonical(graph):
 @pytest.fixture(scope="session")
 def engine(ideals):
     return RegionEngine(ideals)
+
+
+@pytest.fixture(scope="session")
+def affine_engine(example_raw):
+    """The example with A1 carrying multiplicity 1 in the second ideal, so
+    the tuple is not m-primary."""
+    raw = copy.deepcopy(example_raw)
+    raw["ideals"][1]["mult"]["A1"] = 1
+    return RegionEngine(build_ideals(validate_graph(raw), raw["ideals"]))
 
 
 @pytest.fixture(scope="session")

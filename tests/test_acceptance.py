@@ -14,14 +14,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmideals import (
-    Divisor,
-    IdealDivisorSet,
-    RegionEngine,
-    antinef_closure,
-    is_antinef,
+from mmideals import RegionEngine
+from mmideals.divisors import Divisor, antinef_closure, is_antinef
+from mmideals.graph import IdealDivisorSet, validate_graph
+from mmideals.jumping import (
     minimal_jumping_divisor,
-    validate_graph,
     verify_contribution_dichotomy,
     verify_jump_identity,
     verify_numeric_conditions,

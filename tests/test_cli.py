@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import sys
 
 import pytest
 
-import mmideals.divisors
 import mmideals.regions
 from mmideals.cli import main
 
-from conftest import EXAMPLE_PATH, GOLDEN
+from conftest import EXAMPLE_PATH, GOLDEN, count_closures
 
 INPUT = str(EXAMPLE_PATH)
 
@@ -199,20 +197,8 @@ def test_exit_2_on_malformed_shape(tmp_path, capsys, raw):
 
 
 def closure_count(monkeypatch, capsys, *argv) -> int:
-    """Run one CLI call and count its antinef closures, rebinding every
-    alias of `antinef_closure` in the package's modules."""
-    original = mmideals.divisors.antinef_closure
-    calls = []
-
-    def counted(divisor):
-        calls.append(divisor)
-        return original(divisor)
-
-    for name, module in list(sys.modules.items()):
-        if name == "mmideals" or name.startswith("mmideals."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    """Run one CLI call and count its antinef closures."""
+    calls = count_closures(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == 0
     return len(calls)

@@ -7,16 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals import (
-    Containment,
-    Divisor,
-    antinef_closure,
-    compare_nonclosed,
-    ideal_contains,
-    is_antinef,
-    parse_point,
-    unload_once,
-)
+from mmideals.divisors import Divisor, antinef_closure, is_antinef, parse_point, unload_once
 from mmideals.errors import (
     DimensionMismatch,
     GraphMismatch,
@@ -74,7 +65,7 @@ def test_arithmetic(graph):
 
 
 def test_cross_graph_arithmetic_rejected(graph):
-    from mmideals import validate_graph
+    from mmideals.graph import validate_graph
 
     other = validate_graph(
         {"exceptional": [{"id": "E1", "self": -2}], "ideals": [{"mult": {"E1": 1}}]}
@@ -84,7 +75,7 @@ def test_cross_graph_arithmetic_rejected(graph):
 
 
 def test_divisors_need_the_same_graph_object(example_raw, graph):
-    from mmideals import validate_graph
+    from mmideals.graph import validate_graph
 
     twin = validate_graph(example_raw)
     assert twin == graph  # graphs compare structurally, divisors by identity
@@ -163,44 +154,6 @@ def test_closure_rejects_bad_cap(graph, monkeypatch, bad):
     monkeypatch.setenv("MMI_MAX_UNLOAD_ITERS", bad)
     with pytest.raises(PreconditionViolated, match="MMI_MAX_UNLOAD_ITERS"):
         antinef_closure(D(graph, (0, 1, 0, 0, 0)))
-
-
-# -- ideal comparison ---------------------------------------------------------
-
-
-def test_ideal_contains_all_cases(graph):
-    zero = D(graph, (0, 0, 0, 0, 0))
-    small = D(graph, (1, 1, 1, 2, 3))
-    big = D(graph, (2, 3, 3, 6, 9))
-    assert ideal_contains(zero, small) is Containment.STRICTLY_CONTAINS
-    assert ideal_contains(big, small) is Containment.STRICTLY_CONTAINED
-    assert ideal_contains(small, small) is Containment.EQUAL
-    # antinef and differing in both directions (E1 up, E3 down)
-    assert ideal_contains(D(graph, (2, 2, 2, 4, 6)), D(graph, (1, 2, 3, 5, 7))) is Containment.INCOMPARABLE
-
-
-def test_ideal_contains_preconditions(graph):
-    anti = D(graph, (1, 1, 1, 2, 3))
-    with pytest.raises(NonIntegralDivisor):
-        ideal_contains(anti, Divisor(graph, ("1/2", 1, 1, 2, 3, 0, 0)))
-    with pytest.raises(PreconditionViolated):
-        ideal_contains(anti, D(graph, (0, 1, 0, 0, 0)))
-
-
-def test_compare_nonclosed_witness(graph):
-    got = compare_nonclosed(D(graph, (0, 1, 0, 0, 0)), D(graph, (1, 2, 2, 4, 6)))
-    assert not got
-    assert got.witness == "E2"
-
-
-def test_compare_nonclosed_equal(graph):
-    got = compare_nonclosed(D(graph, (0, 1, 0, 0, 0)), D(graph, (1, 1, 1, 2, 3)))
-    assert got.equal and got.witness is None
-
-
-def test_compare_nonclosed_requires_nesting(graph):
-    with pytest.raises(PreconditionViolated):
-        compare_nonclosed(D(graph, (1, 1, 1, 2, 3)), D(graph, (0, 1, 0, 0, 0)))
 
 
 # -- points -------------------------------------------------------------------

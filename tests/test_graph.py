@@ -8,14 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from mmideals import (
-    IdealDivisorSet,
-    Divisor,
-    Classification,
-    build_ideals,
-    relative_canonical,
-    validate_graph,
-)
+from mmideals.divisors import Divisor
+from mmideals.graph import Classification, IdealDivisorSet, relative_canonical, validate_graph
+from mmideals.io import build_ideals
 from mmideals.errors import (
     DanglingReference,
     DuplicateId,

@@ -6,15 +6,17 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmideals import (
+import mmideals.jumping
+from mmideals import RegionEngine, is_jumping_point
+from mmideals.divisors import Divisor, antinef_closure
+from mmideals.graph import validate_graph
+from mmideals.io import build_ideals
+from mmideals.jumping import (
     Contribution,
-    RegionEngine,
-    build_ideals,
     contributes,
-    is_jumping_point,
     minimal_jumping_divisor,
-    validate_graph,
     verify_contribution_dichotomy,
     verify_jump_identity,
     verify_numeric_conditions,
@@ -22,12 +24,13 @@ from mmideals import (
 from mmideals.errors import (
     DanglingReference,
     IntegralityViolated,
+    MMIError,
     NotAJumpingPoint,
     PreconditionViolated,
     ZeroPoint,
 )
 
-from conftest import EXAMPLE_PATH, GOLDEN, point
+from conftest import EXAMPLE_PATH, GOLDEN, count_closures, point
 
 
 JUMPING = [lam for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
@@ -47,10 +50,9 @@ def test_minimal_jumping_divisor(engine, ideals, lam, want):
     g = minimal_jumping_divisor(engine, point(lam))
     assert g.components == want
     assert g.point == point(lam)
-    # indicator and divisor agree with the member list
-    for j, flag in enumerate(g.indicator):
-        assert (ideals.graph.ids[j] in want) == bool(flag)
-        assert g.divisor.coeffs[j] == flag
+    # the divisor is the reduced divisor on the member list
+    for j, cid in enumerate(ideals.graph.ids):
+        assert g.divisor.coeffs[j] == (1 if cid in want else 0)
 
 
 def test_minimal_jumping_divisor_hyperplane(engine):
@@ -121,6 +123,97 @@ def test_contributes_validates_components(engine):
         contributes(engine, ["A1"], point(("1/6", "1")))
 
 
+def _contributes_by_subsets(engine, component_ids, lam):
+    """The criticality test as first written: close floor - H for G and for
+    every nonempty proper subset H of G, 2^n - 1 closures in all.  Oracle
+    for the n + 1 closures of `contributes`."""
+    context = engine.at(lam)
+    graph = engine.graph
+    members = sorted(graph.index[cid] for cid in component_ids)
+    for j in members:
+        _, q = context.rows[j]
+        if q.denominator != 1:
+            raise IntegralityViolated(f"value {q} at {graph.ids[j]} is not an integer")
+
+    def closed_without(subset):
+        coeffs = list(context.floor.coeffs)
+        for j in subset:
+            coeffs[j] -= 1
+        return antinef_closure(Divisor(graph, coeffs))
+
+    if closed_without(members) == context.divisor:
+        return Contribution.NO
+    for mask in range(1, (1 << len(members)) - 1):
+        subset = [members[i] for i in range(len(members)) if mask >> i & 1]
+        if closed_without(subset) != context.divisor:
+            return Contribution.CONTRIBUTES
+    return Contribution.CRITICALLY
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MMIError as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.fixture(scope="module")
+def walk_points(engine, affine_engine):
+    """Representatives of the box-[0,1]x[0,3] walk of each tuple: the
+    jumping points, where values turn integral and G can contribute."""
+    return {
+        which: eng.enumerate_constancy_regions(("1", "3")).representatives
+        for which, eng in (("m-primary", engine), ("affine", affine_engine))
+    }
+
+
+coords = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_contributes_matches_the_all_subsets_oracle(engine, affine_engine, walk_points, data):
+    which = data.draw(st.sampled_from(["m-primary", "affine"]))
+    eng = engine if which == "m-primary" else affine_engine
+    lam = data.draw(st.one_of(st.sampled_from(walk_points[which]), st.tuples(coords, coords)))
+    total, rows = eng.ideals.total(), eng.at(lam).rows
+    support = [cid for j, cid in enumerate(eng.graph.ids) if total.coeffs[j] > 0]
+    # Mostly components with integral values, where the answer is not an error.
+    integral = [cid for cid in support if rows[eng.graph.index[cid]][1].denominator == 1]
+    pool = st.sampled_from(integral) if integral else st.sampled_from(support)
+    ids = data.draw(st.lists(pool, unique=True) | st.lists(st.sampled_from(support), unique=True))
+    assert _outcome(contributes, eng, ids, lam) == _outcome(_contributes_by_subsets, eng, ids, lam)
+
+
+def _free_point_chain(n):
+    """n blow-ups, each at a free point of the newest exceptional curve: the
+    chain E1 - ... - En with self-intersections -2, ..., -2, -1, relative
+    canonical divisor K = sum_i i E_i, and the maximal ideal m, whose
+    divisor is E1 + ... + En."""
+    ids = [f"E{i}" for i in range(1, n + 1)]
+    raw = {
+        "exceptional": [{"id": cid, "self": -2} for cid in ids[:-1]] + [{"id": ids[-1], "self": -1}],
+        "edges": [[a, b] for a, b in zip(ids, ids[1:])],
+        "ideals": [{"name": "m", "mult": {cid: 1 for cid in ids}}],
+    }
+    return RegionEngine(build_ideals(validate_graph(raw), raw["ideals"]))
+
+
+def test_contributes_over_seventeen_components(monkeypatch):
+    engine = _free_point_chain(17)
+    assert engine.canonical.coeffs == tuple(range(1, 18))
+    # On a smooth surface J(m^2) = m and J(m^(2 - eps)) = O.  At lam = 2 the
+    # values 2 - k_j are integers, floor - G closes to 0 (the ideal O), and
+    # the jump sits on E1 alone: floor - (G - {E1}) still closes to m.
+    lam = (Fraction(2),)
+    assert engine.at(lam).divisor.coeffs == (1,) * 17
+    support = list(engine.graph.ids)
+    calls = count_closures(monkeypatch)
+    assert contributes(engine, support, lam) is Contribution.CONTRIBUTES
+    assert len(calls) <= len(support) + 1
+    assert contributes(engine, ["E1"], lam) is Contribution.CRITICALLY
+
+
 # -- verification reports --------------------------------------------------------
 
 
@@ -151,18 +244,10 @@ def test_verify_reports_reject_non_jumps(engine):
         verify_jump_identity(engine, point(("1/7", "1")))
 
 
-def test_dichotomy_sampling_above_cap(engine):
+def test_dichotomy_sampling_above_cap(engine, monkeypatch):
     # force the sampling path with a tiny cap; anchors keep both dichotomy
     # directions covered, and the report says it was partial
-    report = verify_contribution_dichotomy(engine, point(("1/2", "1")), cap=1)
+    monkeypatch.setattr(mmideals.jumping, "SUBSET_CAP", 1)
+    report = verify_contribution_dichotomy(engine, point(("1/2", "1")))
     assert report.passed
     assert report.partial
-
-
-def test_dichotomy_cap_can_refuse(engine):
-    from mmideals.errors import CandidateExplosion
-
-    with pytest.raises(CandidateExplosion):
-        verify_contribution_dichotomy(
-            engine, point(("1/2", "1")), cap=1, sample_above_cap=False
-        )

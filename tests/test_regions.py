@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals import (
-    Divisor,
-    RegionEngine,
-    build_ideals,
-    enumeration_json,
-    next_jumping_number,
-    validate_graph,
-)
+from mmideals import RegionEngine, next_jumping_number
+from mmideals.divisors import Divisor
+from mmideals.graph import validate_graph
+from mmideals.io import build_ideals, enumeration_json
 from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
@@ -309,15 +304,6 @@ def test_walks_of_random_boxes_cover_their_corners(engine, b1, b2):
     assert result.record_for(engine.mmi((b1, b2))) is not None
     divisors = [rec.divisor for rec in result.records]
     assert len(set(divisors)) == len(divisors)
-
-
-@pytest.fixture(scope="module")
-def affine_engine(example_raw):
-    """The example with A1 carrying multiplicity 1 in the second ideal, so
-    the tuple is not m-primary."""
-    raw = copy.deepcopy(example_raw)
-    raw["ideals"][1]["mult"]["A1"] = 1
-    return RegionEngine(build_ideals(validate_graph(raw), raw["ideals"]))
 
 
 def _engines(engine, affine_engine):
