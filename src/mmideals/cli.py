@@ -12,6 +12,7 @@ internal invariant.  JSON output is byte-identical for identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from fractions import Fraction
@@ -19,7 +20,12 @@ from typing import Callable, NamedTuple
 
 from . import io as reportio
 from .errors import MMIError, PreconditionViolated
-from .jumping import verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
+from .jumping import (
+    minimal_jumping_divisor,
+    verify_contribution_dichotomy,
+    verify_jump_identity,
+    verify_numeric_conditions,
+)
 from .regions import RegionEngine
 from .svg import render_walls
 
@@ -55,6 +61,7 @@ def _commands_where(test) -> str:
     return ", ".join(name for name, command in _COMMANDS.items() if test(command))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     listing = "\n".join(f"  {name:<21} {command.help}" for name, command in _COMMANDS.items())
     parser = argparse.ArgumentParser(
@@ -180,8 +187,8 @@ def _cmd_jumping_numbers(engine, opts, fmt: str):
 
 
 def _cmd_min_jumping_divisor(engine, opts, fmt: str):
-    context = engine.at(opts["lambda"])
-    point, gmin = context.coords, context.gmin
+    point = engine.point(opts["lambda"])
+    gmin = minimal_jumping_divisor(engine, point)
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
     payload = {
@@ -194,7 +201,7 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
             for cid, (normal, constant) in gmin.hyperplanes.items()
         },
         "divisor_at": reportio.divisor_json(engine.mmi(point)),
-        "left_limit": reportio.divisor_json(context.left),
+        "left_limit": reportio.divisor_json(engine.at(point).left),
     }
     return reportio.dump_json(payload)
 

@@ -17,6 +17,7 @@ on the per-point context `RegionEngine.at(lam)` in :mod:`mmideals.regions`.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Sequence
@@ -107,7 +108,7 @@ class Divisor:
     def le(self, other: "Divisor") -> bool:
         """Componentwise <= (the divisor partial order)."""
         self._check_same_graph(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        return all(map(operator.le, self.coeffs, other.coeffs))
 
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)

@@ -81,7 +81,7 @@ def rational_json(q: int | Fraction):
 
 def point_json(point) -> list[str]:
     """Coordinates are always strings, integers included ('1', '1/6')."""
-    return [str(Fraction(c)) for c in point]
+    return [str(c) for c in point]
 
 
 def divisor_json(divisor: Divisor) -> list:

@@ -39,7 +39,7 @@ from .errors import (
 from .graph import IdealDivisorSet
 
 if TYPE_CHECKING:
-    from .regions import RegionEngine
+    from .regions import PointContext, RegionEngine
 
 __all__ = [
     "Contribution",
@@ -121,20 +121,25 @@ def _connected_parts(graph, members: list[int]) -> list[list[int]]:
 
 
 def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
-    """Compute the minimal jumping divisor at a jumping point.
+    """The minimal jumping divisor at a jumping point, computed once per
+    point and cached as `engine.at(lam).gmin`.
 
     Membership is the value equation against the left-limit divisor; the
     structural invariants (values in Z_{>0}; every end, a member with at most
     one member neighbour, rupture or dicritical) are validated before
     returning.  Affine members are legitimate: they carry the jumps of the
     affine coordinates and count as valuation-carrying ends.
-    `engine.at(lam).gmin` caches the result.
     """
-    context = engine.at(lam)
+    return engine.at(lam).gmin
+
+
+def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
+    """The computation behind `PointContext.gmin`; see
+    :func:`minimal_jumping_divisor`."""
     coords = context.coords
     if not any(coords):
         raise ZeroPoint("the origin carries no jumping divisor")
-    ideals, graph = engine.ideals, engine.graph
+    ideals, graph = context.ideals, context.graph
     left = context.left
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
@@ -163,7 +168,7 @@ def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
         graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members
     }
 
-    relevant = set(engine.classification.wall_relevant)
+    relevant = set(context.classification.wall_relevant)
     # An exceptional end may also be crossed by an affine component that
     # carries multiplicity; that crossing plays the dicritical role when the
     # ideals are not m-primary.
@@ -287,7 +292,7 @@ def verify_jump_identity(engine: RegionEngine, lam) -> VerificationReport:
     divisor G at a jumping point: the closure of (left-limit divisor + G) and
     of (left floor + G) must each equal the divisor at lam."""
     context = engine.at(lam)
-    gmin = context.gmin
+    gmin = minimal_jumping_divisor(engine, lam)
     at, left = context.divisor, context.left
 
     from_closed = antinef_closure(left + gmin.divisor)
@@ -327,7 +332,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     """
     context = engine.at(lam)
     coords, rows = context.coords, context.rows
-    gmin = context.gmin
+    gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
     ceil_part = Divisor(graph, [-c for c in context.floor.coeffs])
@@ -385,7 +390,7 @@ def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationRepo
     checked instead and the report is flagged partial.
     """
     context = engine.at(lam)
-    gmin = context.gmin
+    gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     at, left, floor_div, rows = context.divisor, context.left, context.floor, context.rows
     total = ideals.total()

@@ -12,13 +12,16 @@ are convex polygons containing the origin, and the enumerator walks outward
 from 0, one region per distinct ideal, picking one interior point of every
 outer facet as the seed for the next region.
 
-All geometry is exact: points are Fraction pairs, facets are clipped with
-rational 2x2 solves, nothing is ever rounded.
+All geometry is exact and runs on integers: with L the lcm of the
+denominators of K, a wall is the integer triple (a_1, a_2, C) meaning
+a . z < C / L, and floors come from integer numerators.  A Fraction is built
+only for a value the walk emits (wall constants, facet points, seeds).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -36,7 +39,7 @@ from .errors import (
     ZeroPoint,
 )
 from .graph import Classification, IdealDivisorSet, _as_fraction, relative_canonical
-from .jumping import minimal_jumping_divisor
+from .jumping import _minimal_jumping_divisor
 
 __all__ = [
     "WallInequality",
@@ -57,14 +60,16 @@ CHAIN_GUARD = 100_000  # jumping numbers computed along one ray
 
 
 class WallInequality:
-    """One strict inequality coeffs . z < constant."""
+    """One strict inequality coeffs . z < constant; `numerator` is the
+    integer constant * L, L the lcm of the denominators of K."""
 
-    __slots__ = ("component", "coeffs", "constant")
+    __slots__ = ("component", "coeffs", "constant", "numerator")
 
-    def __init__(self, component: str, coeffs: tuple[int, ...], constant: Fraction):
+    def __init__(self, component: str, coeffs: tuple[int, ...], constant: Fraction, numerator: int):
         self.component = component
         self.coeffs = coeffs
         self.constant = constant
+        self.numerator = numerator
 
     def value_at(self, point: Sequence[Fraction]) -> Fraction:
         return sum(a * z for a, z in zip(self.coeffs, point))
@@ -78,21 +83,20 @@ class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
     {z >= 0, coeffs . z < constant for every wall}.
 
-    For two ideals, `halfplanes` lists its closure as triples (a1, a2, b)
-    meaning a . z <= b, the two axes first; every b is a Fraction.
+    For two ideals, `halfplanes` lists its closure as integer triples
+    (a1, a2, C) meaning a . z <= C / L, the two axes first; `scale` is L.
     """
 
-    def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...]):
+    def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
         self.lam = lam
         self.divisor = divisor
         self.inequalities = inequalities
+        self.scale = scale
         self._by_component = {ineq.component: ineq for ineq in inequalities}
 
     @cached_property
-    def halfplanes(self) -> list[tuple[int, int, Fraction]]:
-        return [(-1, 0, Fraction(0)), (0, -1, Fraction(0))] + [
-            (*ineq.coeffs, ineq.constant) for ineq in self.inequalities
-        ]
+    def halfplanes(self) -> list[tuple[int, int, int]]:
+        return [(-1, 0, 0), (0, -1, 0)] + [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
 
     @property
     def dim(self) -> int:
@@ -187,18 +191,33 @@ class EnumerationResult:
 # -- exact line clipping ------------------------------------------------------
 
 
-def _clip_parameter(constraints, p0, direction, lo, hi):
-    """Intersect the parametrized line p0 + t * direction with half-planes
-    given as (a1, a2, b) meaning a . z <= b.  Returns (lo, hi) with None for
-    an unbounded side, or None when empty."""
-    for a1, a2, b in constraints:
-        alpha = a1 * direction[0] + a2 * direction[1]
-        beta = b - (a1 * p0[0] + a2 * p0[1])
+def _wall_line(coeffs: tuple[int, int], numerator: int, normals) -> tuple[int, ...]:
+    """The line of a wall, as _clip_parameter takes it, for half-planes
+    with the given normals (b1, b2)."""
+    a1, a2 = coeffs
+    m = math.lcm(*(alpha for b1, b2 in normals if (alpha := b1 * a2 - b2 * a1)))
+    return (a1, a2, a1, numerator, 0, m) if a1 != 0 else (a1, a2, a2, 0, numerator, m)
+
+
+def _clip_parameter(halfplanes, line, lo, hi):
+    """Intersect a wall line with half-planes (b1, b2, D) meaning
+    b . z <= D / L; returns (lo, hi), None for an unbounded side, or None.
+
+    `line` = (a1, a2, s, u1, u2, m) is the wall a . z = C / L (a >= 0) as
+    z(T) = (m * u + T * (a2, -a1)) / (L * s * m), with s = a1, u = (C, 0)
+    when a1 != 0, else s = a2, u = (0, C).  A half-plane reads
+    (b1 * a2 - b2 * a1) * T <= m * (D * s - b . u), and m is a multiple of
+    every b1 * a2 - b2 * a1, so every bound on T is an integer.
+    """
+    a1, a2, s, u1, u2, m = line
+    for b1, b2, d in halfplanes:
+        alpha = b1 * a2 - b2 * a1
+        beta = d * s - b1 * u1 - b2 * u2
         if alpha == 0:
             if beta < 0:
                 return None
             continue
-        bound = beta / alpha
+        bound = beta * (m // alpha)
         if alpha > 0:
             if hi is None or bound < hi:
                 hi = bound
@@ -210,7 +229,14 @@ def _clip_parameter(constraints, p0, direction, lo, hi):
     return lo, hi
 
 
-def _subtract_intervals(lo: Fraction, hi: Fraction, cuts: list[tuple[Fraction, Fraction]]):
+def _line_point(line, scale: int, t: int, k: int = 1) -> Point:
+    """The point z(t / k) of a wall line (see _clip_parameter), as Fractions."""
+    a1, a2, s, u1, u2, m = line
+    den = k * scale * s * m
+    return (Fraction(k * m * u1 + t * a2, den), Fraction(k * m * u2 - t * a1, den))
+
+
+def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
     """Closed base interval minus a union of closed cuts; returns the
     closures of the surviving open pieces, dropping zero-length remnants."""
     trimmed = []
@@ -220,7 +246,7 @@ def _subtract_intervals(lo: Fraction, hi: Fraction, cuts: list[tuple[Fraction, F
         if u0 <= u1:
             trimmed.append((u0, u1))
     trimmed.sort()
-    merged: list[list[Fraction]] = []
+    merged: list[list[int]] = []
     for u0, u1 in trimmed:
         if merged and u0 <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], u1)
@@ -244,20 +270,28 @@ class PointContext:
     """Everything asked at one point lam of the orthant.
 
     Built by :meth:`RegionEngine.at`, which caches it.  Filled at once:
-    `coords`; the value `rows`, pairs (form, q) with form = sum_i lam_i e_{i,j}
-    and q = form - k_j per component; `floor` = floor(lam . F - K); and its
+    `coords`; `floor` = floor(lam . F - K), from integer numerators; and its
     antinef closure `divisor`, which encodes the mixed multiplier ideal at lam.
-    Computed on first use: `left_floor`, its closure `left` (the ideal just
-    before lam along the ray) and the minimal jumping divisor `gmin`.  A walk
-    therefore pays one closure per point.
+    Computed on first use: the value `rows`, pairs (form, q) with form =
+    sum_i lam_i e_{i,j} and q = form - k_j per component; `left_floor`, its
+    closure `left` (the ideal just before lam along the ray) and the minimal
+    jumping divisor `gmin`.  A walk therefore pays one closure per point.
+
+    It keeps what it uses, not the engine, so the two form no reference
+    cycle.
     """
 
     def __init__(self, engine: "RegionEngine", coords: Point):
-        self.engine = engine
+        self.graph, self.ideals = engine.graph, engine.ideals
+        self.canonical, self.classification = engine.canonical, engine.classification
         self.coords = coords
-        self.rows = engine.value_rows(coords)
-        self.floor = Divisor(engine.graph, [math.floor(q) for _, q in self.rows])
+        self.floor = Divisor(engine.graph, engine._floor(coords))
         self.divisor = antinef_closure(self.floor)
+
+    @cached_property
+    def rows(self) -> list[tuple[Fraction, Fraction]]:
+        forms = [self.ideals.value(self.coords, j) for j in range(self.graph.n_total)]
+        return [(form, form - k) for form, k in zip(forms, self.canonical.coeffs)]
 
     @cached_property
     def left_floor(self) -> Divisor:
@@ -266,7 +300,7 @@ class PointContext:
         of floor((1 - eps) * form - k): coordinates with form = 0 never
         move, so they keep their plain floor."""
         return Divisor(
-            self.engine.graph,
+            self.graph,
             [q - 1 if q.denominator == 1 and form > 0 else math.floor(q) for form, q in self.rows],
         )
 
@@ -281,7 +315,7 @@ class PointContext:
     @cached_property
     def gmin(self):
         """The minimal jumping divisor (see :mod:`mmideals.jumping`)."""
-        return minimal_jumping_divisor(self.engine, self.coords)
+        return _minimal_jumping_divisor(self)
 
 
 class RegionEngine:
@@ -298,6 +332,11 @@ class RegionEngine:
         self.graph = ideals.graph
         self.canonical = relative_canonical(self.graph)
         self.classification = Classification(self.graph, ideals)
+        # L: the lcm of the denominators of K, so L * k_j is an integer
+        self.scale = math.lcm(*(k.denominator for k in self.canonical.coeffs))
+        # per component j: the normal (e_{1,j}, ..., e_{r,j}) and L * k_j
+        scaled_k = [k.numerator * (self.scale // k.denominator) for k in self.canonical.coeffs]
+        self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
         self._points: dict[Point, PointContext] = {}
 
     @property
@@ -320,15 +359,13 @@ class RegionEngine:
     def mmi(self, lam) -> Divisor:
         return self.at(lam).divisor
 
-    def value_rows(self, coords: Point) -> list[tuple[Fraction, Fraction]]:
-        """Per-component pairs (form, q): form = sum_i lam_i e_{i,j} and
-        q = form - k_j."""
-        k = self.canonical.coeffs
-        rows = []
-        for j in range(self.graph.n_total):
-            form = self.ideals.value(coords, j)
-            rows.append((form, form - k[j]))
-        return rows
+    def _floor(self, coords: Point) -> list[int]:
+        """floor(lam . F - K) per component, computed on the integer
+        numerators of lam . F - K over lcm(denominators of lam) * L."""
+        m = math.lcm(*(c.denominator for c in coords))
+        nums = [c.numerator * (m // c.denominator) for c in coords]
+        scale, den = self.scale, m * self.scale
+        return [(scale * sum(map(operator.mul, nums, normal)) - m * k) // den for normal, k in self._columns]
 
     def membership(self, lam_prime, lam) -> bool:
         """Does the ideal at lam_prime contain the ideal at lam?
@@ -338,10 +375,8 @@ class RegionEngine:
         lam_prime off the closure boundary cases by the region theorem; kept
         as an independent route on purpose.
         """
-        coords = self.point(lam_prime)
-        divisor = self.mmi(lam)
-        rows = self.value_rows(coords)
-        return all(math.floor(q) <= divisor.coeffs[j] for j, (_, q) in enumerate(rows))
+        floor = self._floor(self.point(lam_prime))
+        return all(map(operator.le, floor, self.mmi(lam).coeffs))
 
     def region_of(self, lam) -> RegionPolytope:
         """Wall polytope of the constancy region holding lam.
@@ -350,19 +385,19 @@ class RegionEngine:
         exceptional component; every constant k_j + 1 + e_j(lam) is positive,
         so the origin always lies inside.
         """
-        coords = self.point(lam)
-        divisor = self.mmi(coords)
+        context = self.at(lam)
+        divisor = context.divisor
         ineqs = tuple(self._wall(j, divisor) for j in self.classification.wall_relevant)
-        region = RegionPolytope(coords, divisor, ineqs)
+        region = RegionPolytope(context.coords, divisor, ineqs, self.scale)
         for ineq in region.inequalities:
-            if ineq.constant <= 0:
+            if ineq.numerator <= 0:
                 raise InternalInvariant(f"wall constant {ineq.constant} <= 0 at {ineq.component}")
         return region
 
     def _wall(self, j: int, divisor: Divisor) -> WallInequality:
-        normal = tuple(d.coeffs[j] for d in self.ideals.divisors)
-        constant = Fraction(self.canonical.coeffs[j] + 1 + divisor.coeffs[j])
-        return WallInequality(self.graph.exc_ids[j], normal, constant)
+        normal, k = self._columns[j]
+        numerator = k + self.scale * (1 + divisor.coeffs[j])
+        return WallInequality(self.graph.exc_ids[j], normal, Fraction(numerator, self.scale), numerator)
 
     # -- enumeration -------------------------------------------------------
 
@@ -387,7 +422,7 @@ class RegionEngine:
             raise UnsupportedGeometry("wall walking is exact for one or two ideals only")
 
         origin: Point = tuple(Fraction(0) for _ in range(self.r))
-        queue: list[Point] = [origin]
+        queue: list[PointContext] = [self.at(origin)]  # seeds, evaluated when queued
         seen: set[Point] = {origin}
         representatives: list[Point] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
@@ -403,9 +438,9 @@ class RegionEngine:
                 raise LimitReached(f"walk passed ENUMERATION_GUARD = {ENUMERATION_GUARD} steps; shrink --box")
 
             self._prioritize(queue)
-            lam = queue.pop(0)
+            entry = queue.pop(0)
+            lam, divisor = entry.coords, entry.divisor
             representatives.append(lam)
-            divisor = self.mmi(lam)
 
             known = by_divisor.get(divisor)
             if known is not None:
@@ -433,37 +468,41 @@ class RegionEngine:
             for seed in seeds:
                 if seed not in seen:
                     seen.add(seed)
-                    queue.append(seed)
+                    queue.append(self.at(seed))
 
         return EnumerationResult(
             box=box_pt,
             by_divisor=by_divisor,
             representatives=representatives,
-            queue=list(queue),
+            queue=[entry.coords for entry in queue],
             warnings=warnings,
             m_primary=self.ideals.is_m_primary(),
         )
 
-    def _prioritize(self, queue: list[Point]):
+    def _prioritize(self, queue: list[PointContext]):
         # Repeatedly moving the first point strictly below the head to the
         # front, in one scan: after picks x_1..x_k the queue is [x_k, ...,
         # x_1, head, rest], and no point before x_k is strictly below x_k (it
         # would be below x_{k-1} and picked first), so x_{k+1} follows x_k.
-        current = self.mmi(queue[0])
+        current = queue[0].divisor
         picked, rest = [queue[0]], []
-        for lam in queue[1:]:
-            cand = self.mmi(lam)
+        for entry in queue[1:]:
+            cand = entry.divisor
             if cand != current and cand.le(current):
-                picked.append(lam)
+                picked.append(entry)
                 current = cand
             else:
-                rest.append(lam)
+                rest.append(entry)
         queue[:] = picked[::-1] + rest
 
     def _truncated(self, region: RegionPolytope, box_pt: Point) -> bool:
+        # The region stays within the box limit b on an axis exactly when some
+        # wall a . z < C / L with a_axis > 0 caps it there: C / (L * a_axis) <= b.
         for axis, limit in enumerate(box_pt):
-            ext = region.extent(axis)
-            if ext is None or ext > limit:
+            p, q = limit.numerator * self.scale, limit.denominator  # L * b = p / q
+            if not any(
+                (a := ineq.coeffs[axis]) > 0 and ineq.numerator * q <= p * a for ineq in region.inequalities
+            ):
                 return True
         return False
 
@@ -493,20 +532,24 @@ class RegionEngine:
         return (facet,), seeds
 
     def _facets_r2(self, region: RegionPolytope, priors, box_pt):
-        box_planes = [(1, 0, box_pt[0]), (0, 1, box_pt[1])]
+        scale = self.scale
+        box_planes = [
+            (box_pt[0].denominator, 0, box_pt[0].numerator * scale),
+            (0, box_pt[1].denominator, box_pt[1].numerator * scale),
+        ]
+        normals = [plane[:2] for plane in region.halfplanes + box_planes]
+        # Every region of the engine has the same walls in the same order, so
+        # row `row` of a prior's half-planes is the prior's copy of this wall.
+        prior_planes = [prior.region.halfplanes for prior in priors]
         facets: list[CFacet] = []
         seeds: list[Point] = []
-        for ineq in region.inequalities:
+        for row, ineq in enumerate(region.inequalities, start=2):
             a1, a2 = ineq.coeffs
-            c = ineq.constant
+            c = ineq.numerator
             if a1 == 0 and a2 == 0:
                 continue
-            if a1 != 0:
-                p0 = (Fraction(c, a1), Fraction(0))
-            else:
-                p0 = (Fraction(0), Fraction(c, a2))
-            direction = (a2, -a1)
-            span = _clip_parameter(region.halfplanes, p0, direction, None, None)
+            line = _wall_line(ineq.coeffs, c, normals)
+            span = _clip_parameter(region.halfplanes, line, None, None)
             if span is None:
                 continue
             lo, hi = span
@@ -516,37 +559,34 @@ class RegionEngine:
                 continue
 
             cuts = []
-            for prior in priors:
-                prior_c = prior.region.constant_for(ineq.component)
-                if prior_c is not None and prior_c < c:
+            for planes in prior_planes:
+                if planes[row][2] < c:
                     continue  # prior closure cannot reach this wall line
-                cut = _clip_parameter(prior.region.halfplanes, p0, direction, lo, hi)
+                cut = _clip_parameter(planes, line, lo, hi)
                 if cut is not None:
-                    u0, u1 = cut
-                    cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))
+                    cuts.append(cut)
 
-            at = lambda t: (p0[0] + t * direction[0], p0[1] + t * direction[1])
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
                 facets.append(
                     CFacet(
                         ineq.component,
                         ineq.coeffs,
-                        c,
-                        at(t0),
-                        at(t1),
-                        at((t0 + t1) / 2),
+                        ineq.constant,
+                        _line_point(line, scale, t0),
+                        _line_point(line, scale, t1),
+                        _line_point(line, scale, t0 + t1, 2),
                     )
                 )
-                boxed = _clip_parameter(box_planes, p0, direction, t0, t1)
+                boxed = _clip_parameter(box_planes, line, t0, t1)
                 if boxed is None:
                     continue
                 b0, b1 = boxed
                 if b0 < b1:
-                    seeds.append(at((b0 + b1) / 2))
+                    seeds.append(_line_point(line, scale, b0 + b1, 2))
                 elif b0 == b1:
                     # The facet touches the box in a single point (a corner or
                     # a grazing endpoint); it still seeds the region above.
-                    seeds.append(at(b0))
+                    seeds.append(_line_point(line, scale, b0))
         if region.inequalities and not facets:
             raise GeometryDegeneracy("a fresh region produced no outer facet")
         return tuple(facets), seeds

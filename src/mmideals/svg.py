@@ -64,35 +64,36 @@ def _axes(m: _Mapper) -> list[str]:
 
 def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     """Closed path through the vertices of the region closure, for shading."""
-    ineqs = region.inequalities
-    if not ineqs:
+    if not region.inequalities:
         return None
     x_max = region.extent(0)
     y_max = region.extent(1)
     if x_max is None or y_max is None:
         return None
-    # Candidate vertices: axis intercepts plus pairwise wall intersections
-    # that satisfy every other constraint.
+    # Candidate vertices: the axis intercepts, which lie in the closure since
+    # every normal is nonnegative and every constant positive, plus the
+    # pairwise wall intersections inside it.  Walls are the integer triples
+    # (a1, a2, C) meaning a . z <= C / L, and an intersection is (x, y) / (L *
+    # det), so it is tested on its integer numerators and converted only if
+    # it survives.
+    walls = region.halfplanes[2:]
     candidates = {(Fraction(0), Fraction(0)), (x_max, Fraction(0)), (Fraction(0), y_max)}
-    for i in range(len(ineqs)):
-        a1, b1 = ineqs[i].coeffs
-        c1 = ineqs[i].constant
-        for j in range(i + 1, len(ineqs)):
-            a2, b2 = ineqs[j].coeffs
-            c2 = ineqs[j].constant
-            det = Fraction(a1) * b2 - Fraction(a2) * b1
+    for i, (a1, b1, c1) in enumerate(walls):
+        for a2, b2, c2 in walls[i + 1 :]:
+            det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (Fraction(a1) * c2 - Fraction(a2) * c1) / det
+            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+            if det < 0:
+                det, x, y = -det, -x, -y
             if x < 0 or y < 0:
                 continue
-            if all(q.value_at((x, y)) <= q.constant for q in ineqs):
-                candidates.add((x, y))
-    feasible = [p for p in candidates if all(q.value_at(p) <= q.constant for q in ineqs)]
+            if all(q1 * x + q2 * y <= c * det for q1, q2, c in walls):
+                den = region.scale * det
+                candidates.add((Fraction(x, den), Fraction(y, den)))
     # The closure is convex with the axes as two sides; ordering the outer
     # vertices by x gives the boundary walk.
-    outer = sorted((p for p in feasible if p != (0, 0)), key=lambda p: (p[0], -p[1]))
+    outer = sorted((p for p in candidates if p != (0, 0)), key=lambda p: (p[0], -p[1]))
     points = [(Fraction(0), Fraction(0))] + outer
     path = "M " + " L ".join(f"{_fmt(m.x(px))} {_fmt(m.y(py))}" for px, py in points) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'

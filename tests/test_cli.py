@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 
 import pytest
 
 import mmideals.regions
-from mmideals.cli import main
+from mmideals.cli import build_parser, main
 
-from conftest import EXAMPLE_PATH, GOLDEN, count_closures
+from conftest import DATA, EXAMPLE_PATH, GOLDEN, count_closures
 
 INPUT = str(EXAMPLE_PATH)
 
@@ -312,3 +314,62 @@ def test_exit_2_when_the_walk_reaches_its_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: LimitReached: ")
     assert "ENUMERATION_GUARD" in err and "--box" in err
+
+
+FRACTIONAL_K = str(DATA / "fractional_k.json")
+
+# stdout sha256[:16] of the walk commands, recorded with the Fraction geometry
+WALK_DIGESTS = [
+    (INPUT, "enumerate", "1,3", "bb864ec454789b62"),
+    (INPUT, "enumerate", "2,6", "c208be95be1a91b8"),
+    (INPUT, "enumerate", "4,12", "ad65101fa757a354"),
+    (INPUT, "enumerate", "3/4,5/2", "e0dc4d7d7202509f"),
+    (INPUT, "walls", "1,3", "485c2e49d5ab2318"),
+    (INPUT, "walls", "2,6", "b536e4a3d6b0a5e4"),
+    (INPUT, "walls", "4,12", "80c26bb5e185f141"),
+    (INPUT, "walls", "3/4,5/2", "d2b09fea86f31cfc"),
+    (FRACTIONAL_K, "enumerate", "1,3", "85f85f05d231196b"),
+    (FRACTIONAL_K, "enumerate", "3,3", "bdf48033b1e26e28"),
+    (FRACTIONAL_K, "walls", "1,3", "c789b530f2d98eee"),
+    (FRACTIONAL_K, "walls", "3,3", "1b52d168b79a4fd2"),
+]
+
+
+@pytest.mark.parametrize("source,command,box,digest", WALK_DIGESTS)
+def test_walk_output_digests(capsys, source, command, box, digest):
+    code, out, _ = run(capsys, command, "--input", source, "--box", box)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_leave_no_cycles(capsys):
+    # With the collector off and DEBUG_SAVEALL, gc.collect() moves every
+    # unreachable object into gc.garbage: none may be ours or argparse's.
+    calls = [
+        ("mmi", "--input", INPUT, "--lambda", "1/6,1"),
+        ("verify", "--input", INPUT, "--lambda", "1/6,1"),
+        ("enumerate", "--input", INPUT, "--box", "1,3"),
+    ]
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            gc.collect()
+            gc.garbage.clear()
+            code, _, _ = run(capsys, *argv)
+            assert code == 0
+            gc.collect()
+            left = {type(o).__module__ + "." + type(o).__qualname__ for o in gc.garbage}
+            ours = sorted(name for name in left if name.startswith(("mmideals.", "argparse.")))
+            assert ours == [], argv
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

@@ -2,24 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals import RegionEngine, next_jumping_number
+from mmideals import RegionEngine, load_input, next_jumping_number, svg
 from mmideals.divisors import Divisor
 from mmideals.graph import validate_graph
 from mmideals.io import build_ideals, enumeration_json
 from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
+    GeometryDegeneracy,
     PreconditionViolated,
     UnsupportedGeometry,
     ZeroDivisor,
 )
+from mmideals.regions import CFacet, _clip_parameter, _line_point, _subtract_intervals, _wall_line
+from mmideals.svg import render_walls
 
-from conftest import GOLDEN, exc, point
+from conftest import DATA, GOLDEN, exc, point
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -350,10 +354,10 @@ def _prioritize_by_rescanning(self, queue):
     every move.  Oracle for the single-scan `RegionEngine._prioritize`."""
     guard = 0
     while True:
-        head_divisor = self.mmi(queue[0])
+        head_divisor = self.mmi(queue[0].coords)
         moved = False
         for idx in range(1, len(queue)):
-            cand = self.mmi(queue[idx])
+            cand = self.mmi(queue[idx].coords)
             if cand != head_divisor and cand.le(head_divisor):
                 queue.insert(0, queue.pop(idx))
                 moved = True
@@ -377,3 +381,194 @@ def test_prioritize_matches_the_rescanning_oracle(
     slow = eng.enumerate_constancy_regions(box, max_points=max_points)
     # the payload holds every record, the representatives and the queue
     assert enumeration_json(fast) == enumeration_json(slow)
+
+
+# -- integer geometry against the Fraction oracles -------------------------------
+
+
+def _clip_parameter_fractions(constraints, p0, direction, lo, hi):
+    """The line clipper as first written, on Fractions: intersect the line
+    p0 + t * direction with half-planes (a1, a2, b) meaning a . z <= b.
+    Oracle for the integer `regions._clip_parameter`."""
+    for a1, a2, b in constraints:
+        alpha = a1 * direction[0] + a2 * direction[1]
+        beta = b - (a1 * p0[0] + a2 * p0[1])
+        if alpha == 0:
+            if beta < 0:
+                return None
+            continue
+        bound = beta / alpha
+        if alpha > 0:
+            if hi is None or bound < hi:
+                hi = bound
+        else:
+            if lo is None or bound > lo:
+                lo = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _fraction_halfplanes(region):
+    return [(-1, 0, Fraction(0)), (0, -1, Fraction(0))] + [
+        (*ineq.coeffs, ineq.constant) for ineq in region.inequalities
+    ]
+
+
+def _facets_r2_fractions(self, region, priors, box_pt):
+    """The facet clipper as first written, on Fraction half-planes and
+    parameters.  Oracle for the integer `RegionEngine._facets_r2`."""
+    box_planes = [(1, 0, box_pt[0]), (0, 1, box_pt[1])]
+    facets, seeds = [], []
+    for ineq in region.inequalities:
+        a1, a2 = ineq.coeffs
+        c = ineq.constant
+        if a1 == 0 and a2 == 0:
+            continue
+        p0 = (Fraction(c, a1), Fraction(0)) if a1 != 0 else (Fraction(0), Fraction(c, a2))
+        direction = (a2, -a1)
+        span = _clip_parameter_fractions(_fraction_halfplanes(region), p0, direction, None, None)
+        if span is None:
+            continue
+        lo, hi = span
+        if lo is None or hi is None:
+            raise GeometryDegeneracy(f"unbounded wall segment at {ineq.component}")
+        if lo == hi:
+            continue
+        cuts = []
+        for prior in priors:
+            prior_c = prior.region.constant_for(ineq.component)
+            if prior_c is not None and prior_c < c:
+                continue
+            cut = _clip_parameter_fractions(_fraction_halfplanes(prior.region), p0, direction, lo, hi)
+            if cut is not None:
+                u0, u1 = cut
+                cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))
+        at = lambda t: (p0[0] + t * direction[0], p0[1] + t * direction[1])
+        for t0, t1 in _subtract_intervals(lo, hi, cuts):
+            facets.append(CFacet(ineq.component, ineq.coeffs, c, at(t0), at(t1), at((t0 + t1) / 2)))
+            boxed = _clip_parameter_fractions(box_planes, p0, direction, t0, t1)
+            if boxed is None:
+                continue
+            b0, b1 = boxed
+            if b0 < b1:
+                seeds.append(at((b0 + b1) / 2))
+            elif b0 == b1:
+                seeds.append(at(b0))
+    if region.inequalities and not facets:
+        raise GeometryDegeneracy("a fresh region produced no outer facet")
+    return tuple(facets), seeds
+
+
+def _truncated_fractions(self, region, box_pt):
+    """Truncation as first written, from the Fraction extents."""
+    for axis, limit in enumerate(box_pt):
+        ext = region.extent(axis)
+        if ext is None or ext > limit:
+            return True
+    return False
+
+
+def _region_outline_fractions(region, m):
+    """The SVG region outline as first written, with 2x2 Fraction solves.
+    Oracle for the integer `svg._region_outline`."""
+    ineqs = region.inequalities
+    if not ineqs:
+        return None
+    x_max = region.extent(0)
+    y_max = region.extent(1)
+    if x_max is None or y_max is None:
+        return None
+    candidates = {(Fraction(0), Fraction(0)), (x_max, Fraction(0)), (Fraction(0), y_max)}
+    for i in range(len(ineqs)):
+        a1, b1 = ineqs[i].coeffs
+        c1 = ineqs[i].constant
+        for j in range(i + 1, len(ineqs)):
+            a2, b2 = ineqs[j].coeffs
+            c2 = ineqs[j].constant
+            det = Fraction(a1) * b2 - Fraction(a2) * b1
+            if det == 0:
+                continue
+            x = (c1 * b2 - c2 * b1) / det
+            y = (Fraction(a1) * c2 - Fraction(a2) * c1) / det
+            if x < 0 or y < 0:
+                continue
+            if all(q.value_at((x, y)) <= q.constant for q in ineqs):
+                candidates.add((x, y))
+    feasible = [p for p in candidates if all(q.value_at(p) <= q.constant for q in ineqs)]
+    outer = sorted((p for p in feasible if p != (0, 0)), key=lambda p: (p[0], -p[1]))
+    points = [(Fraction(0), Fraction(0))] + outer
+    path = "M " + " L ".join(f"{svg._fmt(m.x(px))} {svg._fmt(m.y(py))}" for px, py in points) + " Z"
+    return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    wall=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-300, 300)).filter(
+        lambda w: w[:2] != (0, 0)
+    ),
+    planes=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-300, 300)), max_size=6),
+    bounds=st.tuples(st.none() | st.integers(-10**6, 10**6), st.none() | st.integers(-10**6, 10**6)),
+    scale=st.sampled_from([1, 2, 7, 60]),
+)
+def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
+    a1, a2, c = wall
+    line = _wall_line((a1, a2), c, [plane[:2] for plane in planes])
+    unit = scale * line[2] * line[5]  # the line parameter t is T / unit
+    as_t = lambda T: None if T is None else Fraction(T, unit)
+    got = _clip_parameter(planes, line, *bounds)
+    p0 = (Fraction(c, scale * a1), Fraction(0)) if a1 else (Fraction(0), Fraction(c, scale * a2))
+    fraction_planes = [(b1, b2, Fraction(d, scale)) for b1, b2, d in planes]
+    want = _clip_parameter_fractions(fraction_planes, p0, (a2, -a1), *map(as_t, bounds))
+    assert (got if got is None else tuple(map(as_t, got))) == want
+    if got is not None:
+        for t in got:
+            if t is not None:  # a bound is a point of the wall line
+                x, y = _line_point(line, scale, t)
+                assert a1 * x + a2 * y == Fraction(c, scale)
+
+
+@pytest.fixture(scope="module")
+def fractional_engine():
+    _, ideals = load_input(DATA / "fractional_k.json")
+    return RegionEngine(ideals)
+
+
+def test_fractional_k_input(fractional_engine):
+    eng = fractional_engine
+    assert [str(k) for k in eng.canonical.exceptional_part()] == ["-2/7", "-4/7", "-1/7", "-2/7", "-3/7"]
+    assert eng.scale == 7
+    assert len(eng.enumerate_constancy_regions(("1", "3")).records) == 22
+    assert len(eng.enumerate_constancy_regions(("3", "3")).records) == 62
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.tuples(coords, coords), st.sampled_from(["m-primary", "affine", "fractional-k"]))
+def test_integer_floor_matches_the_value_rows(engine, affine_engine, fractional_engine, lam, which):
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    context = eng.at(lam)
+    assert list(context.floor.coeffs) == [math.floor(q) for _, q in context.rows]
+
+
+@pytest.mark.parametrize("which", ["m-primary", "affine", "fractional-k"])
+@pytest.mark.parametrize("box", [("1", "3"), ("3", "3"), ("3/4", "5/2")])
+def test_integer_geometry_matches_the_fraction_oracle(
+    engine, affine_engine, fractional_engine, monkeypatch, which, box
+):
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    fast = eng.enumerate_constancy_regions(box)
+    fast_payload, fast_svg = enumeration_json(fast), render_walls(fast)
+    monkeypatch.setattr(RegionEngine, "_facets_r2", _facets_r2_fractions)
+    monkeypatch.setattr(RegionEngine, "_truncated", _truncated_fractions)
+    monkeypatch.setattr(svg, "_region_outline", _region_outline_fractions)
+    slow = eng.enumerate_constancy_regions(box)
+    assert fast_payload == enumeration_json(slow)
+    assert fast_svg == render_walls(slow)
+
+
+def test_a_context_outlives_its_engine(ideals):
+    # contexts keep what they use, not the engine, so a temporary engine
+    # still answers through the context it returned
+    context = RegionEngine(ideals).at(point(("1/6", "1")))
+    assert context.gmin.components == GOLDEN["gmin"][("1/6", "1")]
+    assert exc(context.left) == (0, 0, 0, 0, 0)
