@@ -5,8 +5,9 @@
 Everything about a command (handler, help, flags, output formats) lives in
 `_COMMANDS`; `mmideals --help` lists the commands.
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported geometry, 4 broken
-internal invariant.  JSON output is byte-identical for identical input.
+Exit codes: 0 success, 2 invalid input (an unreadable --input or unwritable
+--output included), 3 unsupported geometry, 4 broken internal invariant.
+JSON output is byte-identical for identical input.
 """
 
 from __future__ import annotations
@@ -286,17 +287,20 @@ def main(argv=None) -> int:
             if split:
                 opts[key] = _split_list(opts[key], flag)
         outcome = command.run(engine, opts, fmt)
+        text, code = outcome if isinstance(outcome, tuple) else (outcome, 0)
+        if opts["output"]:
+            try:
+                with open(opts["output"], "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise PreconditionViolated(f"{opts['output']}: cannot write ({exc})") from exc
     except MMIError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
     except Exception:  # noqa: BLE001 - anything else is a bug, exit 4
         traceback.print_exc()
         return 4
-    text, code = outcome if isinstance(outcome, tuple) else (outcome, 0)
-    if opts["output"]:
-        with open(opts["output"], "w") as handle:
-            handle.write(text)
-    else:
+    if not opts["output"]:
         sys.stdout.write(text)
     return code
 

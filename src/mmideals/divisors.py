@@ -7,11 +7,11 @@ negative excess, raise each by ceil(rho_i / E_i^2), repeat until the excess
 vector is nonnegative.  On negative definite trees this converges and the
 fixed point is independent of sweep order.
 
-Mixed multiplier ideals are then a two-liner: the ideal at a point lam of the
-nonnegative orthant is encoded by the antinef closure of
+The ideal at a point lam of the orthant is encoded by the antinef closure of
 floor(sum_i lam_i F_i - K), and the ideal just before lam (the "left limit")
-by the same expression with floors nudged down at integer values.  Both live
-on the per-point context `RegionEngine.at(lam)` in :mod:`mmideals.regions`.
+by floors nudged down at integer values.  Both live on the per-point context
+`RegionEngine.at(lam)` in :mod:`mmideals.regions`, which keeps lam . F - K as
+integer numerators over one denominator; divisors there are built from ints.
 """
 
 from __future__ import annotations
@@ -63,6 +63,14 @@ class Divisor:
         exact = (c if type(c) is int else Fraction(c) for c in coeffs)
         object.__setattr__(self, "coeffs", tuple(q.numerator if q.denominator == 1 else q for q in exact))
 
+    @classmethod
+    def _of_ints(cls, graph: DualGraph, coeffs: Sequence[int]) -> "Divisor":
+        """Constructor for a full-length sequence of ints: nothing to normalise."""
+        divisor = object.__new__(cls)
+        object.__setattr__(divisor, "graph", graph)
+        object.__setattr__(divisor, "coeffs", tuple(coeffs))
+        return divisor
+
     def __setattr__(self, *args):
         raise AttributeError("Divisor is immutable")
 
@@ -87,23 +95,26 @@ class Divisor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other: "Divisor") -> "Divisor":
+    def _combine(self, op, other: "Divisor") -> "Divisor":
         self._check_same_graph(other)
-        return Divisor(self.graph, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        make = Divisor._of_ints if self.is_integral() and other.is_integral() else Divisor
+        return make(self.graph, list(map(op, self.coeffs, other.coeffs)))
+
+    def __add__(self, other: "Divisor") -> "Divisor":
+        return self._combine(operator.add, other)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        self._check_same_graph(other)
-        return Divisor(self.graph, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(operator.sub, other)
 
     def scaled(self, q) -> "Divisor":
         q = Fraction(q)
         return Divisor(self.graph, [q * c for c in self.coeffs])
 
     def floor(self) -> "Divisor":
-        return Divisor(self.graph, [math.floor(c) for c in self.coeffs])
+        return Divisor._of_ints(self.graph, map(math.floor, self.coeffs))
 
     def ceil(self) -> "Divisor":
-        return Divisor(self.graph, [math.ceil(c) for c in self.coeffs])
+        return Divisor._of_ints(self.graph, map(math.ceil, self.coeffs))
 
     def le(self, other: "Divisor") -> bool:
         """Componentwise <= (the divisor partial order)."""
@@ -142,19 +153,15 @@ def unload_once(divisor: Divisor) -> Divisor:
     """
     g = divisor.graph
     coeffs = [math.ceil(c) for c in divisor.coeffs]
-    updates: list[tuple[int, int]] = []
+    bumped = coeffs[:]
     for i in range(g.n_exc):
         rho = -g.dot_exceptional(coeffs, i)
         if rho < 0:
             step = -(-rho // g.self_int[i])
             if step < 1:
                 raise PreconditionViolated("unloading step collapsed; corrupt graph data")
-            updates.append((i, step))
-    if not updates:
-        return Divisor(g, coeffs)
-    for i, step in updates:
-        coeffs[i] += step
-    return Divisor(g, coeffs)
+            bumped[i] += step
+    return Divisor._of_ints(g, bumped)
 
 
 def _max_unload_iters() -> int:

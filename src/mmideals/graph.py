@@ -4,9 +4,9 @@ A :class:`DualGraph` is the weighted dual graph of a resolution of a complex
 surface singularity with rational singularities: a tree of exceptional
 rational curves, each weighted by its (negative) self-intersection, plus a
 list of affine arrows recording where the strict transforms of curve germs
-cross the exceptional locus.  The intersection matrix of the exceptional part
-is required to be negative definite, which is exactly what makes excesses,
-unloading and the antinef machinery work.
+cross the exceptional locus.  The exceptional intersection matrix M must be
+negative definite; one integer elimination over the tree tests that and
+gives the relative canonical divisor K = X / det(-M) with X integral.
 
 Components are indexed globally: exceptional components first, in input
 order, then affine components.  Divisors are coefficient vectors over that
@@ -44,6 +44,8 @@ __all__ = [
 
 def _as_fraction(value, what: str) -> Fraction:
     """Exact coercion; floats are rejected because they are already rounded."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise PreconditionViolated(f"{what}: boolean is not a number")
     if isinstance(value, float):
@@ -163,7 +165,7 @@ class DualGraph:
         for cid, value in mapping.items():
             if cid not in self.index:
                 raise DanglingReference(f"{what}: unknown component id {cid!r}")
-            coeffs[self.index[cid]] = _as_fraction(value, f"{what}[{cid}]")
+            coeffs[self.index[cid]] = value if type(value) is int else _as_fraction(value, f"{what}[{cid}]")
         return coeffs
 
 
@@ -258,42 +260,54 @@ def validate_graph(raw: Mapping) -> DualGraph:
     return graph
 
 
-def _tree_solve(graph: DualGraph, rhs: Sequence[int]) -> list[Fraction]:
-    """Solve M x = rhs for the exceptional intersection matrix M of a tree by
-    leaf-first elimination (Laufer), then back-substitution from the root.
-    The pivot of a component is d_i = E_i^2 - sum over its children c of
-    1/d_c; M is negative definite exactly when every pivot is < 0, and a
-    pivot that is not raises NotNegativeDefinite."""
-    pivot = [Fraction(s) for s in graph.self_int]
-    reduced = [Fraction(b) for b in rhs]
+def _tree_solve(graph: DualGraph, rhs: Sequence[int]) -> tuple[list[int], int]:
+    """Solve M x = rhs for the exceptional intersection matrix M of a tree on
+    integers by leaf-first elimination (Laufer); returns (X, D), x = X / D.
+
+    Once the subtree of i is eliminated its pivot is -P_i / Q_i, where Q_i is
+    the product of the children's P_c and P_i = -E_i^2 Q_i - sum_c Q_c (Q_i /
+    P_c); M is negative definite iff every P_i > 0, else NotNegativeDefinite.
+    With R_i = b_i Q_i + sum_c R_c (Q_i / P_c) and D = P_root = det(-M), the
+    solution is X_i = (X_parent Q_i - R_i D) / P_i, every division exact."""
+    n = graph.n_exc
+    # det[i] = P_i, prod[i] = Q_i, reduced[i] = R_i; until i is reached they
+    # hold the partial sums and product over the children seen so far.
+    det, prod, reduced = [0] * n, [1] * n, [0] * n
     for i, parent in reversed(graph.tree_order):
-        if pivot[i] >= 0:
+        q = prod[i]
+        p = det[i] = -graph.self_int[i] * q - det[i]
+        if p <= 0:
             raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
+        r = reduced[i] = rhs[i] * q + reduced[i]
         if parent >= 0:
-            pivot[parent] -= 1 / pivot[i]
-            reduced[parent] -= reduced[i] / pivot[i]
-    x: list[Fraction] = [Fraction(0)] * graph.n_exc
+            det[parent] = det[parent] * p + q * prod[parent]
+            reduced[parent] = reduced[parent] * p + r * prod[parent]
+            prod[parent] *= p
+    d = det[0]
+    x = [0] * n
     for i, parent in graph.tree_order:
-        x[i] = (reduced[i] - (x[parent] if parent >= 0 else 0)) / pivot[i]
-    return x
+        x[i] = ((x[parent] * prod[i] if parent >= 0 else 0) - reduced[i] * d) // det[i]
+    return x, d
 
 
 def relative_canonical(graph: DualGraph):
     """Relative canonical divisor, normalized so adjunction reads
     (K + E_i) . E_i = -2 on every exceptional component.
 
-    Coefficients solve M k = b with b_i = -2 - E_i^2 by leaf-first
-    elimination over the tree; affine components carry coefficient 0.  Like
-    every divisor, K holds ints where it is integral (always on a smooth
-    surface) and Fractions elsewhere.
+    Coefficients solve M k = b with b_i = -2 - E_i^2 by the integer tree
+    elimination, as k = X / det(-M); affine components carry coefficient 0.
+    Like every divisor, K holds ints where it is integral (always on a
+    smooth surface) and Fractions elsewhere.
     """
     from .divisors import Divisor  # local import to avoid a cycle
 
-    coeffs = _tree_solve(graph, [-2 - s for s in graph.self_int]) + [0] * graph.n_aff
+    rhs = [-2 - s for s in graph.self_int]
+    nums, det = _tree_solve(graph, rhs)
+    nums += [0] * graph.n_aff
     for i in range(graph.n_exc):
-        if graph.dot_exceptional(coeffs, i) + graph.self_int[i] != -2:
+        if graph.dot_exceptional(nums, i) != det * rhs[i]:
             raise InternalInvariant("adjunction check failed for the relative canonical divisor")
-    return Divisor(graph, coeffs)
+    return Divisor(graph, [x // det if x % det == 0 else Fraction(x, det) for x in nums])
 
 
 class IdealDivisorSet:
@@ -310,6 +324,7 @@ class IdealDivisorSet:
         if len(set(names)) != len(names):
             raise DuplicateId("ideal names must be unique")
         checked: list[Divisor] = []
+        excess: list[tuple[int, ...]] = []
         for name, div in zip(names, divisors):
             if div.graph is not graph:
                 raise GraphMismatch(f"ideal {name!r} lives on a different graph")
@@ -319,19 +334,20 @@ class IdealDivisorSet:
                 raise PreconditionViolated(f"ideal {name!r}: multiplicities must be nonnegative")
             if all(c == 0 for c in div.coeffs):
                 raise PreconditionViolated(f"ideal {name!r}: zero divisor does not define an ideal")
-            rho = graph.excess_vector(div.coeffs)
+            rho = tuple(graph.excess_vector(div.coeffs))
             bad = next((i for i, r in enumerate(rho) if r < 0), None)
             if bad is not None:
                 raise PreconditionViolated(
                     f"ideal {name!r}: not antinef, excess {rho[bad]} at {graph.exc_ids[bad]}"
                 )
             checked.append(div)
+            excess.append(rho)
         self.graph = graph
         self.names = tuple(names)
         self.divisors = tuple(checked)
         self.r = len(checked)
         # rho[i][j]: excess of F_i at the j-th exceptional component.
-        self.excess = tuple(tuple(graph.excess_vector(d.coeffs)) for d in self.divisors)
+        self.excess = tuple(excess)
         self._total = functools.reduce(operator.add, self.divisors)
 
     def __repr__(self):
@@ -346,10 +362,6 @@ class IdealDivisorSet:
         """True when every ideal divisor is purely exceptional."""
         g = self.graph
         return all(all(d.coeffs[g.n_exc + a] == 0 for a in range(g.n_aff)) for d in self.divisors)
-
-    def value(self, lam: Sequence[Fraction], j: int) -> Fraction:
-        """The weighted multiplicity sum_i lam_i e_{i,j} at component j."""
-        return sum((lam[i] * self.divisors[i].coeffs[j] for i in range(self.r)), Fraction(0))
 
 
 class Classification:

@@ -43,9 +43,10 @@ __all__ = [
 
 def load_input(path) -> tuple[DualGraph, IdealDivisorSet]:
     """Read and validate an input file; returns the graph and ideal tuple."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionViolated(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionViolated(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -22,7 +22,6 @@ per-point context `engine.at(lam)`, so each is computed once per point.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -96,7 +95,7 @@ def _indicator_divisor(ideals: IdealDivisorSet, members: Iterable[int]) -> Divis
     coeffs = [0] * ideals.graph.n_total
     for j in members:
         coeffs[j] = 1
-    return Divisor(ideals.graph, coeffs)
+    return Divisor._of_ints(ideals.graph, coeffs)
 
 
 def _connected_parts(graph, members: list[int]) -> list[list[int]]:
@@ -144,39 +143,30 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
 
-    total = ideals.total()
-    rows = context.rows
+    total, k = ideals.total(), context.canonical.coeffs
+    values, den = context.values, context.den
     members: list[int] = []
     hyperplanes: dict[str, tuple[tuple[int, ...], Fraction]] = {}
     for j in range(graph.n_total):
-        if total.coeffs[j] <= 0:
-            continue
-        form, q = rows[j]
-        if q == 1 + left.coeffs[j]:
+        if total.coeffs[j] > 0 and values[j] == (1 + left.coeffs[j]) * den:
             members.append(j)
             normal = tuple(d.coeffs[j] for d in ideals.divisors)
-            hyperplanes[graph.ids[j]] = (normal, form)
+            hyperplanes[graph.ids[j]] = (normal, Fraction(k[j] + 1 + left.coeffs[j]))
     if not members:
         raise InternalInvariant("jumping point without attaining components")
     for j in members:
-        _, q = rows[j]
-        if q.denominator != 1 or q < 1:
-            raise InternalInvariant(f"member value {q} at {graph.ids[j]} is not a positive integer")
+        if values[j] < den:
+            value = Fraction(values[j], den)
+            raise InternalInvariant(f"member value {value} at {graph.ids[j]} is not a positive integer")
 
     member_set = set(members)
-    valences = {
-        graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members
-    }
+    valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
 
     relevant = set(context.classification.wall_relevant)
     # An exceptional end may also be crossed by an affine component that
     # carries multiplicity; that crossing plays the dicritical role when the
     # ideals are not m-primary.
-    crossed = {
-        j
-        for j in range(graph.n_exc)
-        if any(total.coeffs[a] > 0 for a in graph.aff_cross[j])
-    }
+    crossed = {j for j in range(graph.n_exc) if any(total.coeffs[a] > 0 for a in graph.aff_cross[j])}
     for j in members:
         if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
             raise InternalInvariant(
@@ -233,11 +223,9 @@ def contributes(engine: RegionEngine, component_ids: Sequence[str], lam) -> Cont
     ideals = engine.ideals
     members = _reduced_divisor(ideals, component_ids)
     for j in members:
-        _, q = context.rows[j]
-        if q.denominator != 1:
-            raise IntegralityViolated(
-                f"value {q} at {ideals.graph.ids[j]} is not an integer"
-            )
+        if context.values[j] % context.den:
+            value = Fraction(context.values[j], context.den)
+            raise IntegralityViolated(f"value {value} at {ideals.graph.ids[j]} is not an integer")
     floor_div, at = context.floor, context.divisor
     full = antinef_closure(floor_div - _indicator_divisor(ideals, members))
     if full == at:
@@ -331,11 +319,11 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     integer, zero unless E_i is rupture or dicritical.
     """
     context = engine.at(lam)
-    coords, rows = context.coords, context.rows
+    coords, values, den = context.coords, context.values, context.den
     gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
-    ceil_part = Divisor(graph, [-c for c in context.floor.coeffs])
+    ceil_part = Divisor._of_ints(graph, [-c for c in context.floor.coeffs])
     with_g = ceil_part + gmin.divisor
     special = set(engine.classification.wall_relevant)
 
@@ -346,21 +334,15 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
             continue
         cid = graph.ids[i]
         direct = graph.dot_exceptional(with_g.coeffs, i)
-        frac_sum = Fraction(0)
-        for nb in graph.adjacency[i]:
-            _, q = rows[nb]
-            frac_sum += q - math.floor(q)
+        # the expansion times den, on integers: den * lam_m is one, and
+        # den * frac(q_j) is v_j mod den
         expansion = (
-            Fraction(-2)
-            + sum(
-                (coords[m] * ideals.excess[m][i] for m in range(ideals.r)),
-                Fraction(0),
-            )
-            + gmin.valences[cid]
-            + frac_sum
+            (gmin.valences[cid] - 2) * den
+            + sum(c.numerator * (den // c.denominator) * rho[i] for c, rho in zip(coords, ideals.excess))
+            + sum(values[nb] % den for nb in graph.adjacency[i])
         )
-        details = {"component": cid, "direct": str(direct), "expansion": str(expansion)}
-        checks.append(Check(f"{cid}: direct == expansion", direct == expansion, details))
+        details = {"component": cid, "direct": str(direct), "expansion": str(Fraction(expansion, den))}
+        checks.append(Check(f"{cid}: direct == expansion", direct * den == expansion, details))
         checks.append(Check(f"{cid}: integer", direct.denominator == 1, details))
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in special:
@@ -392,13 +374,11 @@ def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationRepo
     context = engine.at(lam)
     gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
-    at, left, floor_div, rows = context.divisor, context.left, context.floor, context.rows
-    total = ideals.total()
+    at, left, floor_div = context.divisor, context.left, context.floor
+    total, values, den = ideals.total(), context.values, context.den
 
     candidates = [
-        j
-        for j in range(graph.n_total)
-        if total.coeffs[j] > 0 and rows[j][1].denominator == 1 and rows[j][1] >= 1
+        j for j in range(graph.n_total) if total.coeffs[j] > 0 and values[j] % den == 0 and values[j] >= den
     ]
     gmin_idx = frozenset(graph.index[cid] for cid in gmin.components)
     if not gmin_idx <= set(candidates):
@@ -411,37 +391,28 @@ def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationRepo
         # Sampling keeps the check useful without 2^n closures; anchor with
         # the empty and the full subset, which pin both sides of the iff.
         rng = random.Random(0)
-        masks: Iterable[int] = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
+        masks: Sequence[int] = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
     else:
         masks = range(universe)
 
-    checks: list[Check] = []
-    bad_between = 0
-    bad_iff = 0
-    count = 0
+    bad_between = bad_iff = 0
     for mask in masks:
-        count += 1
         subset = frozenset(candidates[i] for i in range(n) if mask >> i & 1)
         # The empty subset closes floor - 0, which is `at` itself.
         closed = antinef_closure(floor_div - _indicator_divisor(ideals, subset)) if subset else at
-        if not (left.le(closed) and closed.le(at)):
-            bad_between += 1
-        reaches_left = closed == left
-        contains_gmin = gmin_idx <= subset
-        if reaches_left != contains_gmin:
-            bad_iff += 1
-    checks.append(
+        bad_between += not (left.le(closed) and closed.le(at))
+        bad_iff += (closed == left) != (gmin_idx <= subset)
+    count = len(masks)
+    checks = [
         Check(
             "every candidate ideal sits between the jump levels",
             bad_between == 0,
             {"violations": bad_between, "checked": count},
-        )
-    )
-    checks.append(
+        ),
         Check(
             "left limit reached exactly by supersets of G",
             bad_iff == 0,
             {"violations": bad_iff, "checked": count},
-        )
-    )
+        ),
+    ]
     return VerificationReport("contribution_dichotomy", context.coords, checks, partial=partial)

@@ -188,6 +188,12 @@ class EnumerationResult:
         return self.by_divisor.get(divisor)
 
 
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 # -- exact line clipping ------------------------------------------------------
 
 
@@ -270,12 +276,12 @@ class PointContext:
     """Everything asked at one point lam of the orthant.
 
     Built by :meth:`RegionEngine.at`, which caches it.  Filled at once:
-    `coords`; `floor` = floor(lam . F - K), from integer numerators; and its
-    antinef closure `divisor`, which encodes the mixed multiplier ideal at lam.
-    Computed on first use: the value `rows`, pairs (form, q) with form =
-    sum_i lam_i e_{i,j} and q = form - k_j per component; `left_floor`, its
-    closure `left` (the ideal just before lam along the ray) and the minimal
-    jumping divisor `gmin`.  A walk therefore pays one closure per point.
+    `coords`; lam . F - K as integer numerators `values` over `den`, with
+    whether each form sum_i lam_i e_{i,j} is `positive`; `floor` = values //
+    den and its antinef closure `divisor`, which encodes the mixed multiplier
+    ideal at lam.  Computed on first use: `left_floor`, its closure `left`
+    (the ideal just before lam along the ray) and the minimal jumping divisor
+    `gmin`.  A walk therefore pays one closure per point.
 
     It keeps what it uses, not the engine, so the two form no reference
     cycle.
@@ -285,24 +291,18 @@ class PointContext:
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
         self.coords = coords
-        self.floor = Divisor(engine.graph, engine._floor(coords))
+        self.values, self.positive, self.den = engine._numerators(coords)
+        self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
 
     @cached_property
-    def rows(self) -> list[tuple[Fraction, Fraction]]:
-        forms = [self.ideals.value(self.coords, j) for j in range(self.graph.n_total)]
-        return [(form, form - k) for form, k in zip(forms, self.canonical.coeffs)]
-
-    @cached_property
     def left_floor(self) -> Divisor:
-        """floor of q "just before" lam: q - 1 at integers whose form is
-        positive, plain floor otherwise.  This is the exact eps -> 0+ limit
-        of floor((1 - eps) * form - k): coordinates with form = 0 never
-        move, so they keep their plain floor."""
-        return Divisor(
-            self.graph,
-            [q - 1 if q.denominator == 1 and form > 0 else math.floor(q) for form, q in self.rows],
-        )
+        """floor of q = lam . F - K "just before" lam: (v - 1) // den where the
+        form is positive (q - 1 at integers, floor(q) elsewhere), v // den
+        otherwise.  This is the exact eps -> 0+ limit of floor((1 - eps) *
+        form - k): coordinates with form = 0 never move."""
+        den = self.den
+        return Divisor._of_ints(self.graph, [(v - pos) // den for v, pos in zip(self.values, self.positive)])
 
     @cached_property
     def left(self) -> Divisor:
@@ -332,10 +332,9 @@ class RegionEngine:
         self.graph = ideals.graph
         self.canonical = relative_canonical(self.graph)
         self.classification = Classification(self.graph, ideals)
-        # L: the lcm of the denominators of K, so L * k_j is an integer
-        self.scale = math.lcm(*(k.denominator for k in self.canonical.coeffs))
-        # per component j: the normal (e_{1,j}, ..., e_{r,j}) and L * k_j
-        scaled_k = [k.numerator * (self.scale // k.denominator) for k in self.canonical.coeffs]
+        # L = `scale`, the lcm of the denominators of K; per component j the
+        # normal (e_{1,j}, ..., e_{r,j}) and L * k_j
+        scaled_k, self.scale = _over_lcm(self.canonical.coeffs)
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
         self._points: dict[Point, PointContext] = {}
 
@@ -359,13 +358,14 @@ class RegionEngine:
     def mmi(self, lam) -> Divisor:
         return self.at(lam).divisor
 
-    def _floor(self, coords: Point) -> list[int]:
-        """floor(lam . F - K) per component, computed on the integer
-        numerators of lam . F - K over lcm(denominators of lam) * L."""
-        m = math.lcm(*(c.denominator for c in coords))
-        nums = [c.numerator * (m // c.denominator) for c in coords]
-        scale, den = self.scale, m * self.scale
-        return [(scale * sum(map(operator.mul, nums, normal)) - m * k) // den for normal, k in self._columns]
+    def _numerators(self, coords: Point) -> tuple[list[int], list[bool], int]:
+        """lam . F - K per component as integer numerators v_j over den =
+        m * L, m the lcm of the denominators of lam, with the sign of each
+        form sum_i lam_i e_{i,j}: returns (v, form > 0, den)."""
+        nums, m = _over_lcm(coords)
+        forms = [sum(map(operator.mul, nums, normal)) for normal, _ in self._columns]
+        values = [self.scale * form - m * k for form, (_, k) in zip(forms, self._columns)]
+        return values, [form > 0 for form in forms], m * self.scale
 
     def membership(self, lam_prime, lam) -> bool:
         """Does the ideal at lam_prime contain the ideal at lam?
@@ -375,8 +375,8 @@ class RegionEngine:
         lam_prime off the closure boundary cases by the region theorem; kept
         as an independent route on purpose.
         """
-        floor = self._floor(self.point(lam_prime))
-        return all(map(operator.le, floor, self.mmi(lam).coeffs))
+        values, _, den = self._numerators(self.point(lam_prime))
+        return all(v // den <= e for v, e in zip(values, self.mmi(lam).coeffs))
 
     def region_of(self, lam) -> RegionPolytope:
         """Wall polytope of the constancy region holding lam.
@@ -633,7 +633,7 @@ def next_jumping_number(ideal_divisor: Divisor, canonical: Divisor, t_prev) -> F
     divisor at the current parameter, the next jump is
     min over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j; affine
     components compete too (their k is 0), which is what picks up jumps of
-    non-m-primary ideals.
+    non-m-primary ideals.  Runs on integer numerators e = E / a, k = K / b.
     """
     ideal_divisor._check_same_graph(canonical)
     t0 = _as_fraction(t_prev, "t_prev")
@@ -641,14 +641,19 @@ def next_jumping_number(ideal_divisor: Divisor, canonical: Divisor, t_prev) -> F
         raise PreconditionViolated("t_prev must be nonnegative")
     if not ideal_divisor.is_effective() or all(c == 0 for c in ideal_divisor.coeffs):
         raise ZeroDivisor("jumping numbers need a nonzero effective divisor")
-    scaled = ideal_divisor.scaled(t0)
-    current = antinef_closure((scaled - canonical).floor())
-    best: Fraction | None = None
-    for j, e in enumerate(ideal_divisor.coeffs):
+    big_e, a = _over_lcm(ideal_divisor.coeffs)
+    big_k, b = _over_lcm(canonical.coeffs)
+    # t0 e_j - k_j = (p b E_j - q a K_j) / (q a b) with t0 = p / q
+    p, q = t0.numerator, t0.denominator
+    floor = [(p * b * e - q * a * k) // (q * a * b) for e, k in zip(big_e, big_k)]
+    current = antinef_closure(Divisor._of_ints(canonical.graph, floor))
+    # candidate j: (k_j + 1 + e_j(t)) / e_j = a (K_j + b (1 + e_j(t))) / (b E_j)
+    best_num, best_den = None, 1
+    for e, k, c in zip(big_e, big_k, current.coeffs):
         if e > 0:
-            ratio = Fraction(canonical.coeffs[j] + 1 + current.coeffs[j]) / e
-            if best is None or ratio < best:
-                best = ratio
-    if best is None or best <= t0:
+            num, cand_den = a * (k + b * (1 + c)), b * e
+            if best_num is None or num * best_den < best_num * cand_den:
+                best_num, best_den = num, cand_den
+    if best_num is None or best_num * q <= p * best_den:
         raise InternalInvariant("jumping-number candidate did not advance")
-    return best
+    return Fraction(best_num, best_den)

@@ -174,6 +174,18 @@ def point(pair) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(c) for c in pair)
 
 
+def value_rows(context) -> list[tuple[Fraction, Fraction]]:
+    """The Fraction value rows of a point context: per component the pair
+    (form, q) with form = sum_i lam_i e_{i,j} and q = form - k_j.  Oracle
+    for the integer numerators `context.values` over `context.den`."""
+    divisors = context.ideals.divisors
+    forms = [
+        sum((lam * d.coeffs[j] for lam, d in zip(context.coords, divisors)), Fraction(0))
+        for j in range(context.graph.n_total)
+    ]
+    return [(form, form - k) for form, k in zip(forms, context.canonical.coeffs)]
+
+
 def count_closures(monkeypatch) -> list:
     """Rebind every alias of `antinef_closure` in the package's modules to a
     wrapper that records its argument; returns the list it appends to."""
@@ -229,6 +241,13 @@ def affine_engine(example_raw):
     raw = copy.deepcopy(example_raw)
     raw["ideals"][1]["mult"]["A1"] = 1
     return RegionEngine(build_ideals(validate_graph(raw), raw["ideals"]))
+
+
+@pytest.fixture(scope="session")
+def fractional_engine():
+    """`fractional_k.json`: E2^2 = -3 and E5^2 = -2 make K fractional."""
+    _, ideals = load_input(DATA / "fractional_k.json")
+    return RegionEngine(ideals)
 
 
 @pytest.fixture(scope="session")

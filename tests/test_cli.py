@@ -215,6 +215,24 @@ def test_closures_per_point(monkeypatch, capsys, command, most, least):
     assert least <= count <= most
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8", "output-dir-missing"])
+def test_exit_2_on_unusable_paths(tmp_path, capsys, case):
+    source, target = str(tmp_path / "missing.json"), None
+    if case == "directory":
+        source = str(tmp_path)
+    elif case == "not-utf-8":
+        (tmp_path / "latin1.json").write_bytes('{"exceptional": [{"id": "É", "self": -1}]}'.encode("latin-1"))
+        source = str(tmp_path / "latin1.json")
+    elif case == "output-dir-missing":
+        source, target = INPUT, str(tmp_path / "no" / "such" / "dir.json")
+    argv = ["canonical", "--input", source] + (["--output", target] if target else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: PreconditionViolated: ")
+    assert ("cannot write" if target else "cannot read") in err
+
+
 def test_exit_2_on_unparseable_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -373,3 +391,55 @@ def test_calls_leave_no_cycles(capsys):
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+# stdout sha256[:16] of the point queries, recorded with the Fraction value
+# rows; every call exits 0.  The A1 variant is the example with multiplicity
+# 1 at A1 in the second ideal, so the tuple is not m-primary.
+POINT_DIGESTS = {
+    ("example", "16/33,32/33"): {
+        "mmi": "a88e7b4d0a396c25",
+        "region": "542c64d069ae8f2f",
+        "min-jumping-divisor": "d611a359aba4f6cd",
+        "verify": "44362a0c2db73f1f",
+        "canonical": "c0054c03077a11da",
+        "jumping-numbers": "e3a2219784286e71",
+    },
+    ("fractional_k", "11/28,11/14"): {
+        "mmi": "612510b10a8f002d",
+        "region": "06b04d0801f16a32",
+        "min-jumping-divisor": "764faba6cdee36e1",
+        "verify": "7a0c19babde92ba9",
+        "canonical": "f7d39a7116ae884f",
+        "jumping-numbers": "c44b4067de541b86",
+    },
+    ("a1", "2/3,4/3"): {
+        "mmi": "de49b80c0bf326a6",
+        "region": "a48cb79da0e6dd70",
+        "min-jumping-divisor": "12cfb85689817fbd",
+        "verify": "4ff6e4c560c6da17",
+        "jumping-numbers": "f29d80759fe9ff80",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "source,lam,command,digest",
+    [(source, lam, command, digest) for (source, lam), table in POINT_DIGESTS.items() for command, digest in table.items()],
+)
+def test_point_query_digests(tmp_path, capsys, source, lam, command, digest):
+    path = {"example": INPUT, "fractional_k": FRACTIONAL_K}.get(source)
+    if path is None:
+        raw = json.loads(EXAMPLE_PATH.read_text())
+        raw["ideals"][1]["mult"]["A1"] = 1
+        path = str(tmp_path / "a1.json")
+        (tmp_path / "a1.json").write_text(json.dumps(raw))
+    if command == "canonical":
+        extra = []
+    elif command == "jumping-numbers":
+        extra = ["--direction", "1,2", "--upto", "1"]
+    else:
+        extra = ["--lambda", lam]
+    code, out, _ = run(capsys, command, "--input", path, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

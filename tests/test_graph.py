@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmideals.divisors import Divisor
-from mmideals.graph import Classification, IdealDivisorSet, relative_canonical, validate_graph
+from mmideals.graph import Classification, DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
 from mmideals.io import build_ideals
 from mmideals.errors import (
     DanglingReference,
@@ -126,6 +128,99 @@ def test_tree_elimination_matches_dense_reference():
     assert fractional >= 10
 
 
+def _tree_solve_fractions(graph, rhs) -> list[Fraction]:
+    """The tree elimination as first written, on Fraction pivots d_i = E_i^2
+    - sum_c 1 / d_c (negative definite iff every d_i < 0), then
+    back-substitution from the root.  Oracle for the integer `_tree_solve`."""
+    pivot = [Fraction(s) for s in graph.self_int]
+    reduced = [Fraction(b) for b in rhs]
+    for i, parent in reversed(graph.tree_order):
+        if pivot[i] >= 0:
+            raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
+        if parent >= 0:
+            pivot[parent] -= 1 / pivot[i]
+            reduced[parent] -= reduced[i] / pivot[i]
+    x: list[Fraction] = [Fraction(0)] * graph.n_exc
+    for i, parent in graph.tree_order:
+        x[i] = (reduced[i] - (x[parent] if parent >= 0 else 0)) / pivot[i]
+    return x
+
+
+def _tree_raw(selfs, edges) -> dict:
+    return {
+        "exceptional": [{"id": f"E{i}", "self": s} for i, s in enumerate(selfs)],
+        "edges": [[f"E{i}", f"E{j}"] for i, j in edges],
+    }
+
+
+@st.composite
+def random_trees(draw):
+    """A random recursive tree on 1-80 components, relabelled so component 0
+    is any vertex, with self-intersections in -7..-1: drawn freely, or
+    at or beyond -(degree) so that definite trees are common too."""
+    n = draw(st.integers(1, 80))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n)]
+    if draw(st.booleans()):
+        selfs = draw(st.lists(st.integers(-7, -1), min_size=n, max_size=n))
+    else:
+        degree = [sum(i in edge for edge in edges) for i in range(n)]
+        shifts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        selfs = [-min(7, max(1, d + t)) for d, t in zip(degree, shifts)]
+    return selfs, edges
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_trees())
+def test_integer_tree_elimination_matches_both_oracles(tree):
+    selfs, edges = tree
+    n = len(selfs)
+    matrix = [[selfs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        matrix[i][j] = matrix[j][i] = 1
+    raw = _tree_raw(selfs, edges)
+    rhs = [-2 - s for s in selfs]
+    definite = dense_is_negative_definite(matrix)
+    if not definite:
+        with pytest.raises(NotNegativeDefinite):
+            validate_graph(raw)
+        return
+    graph = validate_graph(raw)
+    k = relative_canonical(graph)
+    assert k.exceptional_part() == dense_solve(matrix, rhs) == tuple(_tree_solve_fractions(graph, rhs))
+    assert all(type(c) is int or c.denominator > 1 for c in k.coeffs)
+    nums, det = _tree_solve(graph, rhs)
+    assert all(type(x) is int for x in nums + [det])
+    assert [Fraction(x, det) for x in nums] == list(k.exceptional_part())
+
+
+def test_chain_of_eighty_minus_two_curves():
+    chain = [(i, i + 1) for i in range(79)]
+    assert relative_canonical(validate_graph(_tree_raw([-2] * 80, chain))).coeffs == (0,) * 80
+    # with -3 ends, b = (1, 0, ..., 0, 1): k is linear along the chain,
+    # symmetric, so constant, and -3 k + k = 1 at the ends
+    selfs = [-3] + [-2] * 78 + [-3]
+    graph = validate_graph(_tree_raw(selfs, chain))
+    k = relative_canonical(graph)
+    assert k.coeffs == (Fraction(-1, 2),) * 80
+    assert list(k.coeffs) == _tree_solve_fractions(graph, [-2 - s for s in selfs])
+
+
+def test_tree_not_negative_definite_deep_inside():
+    # A -1 curve at position 23 of a -2 chain: the pivots stay negative up to
+    # it, and the next one turns positive.
+    selfs = [-2] * 40
+    selfs[23] = -1
+    chain = [(i, i + 1) for i in range(39)]
+    with pytest.raises(NotNegativeDefinite):
+        validate_graph(_tree_raw(selfs, chain))
+    graph = DualGraph(tuple(f"E{i}" for i in range(40)), tuple(selfs), tuple(chain), (), ())
+    with pytest.raises(NotNegativeDefinite):
+        _tree_solve_fractions(graph, [0] * 40)
+    matrix = [[selfs[i] if i == j else int(abs(i - j) == 1) for j in range(40)] for i in range(40)]
+    assert not dense_is_negative_definite(matrix)
+
+
 def test_excess_table(graph, ideals):
     rho = ideals.excess
     assert rho[0] == tuple(Fraction(v) for v in GOLDEN["excess_a1"])
@@ -157,13 +252,14 @@ def test_rupture_needs_three_exceptional_neighbors():
     assert cls.ids(graph)["rupture"] == ("C",)
 
 
-def test_ideal_set_basics(graph, ideals):
+def test_ideal_set_basics(graph, ideals, engine):
     assert ideals.r == 2
     assert ideals.names == ("a1", "a2")
     assert ideals.is_m_primary()
     assert exc(ideals.total()) == (4, 8, 9, 18, 27)
-    # weighted value at E5: lam1 * 21 + lam2 * 6
-    assert ideals.value((Fraction(1, 6), Fraction(1)), 4) == Fraction(19, 2)
+    # weighted value at E5: lam1 * 21 + lam2 * 6 = 19/2, less k_5 = 9
+    context = engine.at((Fraction(1, 6), Fraction(1)))
+    assert Fraction(context.values[4], context.den) == Fraction(19, 2) - 9
 
 
 def test_coefficients_mapping(graph):

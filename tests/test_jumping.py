@@ -30,7 +30,7 @@ from mmideals.errors import (
     ZeroPoint,
 )
 
-from conftest import EXAMPLE_PATH, GOLDEN, count_closures, point
+from conftest import EXAMPLE_PATH, GOLDEN, count_closures, point, value_rows
 
 
 JUMPING = [lam for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
@@ -130,8 +130,9 @@ def _contributes_by_subsets(engine, component_ids, lam):
     context = engine.at(lam)
     graph = engine.graph
     members = sorted(graph.index[cid] for cid in component_ids)
+    rows = value_rows(context)
     for j in members:
-        _, q = context.rows[j]
+        _, q = rows[j]
         if q.denominator != 1:
             raise IntegralityViolated(f"value {q} at {graph.ids[j]} is not an integer")
 
@@ -176,7 +177,7 @@ def test_contributes_matches_the_all_subsets_oracle(engine, affine_engine, walk_
     which = data.draw(st.sampled_from(["m-primary", "affine"]))
     eng = engine if which == "m-primary" else affine_engine
     lam = data.draw(st.one_of(st.sampled_from(walk_points[which]), st.tuples(coords, coords)))
-    total, rows = eng.ideals.total(), eng.at(lam).rows
+    total, rows = eng.ideals.total(), value_rows(eng.at(lam))
     support = [cid for j, cid in enumerate(eng.graph.ids) if total.coeffs[j] > 0]
     # Mostly components with integral values, where the answer is not an error.
     integral = [cid for cid in support if rows[eng.graph.index[cid]][1].denominator == 1]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals import RegionEngine, load_input, next_jumping_number, svg
+from mmideals import RegionEngine, next_jumping_number, svg
 from mmideals.divisors import Divisor
 from mmideals.graph import validate_graph
 from mmideals.io import build_ideals, enumeration_json
@@ -23,7 +23,7 @@ from mmideals.errors import (
 from mmideals.regions import CFacet, _clip_parameter, _line_point, _subtract_intervals, _wall_line
 from mmideals.svg import render_walls
 
-from conftest import DATA, GOLDEN, exc, point
+from conftest import GOLDEN, exc, point, value_rows
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -321,6 +321,7 @@ def test_integral_values_are_ints_and_the_rest_fractions(engine, affine_engine, 
     context = eng.at(lam)
     integral = list(context.floor.coeffs) + list(context.divisor.coeffs)
     integral += [rho for row in eng.ideals.excess for rho in row]
+    integral += list(context.values) + [context.den]
     if any(lam):
         integral += list(context.left.coeffs)
     assert all(type(c) is int for c in integral)
@@ -332,8 +333,7 @@ def test_integral_values_are_ints_and_the_rest_fractions(engine, affine_engine, 
         rational += eng.wall_ray_restriction(lam, 1)
     assert all(type(q) is Fraction for q in rational if q is not None)
 
-    values = [v for row in context.rows for v in row] + list(context.coords)
-    assert not any(isinstance(v, float) for v in integral + rational + values)
+    assert not any(isinstance(v, float) for v in integral + rational + list(context.coords))
 
 
 @pytest.mark.parametrize("which", ["m-primary", "affine"])
@@ -528,12 +528,6 @@ def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
                 assert a1 * x + a2 * y == Fraction(c, scale)
 
 
-@pytest.fixture(scope="module")
-def fractional_engine():
-    _, ideals = load_input(DATA / "fractional_k.json")
-    return RegionEngine(ideals)
-
-
 def test_fractional_k_input(fractional_engine):
     eng = fractional_engine
     assert [str(k) for k in eng.canonical.exceptional_part()] == ["-2/7", "-4/7", "-1/7", "-2/7", "-3/7"]
@@ -547,7 +541,7 @@ def test_fractional_k_input(fractional_engine):
 def test_integer_floor_matches_the_value_rows(engine, affine_engine, fractional_engine, lam, which):
     eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
     context = eng.at(lam)
-    assert list(context.floor.coeffs) == [math.floor(q) for _, q in context.rows]
+    assert list(context.floor.coeffs) == [math.floor(q) for _, q in value_rows(context)]
 
 
 @pytest.mark.parametrize("which", ["m-primary", "affine", "fractional-k"])
