@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +38,7 @@ __all__ = [
     "parse_point",
 ]
 
-DEFAULT_MAX_UNLOAD_ITERS = 10**6
+MAX_UNLOAD_ITERS = 10**6  # sweeps per closure before NonTermination
 
 
 class Divisor:
@@ -164,35 +163,20 @@ def unload_once(divisor: Divisor) -> Divisor:
     return Divisor._of_ints(g, bumped)
 
 
-def _max_unload_iters() -> int:
-    raw = os.environ.get("MMI_MAX_UNLOAD_ITERS")
-    if raw is None:
-        return DEFAULT_MAX_UNLOAD_ITERS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise PreconditionViolated(f"MMI_MAX_UNLOAD_ITERS={raw!r} is not an integer") from exc
-    if value < 1:
-        raise PreconditionViolated("MMI_MAX_UNLOAD_ITERS must be positive")
-    return value
-
-
 def antinef_closure(divisor: Divisor) -> Divisor:
     """Least integral antinef divisor dominating `divisor`.
 
     Iterates :func:`unload_once` to its fixed point.  The iteration count is
-    capped (the MMI_MAX_UNLOAD_ITERS environment variable, else 10**6);
-    hitting the cap raises NonTermination with the trace length, since on
-    valid negative definite input the loop always terminates.
+    capped at MAX_UNLOAD_ITERS; hitting the cap raises NonTermination, since
+    on valid negative definite input the loop always terminates.
     """
-    cap = _max_unload_iters()
     current = divisor.ceil()
-    for _ in range(cap):
+    for _ in range(MAX_UNLOAD_ITERS):
         bumped = unload_once(current)
         if bumped == current:
             return current
         current = bumped
-    raise NonTermination(f"unloading did not stabilize within {cap} sweeps")
+    raise NonTermination(f"unloading did not stabilize within MAX_UNLOAD_ITERS = {MAX_UNLOAD_ITERS} sweeps")
 
 
 def parse_point(lam, r: int) -> tuple[Fraction, ...]:

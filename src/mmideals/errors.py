@@ -83,7 +83,7 @@ class GeometryDegeneracy(MMIError):
 
 
 class NonTermination(MMIError):
-    """The unloading iteration guard tripped (see MMI_MAX_UNLOAD_ITERS)."""
+    """The unloading iteration guard tripped (see divisors.MAX_UNLOAD_ITERS)."""
 
     exit_code = 4
 

@@ -116,6 +116,12 @@ class DualGraph:
                     order.append(j)
         self.tree_order: tuple[tuple[int, int], ...] = tuple((i, parent[i]) for i in order)
 
+    @functools.cached_property
+    def canonical_numerators(self) -> tuple[list[int], int]:
+        """(X, D) with M X = D * b, b_i = -2 - E_i^2: the relative canonical
+        divisor as X / D.  Solved once per graph; raises NotNegativeDefinite."""
+        return _tree_solve(self, [-2 - s for s in self.self_int])
+
     # -- identity -----------------------------------------------------------
 
     def _key(self):
@@ -256,7 +262,7 @@ def validate_graph(raw: Mapping) -> DualGraph:
     graph = DualGraph(tuple(exc_ids), tuple(self_int), tuple(edges), tuple(aff_ids), tuple(meets_idx))
     if len(graph.tree_order) != n:
         raise NotATree("exceptional graph is disconnected")
-    _tree_solve(graph, [0] * n)  # raises NotNegativeDefinite
+    graph.canonical_numerators  # raises NotNegativeDefinite
     return graph
 
 
@@ -301,11 +307,10 @@ def relative_canonical(graph: DualGraph):
     """
     from .divisors import Divisor  # local import to avoid a cycle
 
-    rhs = [-2 - s for s in graph.self_int]
-    nums, det = _tree_solve(graph, rhs)
-    nums += [0] * graph.n_aff
+    nums, det = graph.canonical_numerators
+    nums = nums + [0] * graph.n_aff  # a copy: the cached list stays as solved
     for i in range(graph.n_exc):
-        if graph.dot_exceptional(nums, i) != det * rhs[i]:
+        if graph.dot_exceptional(nums, i) != det * (-2 - graph.self_int[i]):
             raise InternalInvariant("adjunction check failed for the relative canonical divisor")
     return Divisor(graph, [x // det if x % det == 0 else Fraction(x, det) for x in nums])
 

@@ -13,9 +13,11 @@ from 0, one region per distinct ideal, picking one interior point of every
 outer facet as the seed for the next region.
 
 All geometry is exact and runs on integers: with L the lcm of the
-denominators of K, a wall is the integer triple (a_1, a_2, C) meaning
-a . z < C / L, and floors come from integer numerators.  A Fraction is built
-only for a value the walk emits (wall constants, facet points, seeds).
+denominators of K, a wall is the integer normal a and integer constant C
+meaning a . z < C / L, and floors come from integer numerators.  Membership,
+boundedness, facets and the SVG outline are all answered from these walls.
+A Fraction is built only for a value the walk emits (wall constants, facet
+points, seeds).
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class WallInequality:
         self.constant = constant
         self.numerator = numerator
 
-    def value_at(self, point: Sequence[Fraction]) -> Fraction:
-        return sum(a * z for a, z in zip(self.coeffs, point))
-
     def __repr__(self):
         lhs = " + ".join(f"{a}*z{i + 1}" for i, a in enumerate(self.coeffs))
         return f"{self.component}: {lhs} < {self.constant}"
@@ -92,42 +91,28 @@ class RegionPolytope:
         self.divisor = divisor
         self.inequalities = inequalities
         self.scale = scale
-        self._by_component = {ineq.component: ineq for ineq in inequalities}
 
     @cached_property
     def halfplanes(self) -> list[tuple[int, int, int]]:
         return [(-1, 0, 0), (0, -1, 0)] + [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
 
-    @property
-    def dim(self) -> int:
-        return len(self.lam)
-
-    def constant_for(self, component: str) -> Fraction | None:
-        ineq = self._by_component.get(component)
-        return None if ineq is None else ineq.constant
-
     def contains(self, point: Sequence[Fraction]) -> bool:
-        """Strict membership (points on a wall are outside)."""
-        if len(point) != self.dim:
+        """Strict membership (points on a wall are outside), tested as
+        L * (a . nums) < C * m on the point's numerators nums over m."""
+        if len(point) != len(self.lam):
             raise DimensionMismatch("point dimension does not match the region")
         if any(z < 0 for z in point):
             return False
-        return all(ineq.value_at(point) < ineq.constant for ineq in self.inequalities)
-
-    def extent(self, axis: int) -> Fraction | None:
-        """sup of z_axis over the region closure, None when unbounded."""
-        best: Fraction | None = None
-        for ineq in self.inequalities:
-            a = ineq.coeffs[axis]
-            if a > 0:
-                bound = ineq.constant / a
-                if best is None or bound < best:
-                    best = bound
-        return best
+        nums, m = _over_lcm(point)
+        return all(
+            self.scale * sum(map(operator.mul, ineq.coeffs, nums)) < ineq.numerator * m for ineq in self.inequalities
+        )
 
     @property
     def bounded(self) -> bool:
-        return all(self.extent(i) is not None for i in range(self.dim))
+        """Every normal is nonnegative, so the region is bounded exactly when
+        each axis has a wall with a positive coefficient there."""
+        return all(any(ineq.coeffs[axis] > 0 for ineq in self.inequalities) for axis in range(len(self.lam)))
 
     def __repr__(self):
         return f"RegionPolytope(lam={self.lam}, walls={len(self.inequalities)})"
@@ -512,23 +497,22 @@ class RegionEngine:
         return self._facets_r2(region, priors, box_pt)
 
     def _facets_r1(self, region: RegionPolytope, priors, box_pt):
-        best: tuple[Fraction, WallInequality] | None = None
+        # The ray meets the wall a * z < C / L at z = C / (L * a); the first
+        # wall it meets has the least C / a, found by cross-multiplication.
+        best: WallInequality | None = None
         for ineq in region.inequalities:
             a = ineq.coeffs[0]
-            if a > 0:
-                bound = ineq.constant / a
-                if best is None or bound < best[0]:
-                    best = (bound, ineq)
+            if a > 0 and (best is None or ineq.numerator * best.coeffs[0] < best.numerator * a):
+                best = ineq
         if best is None:
             return (), []
-        m, ineq = best
+        a0, c0 = best.coeffs[0], best.numerator
         for prior in priors:
-            ext = prior.region.extent(0)
-            if ext is not None and m <= ext:
+            if all(q.coeffs[0] * c0 <= q.numerator * a0 for q in prior.region.inequalities):
                 return (), []  # the wall point already belongs to an older closure
-        point = (m,)
-        facet = CFacet(ineq.component, ineq.coeffs, ineq.constant, point, point, point)
-        seeds = [point] if m <= box_pt[0] else []
+        point = (Fraction(c0, self.scale * a0),)
+        facet = CFacet(best.component, best.coeffs, best.constant, point, point, point)
+        seeds = [point] if point[0] <= box_pt[0] else []
         return (facet,), seeds
 
     def _facets_r2(self, region: RegionPolytope, priors, box_pt):

@@ -64,31 +64,24 @@ def _axes(m: _Mapper) -> list[str]:
 
 def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     """Closed path through the vertices of the region closure, for shading."""
-    if not region.inequalities:
+    if not region.bounded:
         return None
-    x_max = region.extent(0)
-    y_max = region.extent(1)
-    if x_max is None or y_max is None:
-        return None
-    # Candidate vertices: the axis intercepts, which lie in the closure since
-    # every normal is nonnegative and every constant positive, plus the
-    # pairwise wall intersections inside it.  Walls are the integer triples
-    # (a1, a2, C) meaning a . z <= C / L, and an intersection is (x, y) / (L *
-    # det), so it is tested on its integer numerators and converted only if
-    # it survives.
-    walls = region.halfplanes[2:]
-    candidates = {(Fraction(0), Fraction(0)), (x_max, Fraction(0)), (Fraction(0), y_max)}
-    for i, (a1, b1, c1) in enumerate(walls):
-        for a2, b2, c2 in walls[i + 1 :]:
+    # The vertices are the feasible pairwise intersections of the half-planes,
+    # the two axes included, which gives the origin and the axis intercepts
+    # too.  Half-planes are the integer triples (a1, a2, C) meaning a . z <=
+    # C / L, and an intersection is (x, y) / (L * det), so it is tested on
+    # its integer numerators and converted only if it survives.
+    planes = region.halfplanes
+    candidates = set()
+    for i, (a1, b1, c1) in enumerate(planes):
+        for a2, b2, c2 in planes[i + 1 :]:
             det = a1 * b2 - a2 * b1
             if det == 0:
                 continue
             x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
             if det < 0:
                 det, x, y = -det, -x, -y
-            if x < 0 or y < 0:
-                continue
-            if all(q1 * x + q2 * y <= c * det for q1, q2, c in walls):
+            if all(q1 * x + q2 * y <= c * det for q1, q2, c in planes):
                 den = region.scale * det
                 candidates.add((Fraction(x, den), Fraction(y, den)))
     # The closure is convex with the axes as two sides; ordering the outer

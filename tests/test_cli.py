@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import mmideals.graph
 import mmideals.regions
 from mmideals.cli import build_parser, main
 
@@ -215,6 +216,21 @@ def test_closures_per_point(monkeypatch, capsys, command, most, least):
     assert least <= count <= most
 
 
+def test_one_tree_elimination_per_call(monkeypatch, capsys):
+    # validate_graph and relative_canonical share the graph's cached solve
+    original = mmideals.graph._tree_solve
+    calls = []
+
+    def counted(graph, rhs):
+        calls.append(rhs)
+        return original(graph, rhs)
+
+    monkeypatch.setattr(mmideals.graph, "_tree_solve", counted)
+    code, _, _ = run(capsys, "mmi", "--input", INPUT, "--lambda", "1/6,1")
+    assert code == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8", "output-dir-missing"])
 def test_exit_2_on_unusable_paths(tmp_path, capsys, case):
     source, target = str(tmp_path / "missing.json"), None
@@ -251,7 +267,7 @@ def test_exit_3_on_three_ideals(tmp_path, capsys):
 
 
 def test_exit_4_on_unloading_cap(capsys, monkeypatch):
-    monkeypatch.setenv("MMI_MAX_UNLOAD_ITERS", "1")
+    monkeypatch.setattr("mmideals.divisors.MAX_UNLOAD_ITERS", 1)
     code, _, err = run(capsys, "mmi", "--input", INPUT, "--lambda", "1/6,2")
     assert code == 4
     assert "NonTermination" in err

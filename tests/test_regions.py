@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +22,18 @@ from mmideals.errors import (
     UnsupportedGeometry,
     ZeroDivisor,
 )
-from mmideals.regions import CFacet, _clip_parameter, _line_point, _subtract_intervals, _wall_line
+from mmideals.regions import (
+    CFacet,
+    RegionPolytope,
+    WallInequality,
+    _clip_parameter,
+    _line_point,
+    _subtract_intervals,
+    _wall_line,
+)
 from mmideals.svg import render_walls
 
-from conftest import GOLDEN, exc, point, value_rows
+from conftest import DATA, GOLDEN, exc, point, value_rows
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -53,15 +63,26 @@ def test_region_contains_its_point(engine):
 
 def test_region_extent_and_bounded(engine):
     region = engine.region_of((0, 0))
-    assert region.extent(0) == Fraction(10, 21)  # min(3/6, 10/21)
-    assert region.extent(1) == Fraction(3, 2)  # min(3/2, 10/6)
+    assert _extent(region, 0) == Fraction(10, 21)  # min(3/6, 10/21)
+    assert _extent(region, 1) == Fraction(3, 2)  # min(3/2, 10/6)
     assert region.bounded
 
 
 def test_region_constant_lookup(engine):
     region = engine.region_of((0, 0))
-    assert region.constant_for("E5") == 10
-    assert region.constant_for("E1") is None
+    assert _constant_for(region, "E5") == 10
+    assert _constant_for(region, "E1") is None
+
+
+def test_a_region_with_an_uncapped_axis_is_unbounded(engine):
+    # no fixture has one: every wall below leaves z2 free
+    walls = (WallInequality("E1", (2, 0), Fraction(3, 7), 3), WallInequality("E2", (1, 0), Fraction(1), 7))
+    region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
+    assert not region.bounded
+    assert region.contains(point(("0", "100")))
+    assert not region.contains(point(("3/14", "0")))  # on the wall E1
+    capped = RegionPolytope(region.lam, region.divisor, walls + (WallInequality("E3", (0, 1), Fraction(5), 35),), 7)
+    assert capped.bounded
 
 
 # -- membership ---------------------------------------------------------------
@@ -328,7 +349,7 @@ def test_integral_values_are_ints_and_the_rest_fractions(engine, affine_engine, 
 
     region = eng.region_of(lam)
     rational = [q.constant for q in region.inequalities]
-    rational += [region.extent(axis) for axis in range(2)]
+    rational += [_extent(region, axis) for axis in range(2)]
     if any(lam):
         rational += eng.wall_ray_restriction(lam, 1)
     assert all(type(q) is Fraction for q in rational if q is not None)
@@ -386,6 +407,70 @@ def test_prioritize_matches_the_rescanning_oracle(
 # -- integer geometry against the Fraction oracles -------------------------------
 
 
+def _value_at(ineq, point):
+    """a . z for the wall's normal a, on Fractions."""
+    return sum(a * z for a, z in zip(ineq.coeffs, point))
+
+
+def _extent(region, axis):
+    """sup of z_axis over the region closure, None when unbounded."""
+    best = None
+    for ineq in region.inequalities:
+        a = ineq.coeffs[axis]
+        if a > 0:
+            bound = ineq.constant / a
+            if best is None or bound < best:
+                best = bound
+    return best
+
+
+def _constant_for(region, component):
+    """The constant of the region's wall on `component`, None without one."""
+    return next((q.constant for q in region.inequalities if q.component == component), None)
+
+
+def _contains_fractions(region, point):
+    """Strict membership as first written, on Fractions.  Oracle for the
+    integer `RegionPolytope.contains`."""
+    if any(z < 0 for z in point):
+        return False
+    return all(_value_at(q, point) < q.constant for q in region.inequalities)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.tuples(coords, coords),
+    st.sampled_from(["m-primary", "affine", "fractional-k"]),
+    st.sampled_from(["free", "wall", "axis", "negative"]),
+    st.tuples(coords, coords),
+    st.data(),
+)
+def test_contains_matches_the_fraction_oracle(
+    engine, affine_engine, fractional_engine, lam, which, kind, xy, data
+):
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    region = eng.region_of(lam)
+    x, y = xy
+    probe = xy
+    if kind == "wall":
+        # a point of the orthant exactly on one of the walls
+        wall = data.draw(st.sampled_from(region.inequalities))
+        (a1, a2), c = wall.coeffs, wall.constant
+        s = x / 3
+        if a1 and a2:
+            probe = (s * c / a1, (1 - s) * c / a2)
+        elif a1:
+            probe = (c / a1, y)
+        elif a2:
+            probe = (x, c / a2)
+        assert _value_at(wall, probe) == c or not (a1 or a2)
+    elif kind == "axis":
+        probe = data.draw(st.sampled_from([(x, Fraction(0)), (Fraction(0), y)]))
+    elif kind == "negative":
+        probe = data.draw(st.sampled_from([(-x - Fraction(1, 9), y), (x, -y - Fraction(1, 9))]))
+    assert region.contains(probe) == _contains_fractions(region, probe)
+
+
 def _clip_parameter_fractions(constraints, p0, direction, lo, hi):
     """The line clipper as first written, on Fractions: intersect the line
     p0 + t * direction with half-planes (a1, a2, b) meaning a . z <= b.
@@ -437,7 +522,7 @@ def _facets_r2_fractions(self, region, priors, box_pt):
             continue
         cuts = []
         for prior in priors:
-            prior_c = prior.region.constant_for(ineq.component)
+            prior_c = _constant_for(prior.region, ineq.component)
             if prior_c is not None and prior_c < c:
                 continue
             cut = _clip_parameter_fractions(_fraction_halfplanes(prior.region), p0, direction, lo, hi)
@@ -460,10 +545,45 @@ def _facets_r2_fractions(self, region, priors, box_pt):
     return tuple(facets), seeds
 
 
+def _facets_r1_fractions(self, region, priors, box_pt):
+    """The single-ideal facet finder as first written, from the Fraction
+    extents.  Oracle for the integer `RegionEngine._facets_r1`."""
+    best = None
+    for ineq in region.inequalities:
+        a = ineq.coeffs[0]
+        if a > 0:
+            bound = ineq.constant / a
+            if best is None or bound < best[0]:
+                best = (bound, ineq)
+    if best is None:
+        return (), []
+    m, ineq = best
+    for prior in priors:
+        ext = _extent(prior.region, 0)
+        if ext is not None and m <= ext:
+            return (), []
+    point = (m,)
+    facet = CFacet(ineq.component, ineq.coeffs, ineq.constant, point, point, point)
+    seeds = [point] if m <= box_pt[0] else []
+    return (facet,), seeds
+
+
+def test_single_ideal_wall_point_in_a_prior_closure_has_no_facet(single_engine):
+    # The walk visits one-ideal regions in increasing order, so no walk has
+    # a prior reaching past a fresh region's wall point; hand the finder one.
+    box = (Fraction(3),)
+    low, high = (single_engine.region_of((Fraction(t),)) for t in (1, 2))
+    for find in (single_engine._facets_r1, lambda *args: _facets_r1_fractions(single_engine, *args)):
+        facets, seeds = find(high, [SimpleNamespace(region=low)], box)
+        assert [f.midpoint for f in facets] == seeds == [(Fraction(5, 2),)]
+        # a closure ending exactly at the wall point hides it too
+        assert find(high, [SimpleNamespace(region=high)], box) == ((), [])
+
+
 def _truncated_fractions(self, region, box_pt):
     """Truncation as first written, from the Fraction extents."""
     for axis, limit in enumerate(box_pt):
-        ext = region.extent(axis)
+        ext = _extent(region, axis)
         if ext is None or ext > limit:
             return True
     return False
@@ -475,8 +595,8 @@ def _region_outline_fractions(region, m):
     ineqs = region.inequalities
     if not ineqs:
         return None
-    x_max = region.extent(0)
-    y_max = region.extent(1)
+    x_max = _extent(region, 0)
+    y_max = _extent(region, 1)
     if x_max is None or y_max is None:
         return None
     candidates = {(Fraction(0), Fraction(0)), (x_max, Fraction(0)), (Fraction(0), y_max)}
@@ -493,9 +613,9 @@ def _region_outline_fractions(region, m):
             y = (Fraction(a1) * c2 - Fraction(a2) * c1) / det
             if x < 0 or y < 0:
                 continue
-            if all(q.value_at((x, y)) <= q.constant for q in ineqs):
+            if all(_value_at(q, (x, y)) <= q.constant for q in ineqs):
                 candidates.add((x, y))
-    feasible = [p for p in candidates if all(q.value_at(p) <= q.constant for q in ineqs)]
+    feasible = [p for p in candidates if all(_value_at(q, p) <= q.constant for q in ineqs)]
     outer = sorted((p for p in feasible if p != (0, 0)), key=lambda p: (p[0], -p[1]))
     points = [(Fraction(0), Fraction(0))] + outer
     path = "M " + " L ".join(f"{svg._fmt(m.x(px))} {svg._fmt(m.y(py))}" for px, py in points) + " Z"
@@ -544,14 +664,37 @@ def test_integer_floor_matches_the_value_rows(engine, affine_engine, fractional_
     assert list(context.floor.coeffs) == [math.floor(q) for _, q in value_rows(context)]
 
 
-@pytest.mark.parametrize("which", ["m-primary", "affine", "fractional-k"])
-@pytest.mark.parametrize("box", [("1", "3"), ("3", "3"), ("3/4", "5/2")])
+@pytest.fixture(scope="module")
+def single_engines(example_raw):
+    """One engine per ideal of the example and of `fractional_k.json`."""
+    engines = {}
+    for name, raw in [("example", example_raw), ("fractional-k", json.loads((DATA / "fractional_k.json").read_text()))]:
+        graph = validate_graph(raw)
+        for ideal in raw["ideals"]:
+            engines[f"{name}-{ideal['name']}"] = RegionEngine(build_ideals(graph, [ideal]))
+    return engines
+
+
+ORACLE_CASES = [
+    pytest.param(which, box, id=f"box{i}-{which}")
+    for i, box in enumerate([("1", "3"), ("3", "3"), ("3/4", "5/2")])
+    for which in ["affine", "fractional-k", "m-primary"]
+] + [
+    pytest.param(which, (box,), id=f"{which}-box{i}")
+    for which in ["example-a1", "example-a2", "fractional-k-a1", "fractional-k-a2"]
+    for i, box in enumerate(["1/3", "3/2", "3", "10"])
+]
+
+
+@pytest.mark.parametrize("which,box", ORACLE_CASES)
 def test_integer_geometry_matches_the_fraction_oracle(
-    engine, affine_engine, fractional_engine, monkeypatch, which, box
+    engine, affine_engine, fractional_engine, single_engines, monkeypatch, which, box
 ):
-    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    engines = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine}, **single_engines)
+    eng = engines[which]
     fast = eng.enumerate_constancy_regions(box)
     fast_payload, fast_svg = enumeration_json(fast), render_walls(fast)
+    monkeypatch.setattr(RegionEngine, "_facets_r1", _facets_r1_fractions)
     monkeypatch.setattr(RegionEngine, "_facets_r2", _facets_r2_fractions)
     monkeypatch.setattr(RegionEngine, "_truncated", _truncated_fractions)
     monkeypatch.setattr(svg, "_region_outline", _region_outline_fractions)
