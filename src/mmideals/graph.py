@@ -373,7 +373,8 @@ class Classification:
     """Tag exceptional components: rupture (three or more exceptional
     neighbors), dicritical (positive excess for some ideal), and their union,
     which is where region walls can live.  Affine arrows never make a
-    component rupture."""
+    component rupture.  `crossed` holds the components met by an affine
+    component that carries multiplicity."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
         rupture = [i for i in range(graph.n_exc) if len(graph.exc_adj[i]) >= 3]
@@ -383,6 +384,8 @@ class Classification:
         self.rupture = tuple(rupture)
         self.dicritical = tuple(dicritical)
         self.wall_relevant = tuple(sorted(set(rupture) | set(dicritical)))
+        total = ideals.total().coeffs
+        self.crossed = tuple(j for j in range(graph.n_exc) if any(total[a] > 0 for a in graph.aff_cross[j]))
 
     def ids(self, graph: DualGraph) -> dict[str, tuple[str, ...]]:
         return {

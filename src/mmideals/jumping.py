@@ -162,11 +162,10 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     member_set = set(members)
     valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
 
-    relevant = set(context.classification.wall_relevant)
     # An exceptional end may also be crossed by an affine component that
     # carries multiplicity; that crossing plays the dicritical role when the
     # ideals are not m-primary.
-    crossed = {j for j in range(graph.n_exc) if any(total.coeffs[a] > 0 for a in graph.aff_cross[j])}
+    relevant, crossed = context.classification.wall_relevant, context.classification.crossed
     for j in members:
         if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
             raise InternalInvariant(
@@ -343,7 +342,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
         )
         details = {"component": cid, "direct": str(direct), "expansion": str(Fraction(expansion, den))}
         checks.append(Check(f"{cid}: direct == expansion", direct * den == expansion, details))
-        checks.append(Check(f"{cid}: integer", direct.denominator == 1, details))
+        checks.append(Check(f"{cid}: integer", expansion % den == 0, details))
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in special:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))

@@ -15,7 +15,9 @@ outer facet as the seed for the next region.
 All geometry is exact and runs on integers: with L the lcm of the
 denominators of K, a wall is the integer normal a and integer constant C
 meaning a . z < C / L, and floors come from integer numerators.  Membership,
-boundedness, facets and the SVG outline are all answered from these walls.
+boundedness, facets and vertices are all answered from these walls: each
+wall line is clipped to the region once (`_edges`), and both the facets and
+the closure's vertices, which the SVG outline draws, are read off its edge.
 A Fraction is built only for a value the walk emits (wall constants, facet
 points, seeds).
 """
@@ -82,8 +84,8 @@ class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
     {z >= 0, coeffs . z < constant for every wall}.
 
-    For two ideals, `halfplanes` lists its closure as integer triples
-    (a1, a2, C) meaning a . z <= C / L, the two axes first; `scale` is L.
+    `halfplanes` lists its closure as integer rows (a, C) meaning a . z <=
+    C / L, one axis row -z_i <= 0 per coordinate first; `scale` is L.
     """
 
     def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
@@ -93,8 +95,10 @@ class RegionPolytope:
         self.scale = scale
 
     @cached_property
-    def halfplanes(self) -> list[tuple[int, int, int]]:
-        return [(-1, 0, 0), (0, -1, 0)] + [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
+    def halfplanes(self) -> list[tuple[int, ...]]:
+        r = len(self.lam)
+        axes = [(*(-int(i == axis) for i in range(r)), 0) for axis in range(r)]
+        return axes + [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Strict membership (points on a wall are outside), tested as
@@ -113,6 +117,15 @@ class RegionPolytope:
         """Every normal is nonnegative, so the region is bounded exactly when
         each axis has a wall with a positive coefficient there."""
         return all(any(ineq.coeffs[axis] > 0 for ineq in self.inequalities) for axis in range(len(self.lam)))
+
+    def vertices(self) -> list[tuple[Fraction, Fraction]]:
+        """Vertices of the closure of a two-ideal region: the origin, then
+        the ends of the wall edges by (x, -y).  The closure is convex with
+        the axes as two sides, so that order walks its boundary."""
+        if len(self.lam) != 2:
+            raise UnsupportedGeometry("region vertices are computed for two ideals only")
+        ends = {_line_point(line, self.scale, t) for *_, line, lo, hi in _edges(self) for t in (lo, hi)}
+        return [(Fraction(0), Fraction(0))] + sorted(ends, key=lambda p: (p[0], -p[1]))
 
     def __repr__(self):
         return f"RegionPolytope(lam={self.lam}, walls={len(self.inequalities)})"
@@ -169,9 +182,6 @@ class EnumerationResult:
         self.warnings = warnings
         self.m_primary = m_primary
 
-    def record_for(self, divisor: Divisor) -> ConstancyRecord | None:
-        return self.by_divisor.get(divisor)
-
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over the lcm of their denominators."""
@@ -225,6 +235,28 @@ def _line_point(line, scale: int, t: int, k: int = 1) -> Point:
     a1, a2, s, u1, u2, m = line
     den = k * scale * s * m
     return (Fraction(k * m * u1 + t * a2, den), Fraction(k * m * u2 - t * a1, den))
+
+
+def _edges(region: RegionPolytope, extra_planes=()):
+    """The edge of every wall of a two-ideal region: yields (row, wall, line,
+    lo, hi), `row` the wall's index in `halfplanes`, for each wall whose
+    line meets the closure in a segment [lo, hi] with lo < hi.  The normals
+    of `extra_planes` join the line's denominator, so clipping the line to
+    them too gives integer bounds."""
+    planes = region.halfplanes
+    normals = [plane[:2] for plane in (*planes, *extra_planes)]
+    for row, wall in enumerate(region.inequalities, start=len(region.lam)):
+        if not any(wall.coeffs):
+            continue
+        line = _wall_line(wall.coeffs, wall.numerator, normals)
+        span = _clip_parameter(planes, line, None, None)
+        if span is None:
+            continue
+        lo, hi = span
+        if lo is None or hi is None:
+            raise GeometryDegeneracy(f"unbounded wall segment at {wall.component}")
+        if lo < hi:
+            yield row, wall, line, lo, hi
 
 
 def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
@@ -499,6 +531,9 @@ class RegionEngine:
     def _facets_r1(self, region: RegionPolytope, priors, box_pt):
         # The ray meets the wall a * z < C / L at z = C / (L * a); the first
         # wall it meets has the least C / a, found by cross-multiplication.
+        # No prior closure reaches that point: the walk holds one seed at a
+        # time and each region strictly contains its representative, so the
+        # wall points strictly increase and `priors` is not read.
         best: WallInequality | None = None
         for ineq in region.inequalities:
             a = ineq.coeffs[0]
@@ -506,11 +541,7 @@ class RegionEngine:
                 best = ineq
         if best is None:
             return (), []
-        a0, c0 = best.coeffs[0], best.numerator
-        for prior in priors:
-            if all(q.coeffs[0] * c0 <= q.numerator * a0 for q in prior.region.inequalities):
-                return (), []  # the wall point already belongs to an older closure
-        point = (Fraction(c0, self.scale * a0),)
+        point = (Fraction(best.numerator, self.scale * best.coeffs[0]),)
         facet = CFacet(best.component, best.coeffs, best.constant, point, point, point)
         seeds = [point] if point[0] <= box_pt[0] else []
         return (facet,), seeds
@@ -521,30 +552,15 @@ class RegionEngine:
             (box_pt[0].denominator, 0, box_pt[0].numerator * scale),
             (0, box_pt[1].denominator, box_pt[1].numerator * scale),
         ]
-        normals = [plane[:2] for plane in region.halfplanes + box_planes]
         # Every region of the engine has the same walls in the same order, so
         # row `row` of a prior's half-planes is the prior's copy of this wall.
         prior_planes = [prior.region.halfplanes for prior in priors]
         facets: list[CFacet] = []
         seeds: list[Point] = []
-        for row, ineq in enumerate(region.inequalities, start=2):
-            a1, a2 = ineq.coeffs
-            c = ineq.numerator
-            if a1 == 0 and a2 == 0:
-                continue
-            line = _wall_line(ineq.coeffs, c, normals)
-            span = _clip_parameter(region.halfplanes, line, None, None)
-            if span is None:
-                continue
-            lo, hi = span
-            if lo is None or hi is None:
-                raise GeometryDegeneracy(f"unbounded wall segment at {ineq.component}")
-            if lo == hi:
-                continue
-
+        for row, ineq, line, lo, hi in _edges(region, box_planes):
             cuts = []
             for planes in prior_planes:
-                if planes[row][2] < c:
+                if planes[row][2] < ineq.numerator:
                     continue  # prior closure cannot reach this wall line
                 cut = _clip_parameter(planes, line, lo, hi)
                 if cut is not None:

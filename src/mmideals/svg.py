@@ -4,7 +4,8 @@ The picture maps the search box affinely onto a fixed viewport, shades each
 discovered region with a hatch pattern and draws every C-facet as one solid
 `<polyline>` (exactly one per facet, so diagrams stay checkable against the
 JSON report), labelled with its wall equation.  For a single ideal the facets
-are points and are drawn as vertical ticks.
+are points and are drawn as vertical ticks.  A region's shading is the path
+through `RegionPolytope.vertices()`; no geometry is computed here.
 
 Everything is plain string assembly; output is deterministic.
 """
@@ -66,29 +67,7 @@ def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     """Closed path through the vertices of the region closure, for shading."""
     if not region.bounded:
         return None
-    # The vertices are the feasible pairwise intersections of the half-planes,
-    # the two axes included, which gives the origin and the axis intercepts
-    # too.  Half-planes are the integer triples (a1, a2, C) meaning a . z <=
-    # C / L, and an intersection is (x, y) / (L * det), so it is tested on
-    # its integer numerators and converted only if it survives.
-    planes = region.halfplanes
-    candidates = set()
-    for i, (a1, b1, c1) in enumerate(planes):
-        for a2, b2, c2 in planes[i + 1 :]:
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
-            if det < 0:
-                det, x, y = -det, -x, -y
-            if all(q1 * x + q2 * y <= c * det for q1, q2, c in planes):
-                den = region.scale * det
-                candidates.add((Fraction(x, den), Fraction(y, den)))
-    # The closure is convex with the axes as two sides; ordering the outer
-    # vertices by x gives the boundary walk.
-    outer = sorted((p for p in candidates if p != (0, 0)), key=lambda p: (p[0], -p[1]))
-    points = [(Fraction(0), Fraction(0))] + outer
-    path = "M " + " L ".join(f"{_fmt(m.x(px))} {_fmt(m.y(py))}" for px, py in points) + " Z"
+    path = "M " + " L ".join(f"{_fmt(m.x(px))} {_fmt(m.y(py))}" for px, py in region.vertices()) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 

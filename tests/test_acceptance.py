@@ -281,5 +281,5 @@ def test_criterion_7_full_coverage(engine, full_run):
         for j in range(51):
             lam = (Fraction(i, 50), Fraction(3 * j, 50))
             divisor = engine.mmi(lam)
-            rec = full_run.record_for(divisor)
+            rec = full_run.by_divisor.get(divisor)
             assert rec is not None, (lam, exc(divisor))

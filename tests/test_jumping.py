@@ -24,6 +24,7 @@ from mmideals.jumping import (
 from mmideals.errors import (
     DanglingReference,
     IntegralityViolated,
+    InternalInvariant,
     MMIError,
     NotAJumpingPoint,
     PreconditionViolated,
@@ -84,6 +85,19 @@ def test_affine_member_when_arrow_carries_multiplicity():
     assert g.components == ("E2", "A1")
     assert g.valences == {"E2": 1, "A1": 1}
     assert verify_jump_identity(engine, point(("1/6", "1"))).passed
+
+
+def test_crossed_components_are_classified_once(engine, affine_engine, monkeypatch):
+    # the arrow A1 meets E2 and carries multiplicity in the A1 variant only
+    assert engine.classification.crossed == ()
+    assert affine_engine.classification.crossed == (affine_engine.graph.index["E2"],)
+    # E2 ends the jumping divisor at (1/6, 1) and is neither rupture nor
+    # dicritical, so the end check accepts it through `crossed` alone
+    assert affine_engine.at(point(("1/6", "1"))).gmin.components == ("E2", "A1")
+    fresh = RegionEngine(affine_engine.ideals)
+    monkeypatch.setattr(fresh.classification, "crossed", ())
+    with pytest.raises(InternalInvariant, match="neither rupture nor dicritical"):
+        fresh.at(point(("1/6", "1"))).gmin
 
 
 # -- contribution --------------------------------------------------------------
@@ -238,6 +252,23 @@ def test_verify_contribution_dichotomy(engine, lam):
     report = verify_contribution_dichotomy(engine, point(lam))
     assert report.passed, report.failures()
     assert not report.partial
+
+
+def test_numeric_conditions_fail_a_non_integral_expansion(ideals):
+    # moving one neighbour's value by 1/den changes the expansion's
+    # fractional part, which the integrality check has to catch
+    engine = RegionEngine(ideals)
+    lam = point(("1/6", "1"))
+    assert verify_numeric_conditions(engine, lam).passed
+    context = engine.at(lam)
+    graph, den = engine.graph, context.den
+    cid = next(c for c in context.gmin.components if graph.index[c] < graph.n_exc)
+    nb = next(j for j in graph.adjacency[graph.index[cid]] if context.values[j] % den < den - 1)
+    context.values[nb] += 1
+    report = verify_numeric_conditions(engine, lam)
+    failed = {check.name for check in report.failures()}
+    assert f"{cid}: integer" in failed and f"{cid}: direct == expansion" in failed
+    assert not report.passed
 
 
 def test_verify_reports_reject_non_jumps(engine):

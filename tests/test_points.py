@@ -139,7 +139,7 @@ def _verify_numeric_conditions_fractions(engine, lam) -> VerificationReport:
         )
         details = {"component": cid, "direct": str(direct), "expansion": str(expansion)}
         checks.append(Check(f"{cid}: direct == expansion", direct == expansion, details))
-        checks.append(Check(f"{cid}: integer", direct.denominator == 1, details))
+        checks.append(Check(f"{cid}: integer", expansion.denominator == 1, details))
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in special:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))

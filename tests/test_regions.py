@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,7 +189,7 @@ def test_full_run_terminates_and_covers(full_run, engine):
     for i in range(0, 13):
         for j in range(0, 13):
             lam = (Fraction(i, 12), Fraction(3 * j, 12))
-            assert full_run.record_for(engine.mmi(lam)) is not None
+            assert full_run.by_divisor.get(engine.mmi(lam)) is not None
 
 
 def test_full_run_truncation_flags(full_run):
@@ -326,7 +325,7 @@ def test_every_region_has_positive_constants(engine, lam):
 )
 def test_walks_of_random_boxes_cover_their_corners(engine, b1, b2):
     result = engine.enumerate_constancy_regions((b1, b2))
-    assert result.record_for(engine.mmi((b1, b2))) is not None
+    assert result.by_divisor.get(engine.mmi((b1, b2))) is not None
     divisors = [rec.divisor for rec in result.records]
     assert len(set(divisors)) == len(divisors)
 
@@ -568,18 +567,6 @@ def _facets_r1_fractions(self, region, priors, box_pt):
     return (facet,), seeds
 
 
-def test_single_ideal_wall_point_in_a_prior_closure_has_no_facet(single_engine):
-    # The walk visits one-ideal regions in increasing order, so no walk has
-    # a prior reaching past a fresh region's wall point; hand the finder one.
-    box = (Fraction(3),)
-    low, high = (single_engine.region_of((Fraction(t),)) for t in (1, 2))
-    for find in (single_engine._facets_r1, lambda *args: _facets_r1_fractions(single_engine, *args)):
-        facets, seeds = find(high, [SimpleNamespace(region=low)], box)
-        assert [f.midpoint for f in facets] == seeds == [(Fraction(5, 2),)]
-        # a closure ending exactly at the wall point hides it too
-        assert find(high, [SimpleNamespace(region=high)], box) == ((), [])
-
-
 def _truncated_fractions(self, region, box_pt):
     """Truncation as first written, from the Fraction extents."""
     for axis, limit in enumerate(box_pt):
@@ -589,9 +576,9 @@ def _truncated_fractions(self, region, box_pt):
     return False
 
 
-def _region_outline_fractions(region, m):
-    """The SVG region outline as first written, with 2x2 Fraction solves.
-    Oracle for the integer `svg._region_outline`."""
+def _region_vertices_fractions(region):
+    """The vertices of a region closure as first written, with 2x2 Fraction
+    solves of every pair of walls; None when the region is unbounded."""
     ineqs = region.inequalities
     if not ineqs:
         return None
@@ -617,7 +604,15 @@ def _region_outline_fractions(region, m):
                 candidates.add((x, y))
     feasible = [p for p in candidates if all(_value_at(q, p) <= q.constant for q in ineqs)]
     outer = sorted((p for p in feasible if p != (0, 0)), key=lambda p: (p[0], -p[1]))
-    points = [(Fraction(0), Fraction(0))] + outer
+    return [(Fraction(0), Fraction(0))] + outer
+
+
+def _region_outline_fractions(region, m):
+    """The SVG region outline as first written, from the Fraction vertices.
+    Oracle for `svg._region_outline`."""
+    points = _region_vertices_fractions(region)
+    if points is None:
+        return None
     path = "M " + " L ".join(f"{svg._fmt(m.x(px))} {svg._fmt(m.y(py))}" for px, py in points) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
@@ -709,3 +704,50 @@ def test_a_context_outlives_its_engine(ideals):
     context = RegionEngine(ideals).at(point(("1/6", "1")))
     assert context.gmin.components == GOLDEN["gmin"][("1/6", "1")]
     assert exc(context.left) == (0, 0, 0, 0, 0)
+
+
+TWO_IDEAL_CASES = [case for case in ORACLE_CASES if len(case.values[1]) == 2]
+SINGLE_IDEAL_CASES = [case for case in ORACLE_CASES if len(case.values[1]) == 1]
+
+
+@pytest.mark.parametrize("which,box", TWO_IDEAL_CASES)
+def test_region_vertices_match_the_fraction_oracle(engine, affine_engine, fractional_engine, which, box):
+    # exact vertices: the SVG comparison above only sees them rounded to pixels
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    for rec in eng.enumerate_constancy_regions(box).records:
+        vertices = rec.region.vertices()
+        assert vertices == _region_vertices_fractions(rec.region)
+        assert all(type(z) is Fraction for p in vertices for z in p)
+
+
+@pytest.mark.parametrize("which,box", SINGLE_IDEAL_CASES)
+def test_single_ideal_facet_points_strictly_increase(single_engines, which, box):
+    # Each region strictly contains its representative, the previous wall
+    # point, so no earlier closure [0, extent] reaches a fresh region's wall
+    # point: that is why the one-ideal facet finder does not scan the priors.
+    records = single_engines[which].enumerate_constancy_regions(box).records
+    for i, rec in enumerate(records):
+        for facet in rec.cfacets:
+            assert rec.representative[0] < facet.midpoint[0]
+            assert all(_extent(prior.region, 0) < facet.midpoint[0] for prior in records[:i])
+    points = [facet.midpoint[0] for rec in records for facet in rec.cfacets]
+    assert points and points == sorted(set(points))
+
+
+def test_halfplanes_have_one_axis_row_per_coordinate(engine, single_engines):
+    assert engine.region_of((0, 0)).halfplanes[:2] == [(-1, 0, 0), (0, -1, 0)]
+    region = single_engines["example-a2"].region_of((0,))
+    assert region.halfplanes[0] == (-1, 0)
+    assert all(len(row) == 2 for row in region.halfplanes)
+    with pytest.raises(UnsupportedGeometry):
+        region.vertices()
+
+
+def test_vertices_of_a_hand_built_region(engine):
+    walls = (WallInequality("E1", (2, 0), Fraction(3, 7), 3), WallInequality("E2", (1, 0), Fraction(1), 7))
+    region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
+    with pytest.raises(GeometryDegeneracy):
+        region.vertices()  # z2 is free, so the wall E1 has an unbounded edge
+    capped = RegionPolytope(region.lam, region.divisor, walls + (WallInequality("E3", (0, 1), Fraction(5), 35),), 7)
+    # E2 (z1 < 1) misses the closure, so it gives no edge
+    assert capped.vertices() == [(0, 0), (0, 5), (Fraction(3, 14), 5), (Fraction(3, 14), 0)]
