@@ -123,9 +123,6 @@ class Divisor:
     def is_integral(self) -> bool:
         return all(type(c) is int for c in self.coeffs)
 
-    def is_effective(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     def exceptional_part(self) -> tuple[int | Fraction, ...]:
         return self.coeffs[: self.graph.n_exc]
 

@@ -47,10 +47,6 @@ class PreconditionViolated(MMIError):
     ideal divisor, float coordinate, ...)."""
 
 
-class ZeroDivisor(MMIError):
-    """A jumping-number chain was requested for the zero divisor."""
-
-
 class ZeroPoint(MMIError):
     """Left limits and jumping tests are undefined at the origin."""
 

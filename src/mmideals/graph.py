@@ -56,6 +56,9 @@ def _as_fraction(value, what: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            # no exponent notation: "1e5000" parses to an integer too long to print
+            if "e" in value.lower():
+                raise ValueError("exponent notation")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionViolated(f"{what}: cannot parse {value!r} as a rational") from exc
@@ -370,26 +373,15 @@ class IdealDivisorSet:
 
 
 class Classification:
-    """Tag exceptional components: rupture (three or more exceptional
-    neighbors), dicritical (positive excess for some ideal), and their union,
-    which is where region walls can live.  Affine arrows never make a
-    component rupture.  `crossed` holds the components met by an affine
-    component that carries multiplicity."""
+    """Tag exceptional components: `wall_relevant` holds those that are
+    rupture (three or more exceptional neighbors) or dicritical (positive
+    excess for some ideal), which is where region walls can live.  Affine
+    arrows never make a component rupture.  `crossed` holds the components
+    met by an affine component that carries multiplicity."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
-        rupture = [i for i in range(graph.n_exc) if len(graph.exc_adj[i]) >= 3]
-        dicritical = [
-            j for j in range(graph.n_exc) if any(ideals.excess[i][j] > 0 for i in range(ideals.r))
-        ]
-        self.rupture = tuple(rupture)
-        self.dicritical = tuple(dicritical)
-        self.wall_relevant = tuple(sorted(set(rupture) | set(dicritical)))
+        self.wall_relevant = tuple(
+            j for j in range(graph.n_exc) if len(graph.exc_adj[j]) >= 3 or any(rho[j] > 0 for rho in ideals.excess)
+        )
         total = ideals.total().coeffs
         self.crossed = tuple(j for j in range(graph.n_exc) if any(total[a] > 0 for a in graph.aff_cross[j]))
-
-    def ids(self, graph: DualGraph) -> dict[str, tuple[str, ...]]:
-        return {
-            "rupture": tuple(graph.exc_ids[i] for i in self.rupture),
-            "dicritical": tuple(graph.exc_ids[i] for i in self.dicritical),
-            "wall_relevant": tuple(graph.exc_ids[i] for i in self.wall_relevant),
-        }

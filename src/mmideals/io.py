@@ -47,7 +47,7 @@ def load_input(path) -> tuple[DualGraph, IdealDivisorSet]:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionViolated(f"{path}: cannot read ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the interpreter's digit limit
         raise PreconditionViolated(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise PreconditionViolated(f"{path}: top level must be an object")

@@ -39,7 +39,6 @@ from .errors import (
     LimitReached,
     PreconditionViolated,
     UnsupportedGeometry,
-    ZeroDivisor,
     ZeroPoint,
 )
 from .graph import Classification, IdealDivisorSet, _as_fraction, relative_canonical
@@ -608,50 +607,48 @@ class RegionEngine:
         crossed by the ray appear exactly at these parameters.
         """
         u = tuple(_as_fraction(x, "direction") for x in direction)
-        if len(u) != self.r:
-            raise DimensionMismatch(f"direction needs {self.r} coordinates")
-        if any(x < 0 for x in u) or all(x == 0 for x in u):
-            raise PreconditionViolated("direction must be nonzero and nonnegative")
-        combined = self.ideals.divisors[0].scaled(u[0])
-        for i in range(1, self.r):
-            combined = combined + self.ideals.divisors[i].scaled(u[i])
+        t = next_jumping_number(self, u, 0)  # checks the direction before --upto is read
         limit = _as_fraction(t_max, "upto")
         values: list[Fraction] = []
-        t = Fraction(0)
         for _ in range(CHAIN_GUARD):
-            t = next_jumping_number(combined, self.canonical, t)
             if t > limit:
                 return values
             values.append(t)
+            t = next_jumping_number(self, u, t)
         raise LimitReached(f"ray passed CHAIN_GUARD = {CHAIN_GUARD} jumping numbers below {limit}; lower --upto")
 
 
-def next_jumping_number(ideal_divisor: Divisor, canonical: Divisor, t_prev) -> Fraction:
-    """Smallest jumping number of a single ideal strictly after t_prev.
+def next_jumping_number(engine: RegionEngine, direction, t_prev) -> Fraction:
+    """Smallest jumping number strictly after t_prev along the ray t * u.
 
-    With e = multiplicities of the ideal divisor and e(t) the antinef
-    divisor at the current parameter, the next jump is
-    min over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j; affine
-    components compete too (their k is 0), which is what picks up jumps of
-    non-m-primary ideals.  Runs on integer numerators e = E / a, k = K / b.
+    The ideals on the ray form the single-ideal chain of sum_i u_i F_i: with
+    e = u . F and e(t) the antinef divisor at t, the next jump is the
+    minimum over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j;
+    affine components compete too (their k is 0), which is what picks up
+    jumps of non-m-primary ideals.  Runs on the engine's integer columns:
+    e = E / m with E = U . F for u = U / m, and k = K / L.
     """
-    ideal_divisor._check_same_graph(canonical)
+    u = [_as_fraction(x, "direction") for x in direction]
+    if len(u) != engine.r:
+        raise DimensionMismatch(f"direction needs {engine.r} coordinates")
+    nums, m = _over_lcm(u)
+    if min(nums) < 0 or not any(nums):
+        raise PreconditionViolated("direction must be nonzero and nonnegative")
     t0 = _as_fraction(t_prev, "t_prev")
     if t0 < 0:
         raise PreconditionViolated("t_prev must be nonnegative")
-    if not ideal_divisor.is_effective() or all(c == 0 for c in ideal_divisor.coeffs):
-        raise ZeroDivisor("jumping numbers need a nonzero effective divisor")
-    big_e, a = _over_lcm(ideal_divisor.coeffs)
-    big_k, b = _over_lcm(canonical.coeffs)
-    # t0 e_j - k_j = (p b E_j - q a K_j) / (q a b) with t0 = p / q
+    scale = engine.scale
+    columns = [(sum(map(operator.mul, nums, normal)), k) for normal, k in engine._columns]
+    # t0 e_j - k_j = (p L E_j - q m K_j) / (q m L) with t0 = p / q
     p, q = t0.numerator, t0.denominator
-    floor = [(p * b * e - q * a * k) // (q * a * b) for e, k in zip(big_e, big_k)]
-    current = antinef_closure(Divisor._of_ints(canonical.graph, floor))
-    # candidate j: (k_j + 1 + e_j(t)) / e_j = a (K_j + b (1 + e_j(t))) / (b E_j)
+    den = q * m * scale
+    floor = [(p * scale * e - q * m * k) // den for e, k in columns]
+    current = antinef_closure(Divisor._of_ints(engine.graph, floor))
+    # candidate j: (k_j + 1 + e_j(t)) / e_j = m (K_j + L (1 + e_j(t))) / (L E_j)
     best_num, best_den = None, 1
-    for e, k, c in zip(big_e, big_k, current.coeffs):
+    for (e, k), c in zip(columns, current.coeffs):
         if e > 0:
-            num, cand_den = a * (k + b * (1 + c)), b * e
+            num, cand_den = m * (k + scale * (1 + c)), scale * e
             if best_num is None or num * best_den < best_num * cand_den:
                 best_num, best_den = num, cand_den
     if best_num is None or best_num * q <= p * best_den:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -254,6 +255,42 @@ def test_exit_2_on_unparseable_json(tmp_path, capsys):
     bad.write_text("{")
     code, _, err = run(capsys, "canonical", "--input", str(bad))
     assert code == 2
+
+
+def test_exit_2_on_an_integer_over_the_digit_limit(tmp_path, capsys):
+    # JSON parsing raises a plain ValueError, not a JSONDecodeError, for an
+    # integer longer than the interpreter's int-to-str digit limit
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    source = tmp_path / "long.json"
+    source.write_text(EXAMPLE_PATH.read_text().replace('"self": -2', '"self": -' + "2" * 5000, 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "canonical", "--input", str(source))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error: PreconditionViolated: {source}: not valid JSON (")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mmi", "--lambda", "1e5000,0"],
+        ["region", "--lambda", "1e4400,0"],
+        ["jumping-numbers", "--ideal", "a1", "--upto", "1e5000"],
+        ["mmi", "--lambda", "1E2,0"],
+    ],
+)
+def test_exit_2_on_exponent_notation(capsys, argv):
+    # 1e5000 parses to an integer whose digits no report can print
+    code, out, err = run(capsys, *argv, "--input", INPUT)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    what, value = ("upto", argv[-1]) if "--upto" in argv else ("lambda", argv[-1].split(",")[0])
+    assert err == f"error: PreconditionViolated: {what}: cannot parse {value!r} as a rational\n"
 
 
 def test_exit_3_on_three_ideals(tmp_path, capsys):

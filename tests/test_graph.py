@@ -229,27 +229,25 @@ def test_excess_table(graph, ideals):
 
 def test_classification(graph, ideals):
     cls = Classification(graph, ideals)
-    named = cls.ids(graph)
-    assert named["rupture"] == GOLDEN["rupture_ids"]
-    assert named["dicritical"] == GOLDEN["dicritical_ids"]
-    assert named["wall_relevant"] == GOLDEN["dicritical_ids"]
+    # walls live on rupture and dicritical components; the example has no rupture
+    wall_ids = tuple(graph.exc_ids[j] for j in cls.wall_relevant)
+    assert wall_ids == tuple(sorted(GOLDEN["rupture_ids"] + GOLDEN["dicritical_ids"]))
 
 
 def test_rupture_needs_three_exceptional_neighbors():
-    raw = {
-        "exceptional": [
-            {"id": "C", "self": -3},
-            {"id": "L1", "self": -2},
-            {"id": "L2", "self": -2},
-            {"id": "L3", "self": -2},
-        ],
-        "edges": [["C", "L1"], ["C", "L2"], ["C", "L3"]],
-        "ideals": [{"mult": {"C": 2, "L1": 1, "L2": 1, "L3": 1}}],
-    }
-    graph = validate_graph(raw)
-    ideals = build_ideals(graph, raw["ideals"])
-    cls = Classification(graph, ideals)
-    assert cls.ids(graph)["rupture"] == ("C",)
+    # C has zero excess and each leaf positive excess, so C is wall-relevant
+    # only as a rupture: with three exceptional neighbours, not with two
+    for self_c, names in ((-3, ["L1", "L2", "L3"]), (-2, ["L1", "L2"])):
+        raw = {
+            "exceptional": [{"id": "C", "self": self_c}] + [{"id": name, "self": -2} for name in names],
+            "edges": [["C", name] for name in names],
+            "ideals": [{"mult": dict.fromkeys(["C", *names], 1)}],
+        }
+        graph = validate_graph(raw)
+        ideals = build_ideals(graph, raw["ideals"])
+        assert ideals.excess[0] == (0,) + (1,) * len(names)
+        wall_ids = tuple(graph.exc_ids[j] for j in Classification(graph, ideals).wall_relevant)
+        assert wall_ids == (("C",) if len(names) == 3 else ()) + tuple(names)
 
 
 def test_ideal_set_basics(graph, ideals, engine):

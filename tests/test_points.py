@@ -274,13 +274,11 @@ def test_next_jumping_number_matches_the_fraction_oracle(engines, which, directi
     if not any(direction):
         direction = (Fraction(1), direction[1])
     combined = eng.ideals.divisors[0].scaled(direction[0]) + eng.ideals.divisors[1].scaled(direction[1])
-    got = next_jumping_number(combined, eng.canonical, t)
+    got = next_jumping_number(eng, direction, t)
     assert type(got) is Fraction
     assert got == _next_jumping_number_fractions(combined, eng.canonical, t)
     # from the jump itself, the next one too
-    assert next_jumping_number(combined, eng.canonical, got) == _next_jumping_number_fractions(
-        combined, eng.canonical, got
-    )
+    assert next_jumping_number(eng, direction, got) == _next_jumping_number_fractions(combined, eng.canonical, got)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number, svg
-from mmideals.divisors import Divisor
 from mmideals.graph import validate_graph
 from mmideals.io import build_ideals, enumeration_json
 from mmideals.errors import (
@@ -19,7 +19,6 @@ from mmideals.errors import (
     GeometryDegeneracy,
     PreconditionViolated,
     UnsupportedGeometry,
-    ZeroDivisor,
 )
 from mmideals.regions import (
     CFacet,
@@ -275,17 +274,40 @@ def test_chain_unknown_name(engine):
         engine.jumping_numbers_of("a9", 1)
 
 
-def test_next_jumping_number_free_function(ideals, canonical):
-    f2 = ideals.divisors[1]
-    assert next_jumping_number(f2, canonical, 0) == Fraction(3, 2)
-    assert next_jumping_number(f2, canonical, Fraction(3, 2)) == 2
+def test_next_jumping_number_free_function(engine):
+    # the ray (0, 1) is the chain of the second ideal
+    assert next_jumping_number(engine, (0, 1), 0) == Fraction(3, 2)
+    assert next_jumping_number(engine, (0, 1), Fraction(3, 2)) == 2
     # strictly after t_prev even when t_prev is itself a jumping number
-    assert next_jumping_number(f2, canonical, 1) == Fraction(3, 2)
+    assert next_jumping_number(engine, ("0", "1"), 1) == Fraction(3, 2)
 
 
-def test_next_jumping_number_needs_nonzero(graph, canonical):
-    with pytest.raises(ZeroDivisor):
-        next_jumping_number(Divisor(graph, (0,) * 7), canonical, 0)
+def test_next_jumping_number_checks_the_direction(engine):
+    # the step and the ray both refuse a zero, negative or wrong-length direction
+    for direction, error, message in [
+        ((0, 0), PreconditionViolated, "direction must be nonzero and nonnegative"),
+        (("1", "-1/2"), PreconditionViolated, "direction must be nonzero and nonnegative"),
+        ((1,), DimensionMismatch, "direction needs 2 coordinates"),
+        ((1, 1, 1), DimensionMismatch, "direction needs 2 coordinates"),
+    ]:
+        with pytest.raises(error, match=message):
+            next_jumping_number(engine, direction, 0)
+        with pytest.raises(error, match=message):
+            engine.wall_ray_restriction(direction, 1)
+
+
+def test_ray_takes_one_step_per_jump(engine, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return next_jumping_number(*args)
+
+    monkeypatch.setattr(mmideals.regions, "next_jumping_number", counted)
+    values = engine.wall_ray_restriction((1, 1), 1)
+    # one step per value, and one more that passes the limit
+    assert len(calls) == len(values) + 1
+    assert [t for *_, t in calls] == [0, *values]
 
 
 def test_ray_restriction(engine):
