@@ -96,14 +96,14 @@ def _text_inequality(ineq) -> str:
 
 
 def _cmd_canonical(engine, opts, fmt: str):
-    k = engine.canonical.exceptional_part()
+    k = engine.canonical[: engine.graph.n_exc]
     if fmt == "text":
         return "K = " + _fmt_tuple(k) + "\n"
     return reportio.dump_json([reportio.rational_json(c) for c in k])
 
 
 def _cmd_mmi(engine, opts, fmt: str):
-    point = engine.point(opts["lambda"])
+    point = engine.at(opts["lambda"]).coords
     divisor = engine.mmi(point)
     payload = {
         "command": "mmi",
@@ -188,7 +188,7 @@ def _cmd_jumping_numbers(engine, opts, fmt: str):
 
 
 def _cmd_min_jumping_divisor(engine, opts, fmt: str):
-    point = engine.point(opts["lambda"])
+    point = engine.at(opts["lambda"]).coords
     gmin = minimal_jumping_divisor(engine, point)
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
@@ -208,7 +208,7 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
 
 
 def _cmd_verify(engine, opts, fmt: str):
-    point = engine.point(opts["lambda"])
+    point = engine.at(opts["lambda"]).coords
     reports = [
         verify_jump_identity(engine, point),
         verify_numeric_conditions(engine, point),

@@ -1,11 +1,16 @@
-"""Divisor arithmetic: floors, unloading, antinef closures.
+"""Divisor arithmetic: unloading and antinef closures.
 
-The central object is the antinef closure: the least antinef divisor with
-integer coefficients dominating a given one.  It is computed by Enriques'
-unloading, one full sweep at a time: collect every exceptional component with
-negative excess, raise each by ceil(rho_i / E_i^2), repeat until the excess
-vector is nonnegative.  On negative definite trees this converges and the
-fixed point is independent of sweep order.
+A :class:`Divisor` is an integer vector over the components of a graph:
+every ideal divisor, floor and closure is integral.  The one rational vector
+the algorithm reads, the relative canonical divisor K, is a plain tuple from
+:func:`mmideals.graph.relative_canonical`.
+
+The central object is the antinef closure: the least antinef divisor
+dominating a given one.  It is computed by Enriques' unloading, one full
+sweep at a time: collect every exceptional component with negative excess,
+raise each by ceil(rho_i / E_i^2), repeat until the excess vector is
+nonnegative.  On negative definite trees this converges and the fixed point
+is independent of sweep order.
 
 The ideal at a point lam of the orthant is encoded by the antinef closure of
 floor(sum_i lam_i F_i - K), and the ideal just before lam (the "left limit")
@@ -16,9 +21,7 @@ integer numerators over one denominator; divisors there are built from ints.
 
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -42,29 +45,30 @@ MAX_UNLOAD_ITERS = 10**6  # sweeps per closure before NonTermination
 
 
 class Divisor:
-    """A divisor with rational coefficients on a :class:`DualGraph`.
+    """A divisor with integer coefficients on a :class:`DualGraph`.
 
     Coefficients run over the global component index (exceptional, then
-    affine).  Each is an ``int`` when it is integral and a ``Fraction``
-    otherwise.  Instances are immutable and hashable.  Equality and the
-    arithmetic check the graph by identity: divisors compare and combine only
-    within one graph object.
+    affine), each an ``int``.  Instances are immutable and hashable.
+    Equality and the arithmetic check the graph by identity: divisors compare
+    and combine only within one graph object.
     """
 
     __slots__ = ("graph", "coeffs")
 
-    def __init__(self, graph: DualGraph, coeffs: Sequence):
+    def __init__(self, graph: DualGraph, coeffs: Sequence[int]):
         if len(coeffs) != graph.n_total:
             raise DimensionMismatch(
                 f"expected {graph.n_total} coefficients, got {len(coeffs)}"
             )
+        for c in coeffs:
+            if type(c) is not int:
+                raise NonIntegralDivisor(f"divisor coefficients must be ints, got {c!r}")
         object.__setattr__(self, "graph", graph)
-        exact = (c if type(c) is int else Fraction(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", tuple(q.numerator if q.denominator == 1 else q for q in exact))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
     def _of_ints(cls, graph: DualGraph, coeffs: Sequence[int]) -> "Divisor":
-        """Constructor for a full-length sequence of ints: nothing to normalise."""
+        """Constructor for a full-length sequence of ints: nothing to check."""
         divisor = object.__new__(cls)
         object.__setattr__(divisor, "graph", graph)
         object.__setattr__(divisor, "coeffs", tuple(coeffs))
@@ -96,8 +100,7 @@ class Divisor:
 
     def _combine(self, op, other: "Divisor") -> "Divisor":
         self._check_same_graph(other)
-        make = Divisor._of_ints if self.is_integral() and other.is_integral() else Divisor
-        return make(self.graph, list(map(op, self.coeffs, other.coeffs)))
+        return Divisor._of_ints(self.graph, map(op, self.coeffs, other.coeffs))
 
     def __add__(self, other: "Divisor") -> "Divisor":
         return self._combine(operator.add, other)
@@ -105,31 +108,10 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         return self._combine(operator.sub, other)
 
-    def scaled(self, q) -> "Divisor":
-        q = Fraction(q)
-        return Divisor(self.graph, [q * c for c in self.coeffs])
-
-    def floor(self) -> "Divisor":
-        return Divisor._of_ints(self.graph, map(math.floor, self.coeffs))
-
-    def ceil(self) -> "Divisor":
-        return Divisor._of_ints(self.graph, map(math.ceil, self.coeffs))
-
     def le(self, other: "Divisor") -> bool:
         """Componentwise <= (the divisor partial order)."""
         self._check_same_graph(other)
         return all(map(operator.le, self.coeffs, other.coeffs))
-
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
-
-    def exceptional_part(self) -> tuple[int | Fraction, ...]:
-        return self.coeffs[: self.graph.n_exc]
-
-    def as_ints(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise NonIntegralDivisor("divisor has fractional coefficients")
-        return self.coeffs
 
 
 def is_antinef(divisor: Divisor) -> bool:
@@ -142,14 +124,13 @@ def is_antinef(divisor: Divisor) -> bool:
 def unload_once(divisor: Divisor) -> Divisor:
     """One unloading sweep.
 
-    Rounds coefficients up to integers, then raises every exceptional
-    component with negative excess by ceil(rho_i / E_i^2) >= 1, all in one
-    pass.  A divisor that is already antinef (after the rounding) comes back
-    unchanged, which is the loop's fixed-point test.
+    Raises every exceptional component with negative excess by
+    ceil(rho_i / E_i^2) >= 1, all in one pass.  A divisor that is already
+    antinef comes back unchanged, which is the loop's fixed-point test.
     """
     g = divisor.graph
-    coeffs = [math.ceil(c) for c in divisor.coeffs]
-    bumped = coeffs[:]
+    coeffs = divisor.coeffs
+    bumped = list(coeffs)
     for i in range(g.n_exc):
         rho = -g.dot_exceptional(coeffs, i)
         if rho < 0:
@@ -161,13 +142,13 @@ def unload_once(divisor: Divisor) -> Divisor:
 
 
 def antinef_closure(divisor: Divisor) -> Divisor:
-    """Least integral antinef divisor dominating `divisor`.
+    """Least antinef divisor dominating `divisor`.
 
     Iterates :func:`unload_once` to its fixed point.  The iteration count is
     capped at MAX_UNLOAD_ITERS; hitting the cap raises NonTermination, since
     on valid negative definite input the loop always terminates.
     """
-    current = divisor.ceil()
+    current = divisor
     for _ in range(MAX_UNLOAD_ITERS):
         bumped = unload_once(current)
         if bumped == current:
@@ -176,8 +157,8 @@ def antinef_closure(divisor: Divisor) -> Divisor:
     raise NonTermination(f"unloading did not stabilize within MAX_UNLOAD_ITERS = {MAX_UNLOAD_ITERS} sweeps")
 
 
-def parse_point(lam, r: int) -> tuple[Fraction, ...]:
-    """Coerce a point of the parameter orthant to exact rationals.
+def parse_point(lam, r: int) -> tuple:
+    """Coerce a point of the parameter orthant to a tuple of Fractions.
 
     Accepts a sequence of ints / Fractions / 'p/q' strings; floats are
     rejected.  Coordinates must be nonnegative and there must be exactly one

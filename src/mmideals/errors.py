@@ -35,7 +35,7 @@ class DimensionMismatch(MMIError):
 
 
 class NonIntegralDivisor(MMIError):
-    """An operation that needs integer coefficients got fractional ones."""
+    """A divisor coefficient or an input multiplicity is not an integer."""
 
 
 class GraphMismatch(MMIError):

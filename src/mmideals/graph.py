@@ -9,9 +9,11 @@ negative definite; one integer elimination over the tree tests that and
 gives the relative canonical divisor K = X / det(-M) with X integral.
 
 Components are indexed globally: exceptional components first, in input
-order, then affine components.  Divisors are coefficient vectors over that
-global index; affine arrows never receive corrections but they do contribute
-to intersection products through the components they cross.
+order, then affine components.  Divisors are integer coefficient vectors over
+that global index (:meth:`DualGraph.coefficients` turns input multiplicities
+into one); affine arrows never receive corrections but they do contribute to
+intersection products through the components they cross.  K is the one
+rational vector: a tuple over the same index, an int where it is integral.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class DualGraph:
 
     # -- products -----------------------------------------------------------
 
-    def dot_exceptional(self, coeffs: Sequence[Fraction], i: int) -> Fraction:
+    def dot_exceptional(self, coeffs: Sequence[int], i: int) -> int:
         """Intersection product D . E_i for a divisor with the given global
         coefficient vector and the i-th exceptional component."""
         total = self.self_int[i] * coeffs[i]
@@ -151,31 +153,26 @@ class DualGraph:
             total += coeffs[a]
         return total
 
-    def excess_vector(self, coeffs: Sequence[Fraction]) -> list[Fraction]:
+    def excess_vector(self, coeffs: Sequence[int]) -> list[int]:
         """Excesses rho_i = -D . E_i at every exceptional component."""
         return [-self.dot_exceptional(coeffs, i) for i in range(self.n_exc)]
 
-    def intersection_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for i in range(self.n_exc):
-            row = [0] * self.n_exc
-            row[i] = self.self_int[i]
-            for j in self.exc_adj[i]:
-                row[j] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
+    def coefficients(self, mapping: Mapping[str, object], what: str = "divisor") -> list[int]:
+        """Turn an id->value mapping into a global vector of integer
+        coefficients.
 
-    def coefficients(self, mapping: Mapping[str, object], what: str = "divisor") -> list:
-        """Turn an id->value mapping into a global coefficient vector.
-
-        Missing ids default to 0; unknown ids raise DanglingReference.
+        Missing ids default to 0; unknown ids raise DanglingReference.  Values
+        are parsed exactly, so "6/2" is 3; a value that is not an integer
+        raises NonIntegralDivisor once every value has parsed.
         """
         coeffs = [0] * self.n_total
         for cid, value in mapping.items():
             if cid not in self.index:
                 raise DanglingReference(f"{what}: unknown component id {cid!r}")
             coeffs[self.index[cid]] = value if type(value) is int else _as_fraction(value, f"{what}[{cid}]")
-        return coeffs
+        if any(c.denominator != 1 for c in coeffs):
+            raise NonIntegralDivisor(f"{what}: multiplicities must be integers")
+        return [c.numerator for c in coeffs]
 
 
 def _list_of(value, kind, what: str):
@@ -299,23 +296,22 @@ def _tree_solve(graph: DualGraph, rhs: Sequence[int]) -> tuple[list[int], int]:
     return x, d
 
 
-def relative_canonical(graph: DualGraph):
+def relative_canonical(graph: DualGraph) -> tuple:
     """Relative canonical divisor, normalized so adjunction reads
     (K + E_i) . E_i = -2 on every exceptional component.
 
     Coefficients solve M k = b with b_i = -2 - E_i^2 by the integer tree
     elimination, as k = X / det(-M); affine components carry coefficient 0.
-    Like every divisor, K holds ints where it is integral (always on a
-    smooth surface) and Fractions elsewhere.
+    K is the one rational vector the algorithm reads, so it is a plain tuple
+    over the global index: an int where k_i is integral (everywhere on a
+    smooth surface), a Fraction elsewhere.
     """
-    from .divisors import Divisor  # local import to avoid a cycle
-
     nums, det = graph.canonical_numerators
     nums = nums + [0] * graph.n_aff  # a copy: the cached list stays as solved
     for i in range(graph.n_exc):
         if graph.dot_exceptional(nums, i) != det * (-2 - graph.self_int[i]):
             raise InternalInvariant("adjunction check failed for the relative canonical divisor")
-    return Divisor(graph, [x // det if x % det == 0 else Fraction(x, det) for x in nums])
+    return tuple(x // det if x % det == 0 else Fraction(x, det) for x in nums)
 
 
 class IdealDivisorSet:
@@ -323,21 +319,17 @@ class IdealDivisorSet:
     divisor of multiplicities on a common graph."""
 
     def __init__(self, graph: DualGraph, names: Sequence[str], divisors: Sequence):
-        from .divisors import Divisor
-
         if len(names) != len(divisors):
             raise DimensionMismatch("one name per ideal divisor required")
         if not divisors:
             raise PreconditionViolated("at least one ideal is required")
         if len(set(names)) != len(names):
             raise DuplicateId("ideal names must be unique")
-        checked: list[Divisor] = []
+        checked = []
         excess: list[tuple[int, ...]] = []
         for name, div in zip(names, divisors):
             if div.graph is not graph:
                 raise GraphMismatch(f"ideal {name!r} lives on a different graph")
-            if not div.is_integral():
-                raise NonIntegralDivisor(f"ideal {name!r}: multiplicities must be integers")
             if any(c < 0 for c in div.coeffs):
                 raise PreconditionViolated(f"ideal {name!r}: multiplicities must be nonnegative")
             if all(c == 0 for c in div.coeffs):

@@ -11,9 +11,10 @@ Input files are JSON objects with four keys:
 
 Multiplicity keys may be omitted (defaulting to 0) but never unknown.
 Reports follow fixed conventions so output is byte-identical across runs:
-point coordinates are lowest-terms rational strings, wall normals are JSON
-integers, wall constants are rational strings, divisor arrays are plain
-numbers when integral, and keys are sorted on serialization.
+point coordinates are lowest-terms rational strings, wall normals and
+divisor arrays are JSON integers, wall constants are rational strings, the
+canonical divisor is a number where integral and a 'p/q' string elsewhere,
+and keys are sorted on serialization.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def point_json(point) -> list[str]:
     return [str(c) for c in point]
 
 
-def divisor_json(divisor: Divisor) -> list:
-    return [rational_json(c) for c in divisor.coeffs]
+def divisor_json(divisor: Divisor) -> list[int]:
+    return list(divisor.coeffs)
 
 
 def inequality_json(ineq: WallInequality) -> dict:

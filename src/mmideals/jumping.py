@@ -143,7 +143,7 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
 
-    total, k = ideals.total(), context.canonical.coeffs
+    total, k = ideals.total(), context.canonical
     values, den = context.values, context.den
     members: list[int] = []
     hyperplanes: dict[str, tuple[tuple[int, ...], Fraction]] = {}

@@ -350,7 +350,7 @@ class RegionEngine:
         self.classification = Classification(self.graph, ideals)
         # L = `scale`, the lcm of the denominators of K; per component j the
         # normal (e_{1,j}, ..., e_{r,j}) and L * k_j
-        scaled_k, self.scale = _over_lcm(self.canonical.coeffs)
+        scaled_k, self.scale = _over_lcm(self.canonical)
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
         self._points: dict[Point, PointContext] = {}
 
@@ -360,12 +360,9 @@ class RegionEngine:
 
     # -- pointwise data ---------------------------------------------------
 
-    def point(self, lam) -> Point:
-        return parse_point(lam, self.r)
-
     def at(self, lam) -> PointContext:
         """The cached per-point context at lam."""
-        coords = self.point(lam)
+        coords = parse_point(lam, self.r)
         context = self._points.get(coords)
         if context is None:
             context = self._points[coords] = PointContext(self, coords)
@@ -391,7 +388,7 @@ class RegionEngine:
         lam_prime off the closure boundary cases by the region theorem; kept
         as an independent route on purpose.
         """
-        values, _, den = self._numerators(self.point(lam_prime))
+        values, _, den = self._numerators(parse_point(lam_prime, self.r))
         return all(v // den <= e for v, e in zip(values, self.mmi(lam).coeffs))
 
     def region_of(self, lam) -> RegionPolytope:

@@ -41,11 +41,24 @@ def fracs(*values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def intersection_matrix(graph) -> tuple[tuple[int, ...], ...]:
+    """The dense exceptional intersection matrix, read off the graph's
+    self-intersections and exceptional adjacency."""
+    rows = []
+    for i in range(graph.n_exc):
+        row = [0] * graph.n_exc
+        row[i] = graph.self_int[i]
+        for j in graph.exc_adj[i]:
+            row[j] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def exc(divisor) -> tuple[int, ...]:
-    """Exceptional part of a divisor as plain ints (all goldens are integral)."""
-    part = divisor.exceptional_part()
-    assert all(c.denominator == 1 for c in part)
-    return tuple(int(c) for c in part)
+    """Exceptional part of a divisor: its first n_exc coefficients, all ints."""
+    part = divisor.coeffs[: divisor.graph.n_exc]
+    assert all(type(c) is int for c in part)
+    return part
 
 
 # Hand-derived expected values.  Points are pairs of strings to keep the
@@ -183,7 +196,7 @@ def value_rows(context) -> list[tuple[Fraction, Fraction]]:
         sum((lam * d.coeffs[j] for lam, d in zip(context.coords, divisors)), Fraction(0))
         for j in range(context.graph.n_total)
     ]
-    return [(form, form - k) for form, k in zip(forms, context.canonical.coeffs)]
+    return [(form, form - k) for form, k in zip(forms, context.canonical)]
 
 
 def count_closures(monkeypatch) -> list:

@@ -200,6 +200,33 @@ def test_exit_2_on_malformed_shape(tmp_path, capsys, raw):
     assert err.startswith("error: PreconditionViolated: ")
 
 
+@pytest.mark.parametrize(
+    "value,code,err",
+    [
+        ("1/2", 2, "error: NonIntegralDivisor: ideal 'a1': multiplicities must be integers\n"),
+        ("6/2", 0, ""),
+        (True, 2, "error: PreconditionViolated: ideal 'a1'[E1]: boolean is not a number\n"),
+        (
+            1.5,
+            2,
+            "error: PreconditionViolated: ideal 'a1'[E1]: float 1.5 is inexact, pass an int, Fraction or 'p/q' string\n",
+        ),
+        ("x", 2, "error: PreconditionViolated: ideal 'a1'[E1]: cannot parse 'x' as a rational\n"),
+        (-1, 2, "error: PreconditionViolated: ideal 'a1': multiplicities must be nonnegative\n"),
+    ],
+    ids=["half", "six-halves", "true", "float", "unparseable", "negative"],
+)
+def test_one_bad_multiplicity(tmp_path, capsys, value, code, err):
+    # a1's E1 is 3 in the example, so "6/2" must print what 3 prints
+    raw = json.loads(EXAMPLE_PATH.read_text())
+    raw["ideals"][0]["mult"]["E1"] = value
+    source = tmp_path / "fault.json"
+    source.write_text(json.dumps(raw))
+    got = run(capsys, "mmi", "--input", str(source), "--lambda", "1/6,1")
+    want_out = run(capsys, "mmi", "--input", INPUT, "--lambda", "1/6,1")[1] if code == 0 else ""
+    assert got == (code, want_out, err)
+
+
 def closure_count(monkeypatch, capsys, *argv) -> int:
     """Run one CLI call and count its antinef closures."""
     calls = count_closures(monkeypatch)

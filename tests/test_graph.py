@@ -23,7 +23,7 @@ from mmideals.errors import (
     PreconditionViolated,
 )
 
-from conftest import GOLDEN, exc
+from conftest import GOLDEN, exc, intersection_matrix
 
 
 def test_example_graph_shape(graph):
@@ -45,7 +45,7 @@ def test_adjacency_is_symmetric(graph):
 
 
 def test_intersection_matrix(graph):
-    m = graph.intersection_matrix()
+    m = intersection_matrix(graph)
     assert m[0] == (-2, 1, 0, 0, 0)
     assert m[1] == (1, -4, 0, 0, 1)
     assert m[4] == (0, 1, 0, 1, -1)
@@ -56,12 +56,12 @@ def test_intersection_matrix(graph):
 
 def test_relative_canonical(graph):
     k = relative_canonical(graph)
-    assert exc(k) == GOLDEN["canonical"]
+    assert k[: graph.n_exc] == GOLDEN["canonical"]
     # affine coordinates stay zero
-    assert k.coeffs[5] == 0 and k.coeffs[6] == 0
+    assert k[5] == 0 and k[6] == 0
     # adjunction: (K + E_i) . E_i = -2
     for i in range(graph.n_exc):
-        assert graph.dot_exceptional(k.coeffs, i) + graph.self_int[i] == -2
+        assert graph.dot_exceptional(k, i) + graph.self_int[i] == -2
 
 
 # -- leaf-first tree elimination against the dense reference -------------------
@@ -122,8 +122,8 @@ def test_tree_elimination_matches_dense_reference():
                 validate_graph(raw)
             continue
         k = relative_canonical(validate_graph(raw))
-        assert k.exceptional_part() == dense_solve(matrix, [-2 - s for s in selfs])
-        fractional += not k.is_integral()
+        assert k == dense_solve(matrix, [-2 - s for s in selfs])  # no affine components
+        fractional += not all(type(c) is int for c in k)
     assert min(verdicts.values()) >= 50
     assert fractional >= 10
 
@@ -187,23 +187,23 @@ def test_integer_tree_elimination_matches_both_oracles(tree):
         return
     graph = validate_graph(raw)
     k = relative_canonical(graph)
-    assert k.exceptional_part() == dense_solve(matrix, rhs) == tuple(_tree_solve_fractions(graph, rhs))
-    assert all(type(c) is int or c.denominator > 1 for c in k.coeffs)
+    assert k == dense_solve(matrix, rhs) == tuple(_tree_solve_fractions(graph, rhs))  # no affine components
+    assert all(type(c) is int or c.denominator > 1 for c in k)
     nums, det = _tree_solve(graph, rhs)
     assert all(type(x) is int for x in nums + [det])
-    assert [Fraction(x, det) for x in nums] == list(k.exceptional_part())
+    assert [Fraction(x, det) for x in nums] == list(k)
 
 
 def test_chain_of_eighty_minus_two_curves():
     chain = [(i, i + 1) for i in range(79)]
-    assert relative_canonical(validate_graph(_tree_raw([-2] * 80, chain))).coeffs == (0,) * 80
+    assert relative_canonical(validate_graph(_tree_raw([-2] * 80, chain))) == (0,) * 80
     # with -3 ends, b = (1, 0, ..., 0, 1): k is linear along the chain,
     # symmetric, so constant, and -3 k + k = 1 at the ends
     selfs = [-3] + [-2] * 78 + [-3]
     graph = validate_graph(_tree_raw(selfs, chain))
     k = relative_canonical(graph)
-    assert k.coeffs == (Fraction(-1, 2),) * 80
-    assert list(k.coeffs) == _tree_solve_fractions(graph, [-2 - s for s in selfs])
+    assert k == (Fraction(-1, 2),) * 80
+    assert list(k) == _tree_solve_fractions(graph, [-2 - s for s in selfs])
 
 
 def test_tree_not_negative_definite_deep_inside():
@@ -261,10 +261,14 @@ def test_ideal_set_basics(graph, ideals, engine):
 
 
 def test_coefficients_mapping(graph):
-    coeffs = graph.coefficients({"E2": 1, "A1": "3/2"})
-    assert coeffs == [0, 1, 0, 0, 0, Fraction(3, 2), 0]
+    coeffs = graph.coefficients({"E2": 3, "A1": "6/3", "E5": Fraction(4, 2)})
+    assert coeffs == [0, 3, 0, 0, 2, 2, 0]
+    assert all(type(c) is int for c in coeffs)
     with pytest.raises(DanglingReference):
         graph.coefficients({"E9": 1})
+    for value in ("3/2", Fraction(1, 2)):
+        with pytest.raises(NonIntegralDivisor, match="^ideal 'a': multiplicities must be integers$"):
+            graph.coefficients({"E2": 1, "A1": value}, "ideal 'a'")
 
 
 def test_coefficients_reject_floats(graph):
@@ -372,8 +376,8 @@ def test_ideal_names_must_be_unique(graph):
 
 
 def test_ideal_divisor_must_be_integral(graph):
-    with pytest.raises(NonIntegralDivisor):
-        IdealDivisorSet(graph, ("a",), (Divisor(graph, (Fraction(1, 2), 0, 0, 0, 0, 0, 0)),))
+    with pytest.raises(NonIntegralDivisor, match="^ideal 'a': multiplicities must be integers$"):
+        build_ideals(graph, [{"name": "a", "mult": {"E1": "1/2"}}])
 
 
 def test_ideal_divisor_must_be_antinef(graph):

@@ -216,7 +216,7 @@ def _free_point_chain(n):
 
 def test_contributes_over_seventeen_components(monkeypatch):
     engine = _free_point_chain(17)
-    assert engine.canonical.coeffs == tuple(range(1, 18))
+    assert engine.canonical == tuple(range(1, 18))
     # On a smooth surface J(m^2) = m and J(m^(2 - eps)) = O.  At lam = 2 the
     # values 2 - k_j are integers, floor - G closes to 0 (the ideal O), and
     # the jump sits on E1 alone: floor - (G - {E1}) still closes to m.

@@ -667,7 +667,7 @@ def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
 
 def test_fractional_k_input(fractional_engine):
     eng = fractional_engine
-    assert [str(k) for k in eng.canonical.exceptional_part()] == ["-2/7", "-4/7", "-1/7", "-2/7", "-3/7"]
+    assert [str(k) for k in eng.canonical[: eng.graph.n_exc]] == ["-2/7", "-4/7", "-1/7", "-2/7", "-3/7"]
     assert eng.scale == 7
     assert len(eng.enumerate_constancy_regions(("1", "3")).records) == 22
     assert len(eng.enumerate_constancy_regions(("3", "3")).records) == 62
