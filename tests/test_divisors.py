@@ -38,6 +38,13 @@ def test_coefficients_are_exact(graph):
             Divisor(graph, (1, bad, 3, 6, 9, 0, 0))
 
 
+def test_as_ints(graph):
+    # the coefficient tuple is the integer vector: no conversion step is left
+    assert D(graph, (1, 2, 3, 6, 9)).coeffs == (1, 2, 3, 6, 9, 0, 0)
+    with pytest.raises(NonIntegralDivisor):
+        Divisor(graph, ("1/2", 0, 0, 0, 0, 0, 0))
+
+
 def test_length_must_match(graph):
     with pytest.raises(DimensionMismatch):
         Divisor(graph, (1, 2, 3))

@@ -23,7 +23,15 @@ import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number
 from mmideals.cli import main
 from mmideals.divisors import Divisor, antinef_closure
-from mmideals.errors import IntegralityViolated, InternalInvariant, MMIError, NotAJumpingPoint, ZeroPoint
+from mmideals.graph import validate_graph
+from mmideals.errors import (
+    IntegralityViolated,
+    InternalInvariant,
+    MMIError,
+    NonIntegralDivisor,
+    NotAJumpingPoint,
+    ZeroPoint,
+)
 from mmideals.jumping import (
     Check,
     Contribution,
@@ -292,6 +300,24 @@ def test_point_values_are_ints(engines, walk_points, data):
         divisors += [context.left_floor, context.left]
     coefficients = [c for d in divisors for c in d.coeffs] + list(context.values) + [context.den]
     assert all(type(c) is int for c in coefficients)
+
+
+def test_public_constructor_normalises(graph):
+    # exact input values are normalised to ints by graph.coefficients; the
+    # Divisor built from them holds ints, and the constructor itself takes
+    # nothing else
+    one = validate_graph({"exceptional": [{"id": "E1", "self": -2}]})
+    assert Divisor(one, one.coefficients({"E1": Fraction(2)})).coeffs == (2,)
+    assert Divisor(one, one.coefficients({"E1": "4/2"})).coeffs == (2,)
+    assert type(Divisor(one, one.coefficients({"E1": "4/2"})).coeffs[0]) is int
+    for bad in (Fraction(2), "4/2", "1/2"):
+        with pytest.raises(NonIntegralDivisor):
+            Divisor(one, [bad])
+    with pytest.raises(NonIntegralDivisor):
+        one.coefficients({"E1": "1/2"})
+    coeffs = graph.coefficients({"E2": 3, "A1": "6/3", "E5": Fraction(4, 2)})
+    assert [type(c) for c in coeffs] == [int] * len(coeffs)
+    assert coeffs[1] == 3 and coeffs[4] == 2 and coeffs[5] == 2
 
 
 @pytest.mark.parametrize("value", [True, False])
