@@ -14,12 +14,15 @@ that global index (:meth:`DualGraph.coefficients` turns input multiplicities
 into one); affine arrows never receive corrections but they do contribute to
 intersection products through the components they cross.  K is the one
 rational vector: a tuple over the same index, an int where it is integral.
+`DualGraph.adjacency` lists per component every component it meets
+(exceptional neighbours and affine crossings alike); products, the tree order
+and the classification read it.  `IdealDivisorSet.support` holds the global
+indices where some ideal divisor is positive.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -90,33 +93,26 @@ class DualGraph:
         self.n_total = self.n_exc + self.n_aff
         self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
 
-        exc_adj: list[list[int]] = [[] for _ in range(self.n_exc)]
+        # Every pair of components with intersection 1, exceptional edges and
+        # affine crossings alike; each row sorted, so exceptional neighbours
+        # come first.
+        adjacency: list[list[int]] = [[] for _ in range(self.n_total)]
         for i, j in edges:
-            exc_adj[i].append(j)
-            exc_adj[j].append(i)
-        self.exc_adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in exc_adj)
-
-        aff_cross: list[list[int]] = [[] for _ in range(self.n_exc)]
-        for a, meets in enumerate(aff_meets):
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        for a, meets in enumerate(aff_meets, self.n_exc):
             for i in meets:
-                aff_cross[i].append(self.n_exc + a)
-        self.aff_cross: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(c)) for c in aff_cross)
-
-        # Global adjacency: every pair of components with intersection 1.
-        adjacency: list[tuple[int, ...]] = []
-        for i in range(self.n_exc):
-            adjacency.append(tuple(sorted(self.exc_adj[i] + self.aff_cross[i])))
-        for meets in aff_meets:
-            adjacency.append(tuple(sorted(meets)))
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
+                adjacency[i].append(a)
+                adjacency[a].append(i)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(row)) for row in adjacency)
 
         # Breadth-first order of the exceptional components reached from
         # component 0, each with its parent (-1 at the root).
         parent = {0: -1}
         order = [0]
         for i in order:
-            for j in self.exc_adj[i]:
-                if j not in parent:
+            for j in self.adjacency[i]:
+                if j < self.n_exc and j not in parent:
                     parent[j] = i
                     order.append(j)
         self.tree_order: tuple[tuple[int, int], ...] = tuple((i, parent[i]) for i in order)
@@ -147,15 +143,9 @@ class DualGraph:
         """Intersection product D . E_i for a divisor with the given global
         coefficient vector and the i-th exceptional component."""
         total = self.self_int[i] * coeffs[i]
-        for j in self.exc_adj[i]:
+        for j in self.adjacency[i]:
             total += coeffs[j]
-        for a in self.aff_cross[i]:
-            total += coeffs[a]
         return total
-
-    def excess_vector(self, coeffs: Sequence[int]) -> list[int]:
-        """Excesses rho_i = -D . E_i at every exceptional component."""
-        return [-self.dot_exceptional(coeffs, i) for i in range(self.n_exc)]
 
     def coefficients(self, mapping: Mapping[str, object], what: str = "divisor") -> list[int]:
         """Turn an id->value mapping into a global vector of integer
@@ -334,7 +324,7 @@ class IdealDivisorSet:
                 raise PreconditionViolated(f"ideal {name!r}: multiplicities must be nonnegative")
             if all(c == 0 for c in div.coeffs):
                 raise PreconditionViolated(f"ideal {name!r}: zero divisor does not define an ideal")
-            rho = tuple(graph.excess_vector(div.coeffs))
+            rho = tuple(-graph.dot_exceptional(div.coeffs, i) for i in range(graph.n_exc))
             bad = next((i for i, r in enumerate(rho) if r < 0), None)
             if bad is not None:
                 raise PreconditionViolated(
@@ -348,20 +338,17 @@ class IdealDivisorSet:
         self.r = len(checked)
         # rho[i][j]: excess of F_i at the j-th exceptional component.
         self.excess = tuple(excess)
-        self._total = functools.reduce(operator.add, self.divisors)
+        # Global indices where some F_i is positive: the support of sum F_i,
+        # which bounds reduced jumping divisor candidates.
+        self.support = frozenset(j for d in checked for j, c in enumerate(d.coeffs) if c > 0)
 
     def __repr__(self):
         return f"IdealDivisorSet({', '.join(self.names)})"
 
-    def total(self):
-        """Sum of the ideal divisors; its support bounds reduced jumping
-        divisor candidates."""
-        return self._total
-
     def is_m_primary(self) -> bool:
-        """True when every ideal divisor is purely exceptional."""
-        g = self.graph
-        return all(all(d.coeffs[g.n_exc + a] == 0 for a in range(g.n_aff)) for d in self.divisors)
+        """True when every ideal divisor is purely exceptional: the support
+        holds no affine index (those follow the exceptional ones)."""
+        return max(self.support) < self.graph.n_exc
 
 
 class Classification:
@@ -369,11 +356,11 @@ class Classification:
     rupture (three or more exceptional neighbors) or dicritical (positive
     excess for some ideal), which is where region walls can live.  Affine
     arrows never make a component rupture.  `crossed` holds the components
-    met by an affine component that carries multiplicity."""
+    met by an affine component in the support of the ideals."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
+        n, adj, support = graph.n_exc, graph.adjacency, ideals.support
         self.wall_relevant = tuple(
-            j for j in range(graph.n_exc) if len(graph.exc_adj[j]) >= 3 or any(rho[j] > 0 for rho in ideals.excess)
+            j for j in range(n) if sum(nb < n for nb in adj[j]) >= 3 or any(rho[j] > 0 for rho in ideals.excess)
         )
-        total = ideals.total().coeffs
-        self.crossed = tuple(j for j in range(graph.n_exc) if any(total[a] > 0 for a in graph.aff_cross[j]))
+        self.crossed = tuple(j for j in range(n) if any(nb >= n and nb in support for nb in adj[j]))

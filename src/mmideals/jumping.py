@@ -143,12 +143,12 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
 
-    total, k = ideals.total(), context.canonical
+    support, k = ideals.support, context.canonical
     values, den = context.values, context.den
     members: list[int] = []
     hyperplanes: dict[str, tuple[tuple[int, ...], Fraction]] = {}
     for j in range(graph.n_total):
-        if total.coeffs[j] > 0 and values[j] == (1 + left.coeffs[j]) * den:
+        if j in support and values[j] == (1 + left.coeffs[j]) * den:
             members.append(j)
             normal = tuple(d.coeffs[j] for d in ideals.divisors)
             hyperplanes[graph.ids[j]] = (normal, Fraction(k[j] + 1 + left.coeffs[j]))
@@ -191,7 +191,6 @@ class Contribution(enum.Enum):
 
 def _reduced_divisor(ideals: IdealDivisorSet, component_ids: Sequence[str]) -> list[int]:
     graph = ideals.graph
-    total = ideals.total()
     members: list[int] = []
     seen: set[str] = set()
     for cid in component_ids:
@@ -201,10 +200,8 @@ def _reduced_divisor(ideals: IdealDivisorSet, component_ids: Sequence[str]) -> l
         if cid not in graph.index:
             raise DanglingReference(f"unknown component id {cid!r}")
         j = graph.index[cid]
-        if total.coeffs[j] <= 0:
-            raise PreconditionViolated(
-                f"{cid!r} is outside the support of the ideal divisors"
-            )
+        if j not in ideals.support:
+            raise PreconditionViolated(f"{cid!r} is outside the support of the ideal divisors")
         members.append(j)
     return sorted(members)
 
@@ -374,11 +371,9 @@ def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationRepo
     gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     at, left, floor_div = context.divisor, context.left, context.floor
-    total, values, den = ideals.total(), context.values, context.den
+    values, den = context.values, context.den
 
-    candidates = [
-        j for j in range(graph.n_total) if total.coeffs[j] > 0 and values[j] % den == 0 and values[j] >= den
-    ]
+    candidates = [j for j in sorted(ideals.support) if values[j] % den == 0 and values[j] >= den]
     gmin_idx = frozenset(graph.index[cid] for cid in gmin.components)
     if not gmin_idx <= set(candidates):
         raise InternalInvariant("minimal jumping divisor escapes the candidate set")

@@ -292,12 +292,11 @@ class PointContext:
     """Everything asked at one point lam of the orthant.
 
     Built by :meth:`RegionEngine.at`, which caches it.  Filled at once:
-    `coords`; lam . F - K as integer numerators `values` over `den`, with
-    whether each form sum_i lam_i e_{i,j} is `positive`; `floor` = values //
-    den and its antinef closure `divisor`, which encodes the mixed multiplier
-    ideal at lam.  Computed on first use: `left_floor`, its closure `left`
-    (the ideal just before lam along the ray) and the minimal jumping divisor
-    `gmin`.  A walk therefore pays one closure per point.
+    `coords`; lam . F - K as integer numerators `values` over `den`; `floor`
+    = values // den and its antinef closure `divisor`, which encodes the
+    mixed multiplier ideal at lam.  Computed on first use: `left_floor`, its
+    closure `left` (the ideal just before lam along the ray) and the minimal
+    jumping divisor `gmin`.  A walk therefore pays one closure per point.
 
     It keeps what it uses, not the engine, so the two form no reference
     cycle.
@@ -307,18 +306,19 @@ class PointContext:
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
         self.coords = coords
-        self.values, self.positive, self.den = engine._numerators(coords)
+        self.values, self.den = engine._numerators(coords)
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
 
     @cached_property
     def left_floor(self) -> Divisor:
         """floor of q = lam . F - K "just before" lam: (v - 1) // den where the
-        form is positive (q - 1 at integers, floor(q) elsewhere), v // den
-        otherwise.  This is the exact eps -> 0+ limit of floor((1 - eps) *
-        form - k): coordinates with form = 0 never move."""
-        den = self.den
-        return Divisor._of_ints(self.graph, [(v - pos) // den for v, pos in zip(self.values, self.positive)])
+        form sum_i lam_i e_{i,j} is positive (q - 1 at integers, floor(q)
+        elsewhere), v // den otherwise.  This is the exact eps -> 0+ limit of
+        floor((1 - eps) * form - k): coordinates with form = 0 never move.
+        The form is positive exactly where some lam_i > 0 has e_{i,j} > 0."""
+        moving = {j for c, d in zip(self.coords, self.ideals.divisors) if c for j, e in enumerate(d.coeffs) if e > 0}
+        return Divisor._of_ints(self.graph, [(v - (j in moving)) // self.den for j, v in enumerate(self.values)])
 
     @cached_property
     def left(self) -> Divisor:
@@ -371,14 +371,12 @@ class RegionEngine:
     def mmi(self, lam) -> Divisor:
         return self.at(lam).divisor
 
-    def _numerators(self, coords: Point) -> tuple[list[int], list[bool], int]:
+    def _numerators(self, coords: Point) -> tuple[list[int], int]:
         """lam . F - K per component as integer numerators v_j over den =
-        m * L, m the lcm of the denominators of lam, with the sign of each
-        form sum_i lam_i e_{i,j}: returns (v, form > 0, den)."""
+        m * L, m the lcm of the denominators of lam: returns (v, den)."""
         nums, m = _over_lcm(coords)
-        forms = [sum(map(operator.mul, nums, normal)) for normal, _ in self._columns]
-        values = [self.scale * form - m * k for form, (_, k) in zip(forms, self._columns)]
-        return values, [form > 0 for form in forms], m * self.scale
+        values = [self.scale * sum(map(operator.mul, nums, normal)) - m * k for normal, k in self._columns]
+        return values, m * self.scale
 
     def membership(self, lam_prime, lam) -> bool:
         """Does the ideal at lam_prime contain the ideal at lam?
@@ -388,7 +386,7 @@ class RegionEngine:
         lam_prime off the closure boundary cases by the region theorem; kept
         as an independent route on purpose.
         """
-        values, _, den = self._numerators(parse_point(lam_prime, self.r))
+        values, den = self._numerators(parse_point(lam_prime, self.r))
         return all(v // den <= e for v, e in zip(values, self.mmi(lam).coeffs))
 
     def region_of(self, lam) -> RegionPolytope:

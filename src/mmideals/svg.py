@@ -12,8 +12,10 @@ Everything is plain string assembly; output is deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from .errors import PreconditionViolated
 from .regions import EnumerationResult, RegionPolytope
 
 __all__ = ["render_walls"]
@@ -38,10 +40,12 @@ def _fmt(x: float) -> str:
 
 class _Mapper:
     def __init__(self, box):
-        self.bx = float(box[0])
-        self.by = float(box[1]) if len(box) > 1 else 1.0
-        self.sx = (WIDTH - 2 * MARGIN) / self.bx
-        self.sy = (HEIGHT - 2 * MARGIN) / self.by
+        self.bx, self.by = float(box[0]), float(box[1])
+        # an exact side can round to 0.0, or to a float whose scale overflows
+        self.sx = (WIDTH - 2 * MARGIN) / self.bx if self.bx else math.inf
+        self.sy = (HEIGHT - 2 * MARGIN) / self.by if self.by else math.inf
+        if math.isinf(self.sx + self.sy):
+            raise PreconditionViolated(f"box {self.bx:g} x {self.by:g} is too small to draw in floating point")
 
     def x(self, v) -> float:
         return MARGIN + float(v) * self.sx

@@ -41,17 +41,29 @@ def fracs(*values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-def intersection_matrix(graph) -> tuple[tuple[int, ...], ...]:
-    """The dense exceptional intersection matrix, read off the graph's
-    self-intersections and exceptional adjacency."""
-    rows = []
-    for i in range(graph.n_exc):
-        row = [0] * graph.n_exc
-        row[i] = graph.self_int[i]
-        for j in graph.exc_adj[i]:
-            row[j] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
+def intersection_matrix(raw) -> tuple[tuple[int, ...], ...]:
+    """The dense exceptional intersection matrix, read off the input JSON's
+    self-intersections and `edges` list, not off the program's adjacency."""
+    ids = [entry["id"] for entry in raw["exceptional"]]
+    rows = [[0] * len(ids) for _ in ids]
+    for i, entry in enumerate(raw["exceptional"]):
+        rows[i][i] = entry["self"]
+    for a, b in raw.get("edges", []):
+        i, j = ids.index(a), ids.index(b)
+        rows[i][j] = rows[j][i] = 1
+    return tuple(map(tuple, rows))
+
+
+def affine_crossings(raw) -> tuple[tuple[int, ...], ...]:
+    """The exceptional-by-affine block of the intersection matrix: row i
+    counts how often each affine arrow of the input JSON crosses E_i."""
+    ids = [entry["id"] for entry in raw["exceptional"]]
+    arrows = raw.get("affine", [])
+    rows = [[0] * len(arrows) for _ in ids]
+    for a, entry in enumerate(arrows):
+        for cid in entry["meets"]:
+            rows[ids.index(cid)][a] += 1
+    return tuple(map(tuple, rows))
 
 
 def exc(divisor) -> tuple[int, ...]:

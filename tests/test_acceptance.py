@@ -25,7 +25,7 @@ from mmideals.jumping import (
 )
 from mmideals.errors import NotNegativeDefinite
 
-from conftest import GOLDEN, exc, intersection_matrix, point
+from conftest import GOLDEN, affine_crossings, exc, intersection_matrix, point
 
 
 # -- criterion 1: the nine-step walk reproduces the known table ------------------
@@ -112,7 +112,8 @@ def test_criterion_3_chains_and_ray(engine):
 
 
 def random_graph(rng: random.Random):
-    """A random negative definite tree with zero to two affine arrows."""
+    """A random negative definite tree with zero to two affine arrows:
+    returns the input JSON and the validated graph."""
     while True:
         n = rng.randint(1, 5)
         raw = {
@@ -128,14 +129,15 @@ def random_graph(rng: random.Random):
             ],
         }
         try:
-            return validate_graph(raw)
+            return raw, validate_graph(raw)
         except NotNegativeDefinite:
             continue
 
 
-def lattice_minimum(graph, divisor, closed):
+def lattice_minimum(raw, graph, divisor, closed):
     """Brute force: the unique antinef lattice point in the window
-    [max(ceil(D), 0), closure].  Returns the set of antinef points found."""
+    [max(ceil(D), 0), closure].  Returns the set of antinef points found.
+    Intersection numbers come from the input JSON `raw`, not from `graph`."""
     n = graph.n_exc
     lower = [max(c, 0) for c in exc(divisor)]
     upper = list(exc(closed))
@@ -147,11 +149,9 @@ def lattice_minimum(graph, divisor, closed):
     if volume > 400_000:
         return "too-big"
 
-    m = np.array(intersection_matrix(graph), dtype=np.int64)
-    aff = np.zeros(n, dtype=np.int64)
-    for a in range(graph.n_aff):
-        for j in graph.aff_meets[a]:
-            aff[j] += int(divisor.coeffs[graph.n_exc + a])
+    m = np.array(intersection_matrix(raw), dtype=np.int64)
+    crossings = np.array(affine_crossings(raw), dtype=np.int64)
+    aff = crossings @ np.array(divisor.coeffs[n:], dtype=np.int64)
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(lower, upper)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     dots = mesh @ m.T + aff
@@ -166,7 +166,7 @@ def test_criterion_4_closure_against_lattice_search():
     while checked < 500:
         attempts += 1
         assert attempts < 5000, "too many oversized windows"
-        graph = random_graph(rng)
+        raw, graph = random_graph(rng)
         coeffs = [rng.randint(-3, 6) for _ in range(graph.n_exc)] + [
             rng.randint(0, 3) for _ in range(graph.n_aff)
         ]
@@ -186,7 +186,7 @@ def test_criterion_4_closure_against_lattice_search():
         )
         assert closed.le(antinef_closure(bumped))
 
-        hits = lattice_minimum(graph, divisor, closed)
+        hits = lattice_minimum(raw, graph, divisor, closed)
         if hits == "too-big":
             continue
         assert hits is not None
@@ -200,7 +200,7 @@ def test_criterion_4_closure_against_lattice_search():
 
 def random_m_primary_engine(rng: random.Random) -> RegionEngine:
     while True:
-        graph = random_graph(rng)
+        _, graph = random_graph(rng)
         divisors = []
         for _ in range(2):
             coeffs = [rng.randint(0, 6) for _ in range(graph.n_exc)]

@@ -98,6 +98,25 @@ def test_walls_json_format(capsys):
     assert json.loads(out)["command"] == "walls"
 
 
+@pytest.mark.parametrize(
+    "box, shown",
+    [
+        ("1/1" + "0" * 400 + ",1", "0 x 1"),
+        ("1,1/1" + "0" * 400, "1 x 0"),
+        ("1/1" + "0" * 320 + ",1", "9.99989e-321 x 1"),
+    ],
+)
+def test_walls_svg_of_a_box_too_small_to_draw(capsys, box, shown):
+    # the box is exact and positive, but a side rounds to 0.0 (or to a
+    # subnormal float whose scale overflows) when it is drawn
+    code, out, err = run(capsys, "walls", "--input", INPUT, "--box", box)
+    assert (code, out) == (2, "")
+    assert err == f"error: PreconditionViolated: box {shown} is too small to draw in floating point\n"
+    code, out, err = run(capsys, "walls", "--input", INPUT, "--box", box, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == "walls"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "walls.svg"
     code, out, _ = run(capsys, "walls", "--input", INPUT, "--box", "1,3", "--output", str(target))

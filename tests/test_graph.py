@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import json
+import operator
 import random
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from mmideals.errors import (
     PreconditionViolated,
 )
 
-from conftest import GOLDEN, exc, intersection_matrix
+from conftest import DATA, GOLDEN, affine_crossings, intersection_matrix
 
 
 def test_example_graph_shape(graph):
@@ -35,7 +37,8 @@ def test_example_graph_shape(graph):
     assert graph.edges == ((0, 1), (1, 4), (2, 3), (3, 4))
     # A1 crosses E2, A2 crosses E5
     assert graph.aff_meets == ((1,), (4,))
-    assert graph.aff_cross[1] == (5,) and graph.aff_cross[4] == (6,)
+    # one sorted row per component: exceptional neighbours, then crossings
+    assert graph.adjacency == ((1,), (0, 4, 5), (3,), (2, 4), (1, 3, 6), (1,), (4,))
 
 
 def test_adjacency_is_symmetric(graph):
@@ -44,14 +47,44 @@ def test_adjacency_is_symmetric(graph):
             assert j in graph.adjacency[nb]
 
 
-def test_intersection_matrix(graph):
-    m = intersection_matrix(graph)
+def test_intersection_matrix(example_raw):
+    m = intersection_matrix(example_raw)
     assert m[0] == (-2, 1, 0, 0, 0)
     assert m[1] == (1, -4, 0, 0, 1)
     assert m[4] == (0, 1, 0, 1, -1)
     for i in range(5):
         for j in range(5):
             assert m[i][j] == m[j][i]
+
+
+def _input_variants(example_raw):
+    """The example, its non-m-primary variant (A1 in the second ideal) and
+    `fractional_k.json`, as input JSON."""
+    affine = copy.deepcopy(example_raw)
+    affine["ideals"][1]["mult"]["A1"] = 1
+    return [example_raw, affine, json.loads((DATA / "fractional_k.json").read_text())]
+
+
+def test_adjacency_products_and_support_match_the_input_json(example_raw):
+    rng = random.Random(7)
+    m_primary = []
+    for raw in _input_variants(example_raw):
+        graph = validate_graph(raw)
+        ideals = build_ideals(graph, raw["ideals"])
+        exc_ids, aff_ids = [e["id"] for e in raw["exceptional"]], [e["id"] for e in raw.get("affine", [])]
+        ids = exc_ids + aff_ids
+        matrix, crossings = intersection_matrix(raw), affine_crossings(raw)
+        n = len(exc_ids)
+        vectors = [d.coeffs for d in ideals.divisors] + [[rng.randint(-5, 9) for _ in ids] for _ in range(20)]
+        for coeffs in vectors:
+            for i in range(n):
+                dense = sum(map(operator.mul, matrix[i] + crossings[i], coeffs))
+                assert graph.dot_exceptional(coeffs, i) == dense
+        mults = [ideal["mult"] for ideal in raw["ideals"]]
+        assert ideals.support == {ids.index(cid) for mult in mults for cid, v in mult.items() if v > 0}
+        assert ideals.is_m_primary() == all(not mult.get(cid) for mult in mults for cid in aff_ids)
+        m_primary.append(ideals.is_m_primary())
+    assert m_primary == [True, False, True]
 
 
 def test_relative_canonical(graph):
@@ -254,7 +287,9 @@ def test_ideal_set_basics(graph, ideals, engine):
     assert ideals.r == 2
     assert ideals.names == ("a1", "a2")
     assert ideals.is_m_primary()
-    assert exc(ideals.total()) == (4, 8, 9, 18, 27)
+    total = [sum(column) for column in zip(*(d.coeffs for d in ideals.divisors))]
+    assert total == [4, 8, 9, 18, 27, 0, 0]
+    assert ideals.support == frozenset(range(5))
     # weighted value at E5: lam1 * 21 + lam2 * 6 = 19/2, less k_5 = 9
     context = engine.at((Fraction(1, 6), Fraction(1)))
     assert Fraction(context.values[4], context.den) == Fraction(19, 2) - 9

@@ -60,12 +60,12 @@ def _minimal_jumping_divisor_fractions(context) -> MinimalJumpingDivisor:
     left = context.left
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
-    total = ideals.total()
+    total = [sum(column) for column in zip(*(d.coeffs for d in ideals.divisors))]
     rows = value_rows(context)
     members: list[int] = []
     hyperplanes = {}
     for j in range(graph.n_total):
-        if total.coeffs[j] <= 0:
+        if total[j] <= 0:
             continue
         form, q = rows[j]
         if q == 1 + left.coeffs[j]:
@@ -81,7 +81,7 @@ def _minimal_jumping_divisor_fractions(context) -> MinimalJumpingDivisor:
     member_set = set(members)
     valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
     relevant = set(context.classification.wall_relevant)
-    crossed = {j for j in range(graph.n_exc) if any(total.coeffs[a] > 0 for a in graph.aff_cross[j])}
+    crossed = {j for j in range(graph.n_exc) if any(a >= graph.n_exc and total[a] > 0 for a in graph.adjacency[j])}
     for j in members:
         if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
             raise InternalInvariant(
@@ -259,8 +259,8 @@ def test_point_path_matches_the_fraction_oracles(engines, walk_points, data):
     got = _outcome(verify_numeric_conditions, fast, lam)
     assert _report_fields(got) == _report_fields(_outcome(_verify_numeric_conditions_fractions, fast, lam))
 
-    total = eng.ideals.total()
-    support = [cid for j, cid in enumerate(eng.graph.ids) if total.coeffs[j] > 0]
+    total = [sum(column) for column in zip(*(d.coeffs for d in eng.ideals.divisors))]
+    support = [cid for cid, c in zip(eng.graph.ids, total) if c > 0]
     integral = [cid for j, cid in enumerate(eng.graph.ids) if cid in support and rows[j][1].denominator == 1]
     pool = st.sampled_from(integral) if integral else st.sampled_from(support)
     ids = data.draw(st.lists(pool, unique=True, max_size=4) | st.lists(st.sampled_from(support), unique=True))
@@ -295,7 +295,8 @@ def test_point_values_are_ints(engines, walk_points, data):
     eng = engines[which]
     lam = _draw_point(data, eng, walk_points[which])
     context = eng.at(lam)
-    divisors = [*eng.ideals.divisors, eng.ideals.total(), context.floor, context.divisor, eng.mmi(lam)]
+    total = sum(eng.ideals.divisors[1:], eng.ideals.divisors[0])
+    divisors = [*eng.ideals.divisors, total, context.floor, context.divisor, eng.mmi(lam)]
     if any(lam):
         divisors += [context.left_floor, context.left]
     coefficients = [c for d in divisors for c in d.coeffs] + list(context.values) + [context.den]
