@@ -23,7 +23,7 @@ class DanglingReference(MMIError):
 
 class NotATree(MMIError):
     """The exceptional graph is not a tree (disconnected, cyclic, or a
-    self/duplicate edge)."""
+    self/duplicate edge), or an affine arrow crosses one component twice."""
 
 
 class NotNegativeDefinite(MMIError):

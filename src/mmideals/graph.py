@@ -243,6 +243,8 @@ def validate_graph(raw: Mapping) -> DualGraph:
         for target in meets:
             if target not in exc_index:
                 raise DanglingReference(f"affine {cid!r} crosses unknown exceptional component {target!r}")
+            if exc_index[target] in row:
+                raise NotATree(f"affine {cid!r} crosses {target!r} twice")
             row.append(exc_index[target])
         meets_idx.append(tuple(sorted(row)))
 

@@ -114,7 +114,9 @@ def facet_json(facet: CFacet) -> dict:
     }
 
 
-def record_json(record: ConstancyRecord) -> dict:
+def record_json(record: ConstancyRecord, priors) -> dict:
+    """One record; its predecessors index the `priors` (records found before
+    it) whose divisor is `le` its own, strictly so as divisors are distinct."""
     return {
         "index": record.index,
         "representative": point_json(record.representative),
@@ -122,7 +124,7 @@ def record_json(record: ConstancyRecord) -> dict:
         "divisor": divisor_json(record.divisor),
         "inequalities": [inequality_json(q) for q in record.region.inequalities],
         "cfacets": [facet_json(f) for f in record.cfacets],
-        "predecessors": list(record.predecessors),
+        "predecessors": [p.index for p in priors if p.divisor.le(record.divisor)],
         "truncated": record.truncated,
     }
 
@@ -130,7 +132,7 @@ def record_json(record: ConstancyRecord) -> dict:
 def enumeration_json(result: EnumerationResult) -> dict:
     return {
         "box": point_json(result.box),
-        "records": [record_json(r) for r in result.records],
+        "records": [record_json(r, result.records[: r.index]) for r in result.records],
         "representatives": [point_json(p) for p in result.representatives],
         "queue": [point_json(p) for p in result.queue],
         "distinct_ideals": len(result.records),

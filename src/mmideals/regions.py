@@ -16,10 +16,10 @@ All geometry is exact and runs on integers: with L the lcm of the
 denominators of K, a wall is the integer normal a and integer constant C
 meaning a . z < C / L, and floors come from integer numerators.  Membership,
 boundedness, facets and vertices are all answered from these walls: each
-wall line is clipped to the region once (`_edges`), and both the facets and
-the closure's vertices, which the SVG outline draws, are read off its edge.
-A Fraction is built only for a value the walk emits (wall constants, facet
-points, seeds).
+wall line is clipped to the region once (`RegionPolytope.edges`), and the
+walk's facets and the closure's vertices, which the SVG outline draws, all
+read those edges.  A Fraction is built only for a value the walk emits (wall
+constants, facet points, seeds).
 """
 
 from __future__ import annotations
@@ -123,8 +123,29 @@ class RegionPolytope:
         the axes as two sides, so that order walks its boundary."""
         if len(self.lam) != 2:
             raise UnsupportedGeometry("region vertices are computed for two ideals only")
-        ends = {_line_point(line, self.scale, t) for *_, line, lo, hi in _edges(self) for t in (lo, hi)}
+        ends = {_line_point(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
         return [(Fraction(0), Fraction(0))] + sorted(ends, key=lambda p: (p[0], -p[1]))
+
+    @cached_property
+    def edges(self) -> list[tuple]:
+        """Each wall line of a two-ideal region clipped to the closure once:
+        (row, wall, line, lo, hi) per wall meeting it in a segment lo < hi,
+        `row` the wall's index in `halfplanes`."""
+        planes = self.halfplanes
+        edges = []
+        for row, wall in enumerate(self.inequalities, start=len(self.lam)):
+            if not any(wall.coeffs):
+                continue
+            line = _wall_line(wall.coeffs, wall.numerator, planes)
+            span = _clip_parameter(planes, line, None, None)
+            if span is None:
+                continue
+            lo, hi = span
+            if lo is None or hi is None:
+                raise GeometryDegeneracy(f"unbounded wall segment at {wall.component}")
+            if lo < hi:
+                edges.append((row, wall, line, lo, hi))
+        return edges
 
     def __repr__(self):
         return f"RegionPolytope(lam={self.lam}, walls={len(self.inequalities)})"
@@ -157,14 +178,13 @@ class ConstancyRecord:
     """A discovered constancy region: every representative point that landed
     in it, its divisor, its wall polytope, and its outer facets."""
 
-    def __init__(self, index, representative, divisor, region, cfacets, predecessors, truncated):
+    def __init__(self, index, representative, divisor, region, cfacets, truncated):
         self.index = index
         self.representative = representative
         self.representatives = [representative]
         self.divisor = divisor
         self.region = region
         self.cfacets = cfacets
-        self.predecessors = predecessors
         self.truncated = truncated
 
     def __repr__(self):
@@ -191,11 +211,11 @@ def _over_lcm(values) -> tuple[list[int], int]:
 # -- exact line clipping ------------------------------------------------------
 
 
-def _wall_line(coeffs: tuple[int, int], numerator: int, normals) -> tuple[int, ...]:
+def _wall_line(coeffs: tuple[int, int], numerator: int, planes) -> tuple[int, ...]:
     """The line of a wall, as _clip_parameter takes it, for half-planes
-    with the given normals (b1, b2)."""
+    with the normals (b1, b2) of `planes`."""
     a1, a2 = coeffs
-    m = math.lcm(*(alpha for b1, b2 in normals if (alpha := b1 * a2 - b2 * a1)))
+    m = math.lcm(*(alpha for b1, b2, *_ in planes if (alpha := b1 * a2 - b2 * a1)))
     return (a1, a2, a1, numerator, 0, m) if a1 != 0 else (a1, a2, a2, 0, numerator, m)
 
 
@@ -236,47 +256,12 @@ def _line_point(line, scale: int, t: int, k: int = 1) -> Point:
     return (Fraction(k * m * u1 + t * a2, den), Fraction(k * m * u2 - t * a1, den))
 
 
-def _edges(region: RegionPolytope, extra_planes=()):
-    """The edge of every wall of a two-ideal region: yields (row, wall, line,
-    lo, hi), `row` the wall's index in `halfplanes`, for each wall whose
-    line meets the closure in a segment [lo, hi] with lo < hi.  The normals
-    of `extra_planes` join the line's denominator, so clipping the line to
-    them too gives integer bounds."""
-    planes = region.halfplanes
-    normals = [plane[:2] for plane in (*planes, *extra_planes)]
-    for row, wall in enumerate(region.inequalities, start=len(region.lam)):
-        if not any(wall.coeffs):
-            continue
-        line = _wall_line(wall.coeffs, wall.numerator, normals)
-        span = _clip_parameter(planes, line, None, None)
-        if span is None:
-            continue
-        lo, hi = span
-        if lo is None or hi is None:
-            raise GeometryDegeneracy(f"unbounded wall segment at {wall.component}")
-        if lo < hi:
-            yield row, wall, line, lo, hi
-
-
 def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
-    """Closed base interval minus a union of closed cuts; returns the
-    closures of the surviving open pieces, dropping zero-length remnants."""
-    trimmed = []
-    for u0, u1 in cuts:
-        u0 = max(u0, lo)
-        u1 = min(u1, hi)
-        if u0 <= u1:
-            trimmed.append((u0, u1))
-    trimmed.sort()
-    merged: list[list[int]] = []
-    for u0, u1 in trimmed:
-        if merged and u0 <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], u1)
-        else:
-            merged.append([u0, u1])
+    """Closed base interval minus a union of closed cuts inside it; returns
+    the closures of the surviving open pieces, dropping zero-length ones."""
     pieces = []
     cursor = lo
-    for u0, u1 in merged:
+    for u0, u1 in sorted(cuts):
         if u0 > cursor:
             pieces.append((cursor, u0))
         cursor = max(cursor, u1)
@@ -466,8 +451,6 @@ class RegionEngine:
                 divisor=divisor,
                 region=region,
                 cfacets=facets,
-                # `divisor` has no record yet, so `le` here means strictly below
-                predecessors=tuple(r.index for r in records if r.divisor.le(divisor)),
                 truncated=self._truncated(region, box_pt),
             )
             by_divisor[divisor] = record
@@ -546,12 +529,16 @@ class RegionEngine:
             (box_pt[0].denominator, 0, box_pt[0].numerator * scale),
             (0, box_pt[1].denominator, box_pt[1].numerator * scale),
         ]
+        # A wall line's m is a multiple of a1 and a2 (the axis rows), so the
+        # line lifted by q = q_x * q_y clips to the box on integer bounds.
+        q = box_pt[0].denominator * box_pt[1].denominator
         # Every region of the engine has the same walls in the same order, so
         # row `row` of a prior's half-planes is the prior's copy of this wall.
         prior_planes = [prior.region.halfplanes for prior in priors]
         facets: list[CFacet] = []
         seeds: list[Point] = []
-        for row, ineq, line, lo, hi in _edges(region, box_planes):
+        for row, ineq, line, lo, hi in region.edges:
+            lifted = (*line[:5], line[5] * q)
             cuts = []
             for planes in prior_planes:
                 if planes[row][2] < ineq.numerator:
@@ -571,16 +558,16 @@ class RegionEngine:
                         _line_point(line, scale, t0 + t1, 2),
                     )
                 )
-                boxed = _clip_parameter(box_planes, line, t0, t1)
+                boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
                 if boxed is None:
                     continue
                 b0, b1 = boxed
                 if b0 < b1:
-                    seeds.append(_line_point(line, scale, b0 + b1, 2))
+                    seeds.append(_line_point(lifted, scale, b0 + b1, 2))
                 elif b0 == b1:
                     # The facet touches the box in a single point (a corner or
                     # a grazing endpoint); it still seeds the region above.
-                    seeds.append(_line_point(line, scale, b0))
+                    seeds.append(_line_point(lifted, scale, b0))
         if region.inequalities and not facets:
             raise GeometryDegeneracy("a fresh region produced no outer facet")
         return tuple(facets), seeds

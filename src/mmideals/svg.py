@@ -5,7 +5,9 @@ discovered region with a hatch pattern and draws every C-facet as one solid
 `<polyline>` (exactly one per facet, so diagrams stay checkable against the
 JSON report), labelled with its wall equation.  For a single ideal the facets
 are points and are drawn as vertical ticks.  A region's shading is the path
-through `RegionPolytope.vertices()`; no geometry is computed here.
+through `RegionPolytope.vertices()`, read off the wall edges the walk
+already clipped; no geometry is computed here.  Component ids in labels are
+XML-escaped.
 
 Everything is plain string assembly; output is deterministic.
 """
@@ -82,7 +84,10 @@ def _equation_label(facet) -> str:
             coeff = "" if a == 1 else f"{a}"
             terms.append(f"{coeff}z{i + 1}")
     lhs = "+".join(terms) if terms else "0"
-    return f"{facet.component}: {lhs}={facet.constant}"
+    label = f"{facet.component}: {lhs}={facet.constant}"
+    # XML character data, as xml.sax.saxutils.escape gives it; importing that
+    # module loads urllib and http, 45 modules and ~7 MB of resident memory
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_walls(result: EnumerationResult) -> str:

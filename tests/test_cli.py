@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import sys
+from xml.etree import ElementTree
 
 import pytest
 
@@ -115,6 +116,28 @@ def test_walls_svg_of_a_box_too_small_to_draw(capsys, box, shown):
     code, out, err = run(capsys, "walls", "--input", INPUT, "--box", box, "--format", "json")
     assert code == 0 and err == ""
     assert json.loads(out)["command"] == "walls"
+
+
+def test_walls_svg_escapes_component_ids(tmp_path, capsys):
+    text = EXAMPLE_PATH.read_text().replace('"E2"', '"E<2>&x"')
+    assert text.count("E<2>&x") == 6  # its id, two edges, the arrow of A1, a `mult` key per ideal
+    source = tmp_path / "markup.json"
+    source.write_text(text)
+    code, out, err = run(capsys, "walls", "--input", str(source), "--box", "1,3")
+    assert (code, err) == (0, "")
+    labels = [node.text for node in ElementTree.fromstring(out).iter("{http://www.w3.org/2000/svg}text")]
+    assert "E<2>&x: 6z1+2z2=3" in labels
+
+
+@pytest.mark.parametrize("argv", [["canonical"], ["mmi", "--lambda", "1/6,1"], ["region", "--lambda", "0,0"]])
+def test_exit_2_on_an_arrow_crossing_a_component_twice(tmp_path, capsys, argv):
+    raw = json.loads(EXAMPLE_PATH.read_text())
+    raw["affine"][0]["meets"] = ["E2", "E2"]
+    source = tmp_path / "twice.json"
+    source.write_text(json.dumps(raw))
+    code, out, err = run(capsys, argv[0], "--input", str(source), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: NotATree: affine 'A1' crosses 'E2' twice\n"
 
 
 def test_output_file(tmp_path, capsys):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number, svg
@@ -159,13 +160,25 @@ def test_walk_facets(golden_run):
 
 
 def test_walk_predecessors(golden_run):
-    assert [rec.predecessors for rec in golden_run.records] == [
-        (),
-        (0,),
-        (0, 1),
-        (0, 1, 2),
-        (0, 1, 2, 3),
+    # the relation is derived only where the JSON report emits it
+    assert [rec["predecessors"] for rec in enumeration_json(golden_run)["records"]] == [
+        [],
+        [0],
+        [0, 1],
+        [0, 1, 2],
+        [0, 1, 2, 3],
     ]
+
+
+@pytest.mark.parametrize("which,box", [("affine", ("1", "3")), ("fractional-k", ("3", "3"))])
+def test_report_predecessors_match_a_direct_scan(affine_engine, fractional_engine, which, box):
+    result = {"affine": affine_engine, "fractional-k": fractional_engine}[which].enumerate_constancy_regions(box)
+    records = result.records
+    for i, got in enumerate(enumeration_json(result)["records"]):
+        # componentwise, without Divisor.le
+        below = [j for j in range(i) if all(map(operator.le, records[j].divisor.coeffs, records[i].divisor.coeffs))]
+        assert got["predecessors"] == below
+    assert len(records) > 5
 
 
 def test_walk_representatives_map_to_their_records(golden_run, engine):
@@ -521,6 +534,74 @@ def _fraction_halfplanes(region):
     ]
 
 
+def _subtract_intervals_fractions(lo, hi, cuts):
+    """Interval subtraction as first written: trim the cuts to [lo, hi],
+    merge them, then sweep.  Oracle for `regions._subtract_intervals`."""
+    trimmed = []
+    for u0, u1 in cuts:
+        u0 = max(u0, lo)
+        u1 = min(u1, hi)
+        if u0 <= u1:
+            trimmed.append((u0, u1))
+    trimmed.sort()
+    merged = []
+    for u0, u1 in trimmed:
+        if merged and u0 <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], u1)
+        else:
+            merged.append([u0, u1])
+    pieces = []
+    cursor = lo
+    for u0, u1 in merged:
+        if u0 > cursor:
+            pieces.append((cursor, u0))
+        cursor = max(cursor, u1)
+    if hi > cursor:
+        pieces.append((cursor, hi))
+    return pieces
+
+
+@st.composite
+def _cut_sets(draw):
+    """lo < hi and cuts inside [lo, hi]; the narrow range makes overlapping,
+    touching, nested and zero-length cuts common."""
+    lo = draw(st.integers(-20, 20))
+    hi = lo + draw(st.integers(1, 24))
+    inside = st.integers(lo, hi)
+    cuts = draw(st.lists(st.tuples(inside, inside).map(sorted).map(tuple), max_size=8))
+    return lo, hi, cuts
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_cut_sets())
+@example((0, 10, [(2, 4), (4, 6)]))  # touching
+@example((0, 10, [(2, 6), (3, 8)]))  # overlapping
+@example((0, 10, [(1, 9), (3, 4)]))  # nested
+@example((0, 10, [(5, 5), (0, 0), (10, 10)]))  # zero-length, at both ends too
+@example((0, 10, [(0, 10)]))  # nothing left
+def test_subtract_intervals_matches_the_trim_and_merge_oracle(case):
+    lo, hi, cuts = case
+    assert _subtract_intervals(lo, hi, cuts) == _subtract_intervals_fractions(lo, hi, cuts)
+
+
+def test_drawing_a_walk_clips_no_wall(engine, monkeypatch):
+    # each wall is clipped once per region, in the walk; the SVG outline
+    # reads the region's edges
+    calls = []
+    clip = mmideals.regions._clip_parameter
+
+    def counted(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(mmideals.regions, "_clip_parameter", counted)
+    result = engine.enumerate_constancy_regions(("2", "6"))
+    walked = len(calls)
+    picture = render_walls(result)
+    assert walked > 0 and len(calls) == walked
+    assert picture.count("<path ") == sum(rec.region.bounded for rec in result.records) > 0
+
+
 def _facets_r2_fractions(self, region, priors, box_pt):
     """The facet clipper as first written, on Fraction half-planes and
     parameters.  Oracle for the integer `RegionEngine._facets_r2`."""
@@ -551,7 +632,7 @@ def _facets_r2_fractions(self, region, priors, box_pt):
                 u0, u1 = cut
                 cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))
         at = lambda t: (p0[0] + t * direction[0], p0[1] + t * direction[1])
-        for t0, t1 in _subtract_intervals(lo, hi, cuts):
+        for t0, t1 in _subtract_intervals_fractions(lo, hi, cuts):
             facets.append(CFacet(ineq.component, ineq.coeffs, c, at(t0), at(t1), at((t0 + t1) / 2)))
             boxed = _clip_parameter_fractions(box_planes, p0, direction, t0, t1)
             if boxed is None:
