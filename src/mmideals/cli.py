@@ -27,7 +27,7 @@ from .jumping import (
     verify_jump_identity,
     verify_numeric_conditions,
 )
-from .regions import RegionEngine
+from .regions import RegionEngine, _fmt_tuple
 from .svg import render_walls
 
 __all__ = ["main"]
@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="write to this file instead of stdout")
     return parser
-
-
-def _fmt_tuple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 def _text_inequality(ineq) -> str:

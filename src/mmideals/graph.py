@@ -357,12 +357,15 @@ class Classification:
     """Tag exceptional components: `wall_relevant` holds those that are
     rupture (three or more exceptional neighbors) or dicritical (positive
     excess for some ideal), which is where region walls can live.  Affine
-    arrows never make a component rupture.  `crossed` holds the components
-    met by an affine component in the support of the ideals."""
+    arrows never make a component rupture.  `ends` adds the components met
+    by an affine component in the support of the ideals: when the tuple is
+    not m-primary that strict transform carries multiplicity and plays the
+    dicritical role, so the minimal jumping divisor may end there as well."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
         n, adj, support = graph.n_exc, graph.adjacency, ideals.support
         self.wall_relevant = tuple(
             j for j in range(n) if sum(nb < n for nb in adj[j]) >= 3 or any(rho[j] > 0 for rho in ideals.excess)
         )
-        self.crossed = tuple(j for j in range(n) if any(nb >= n and nb in support for nb in adj[j]))
+        crossed = (j for j in range(n) if any(nb >= n and nb in support for nb in adj[j]))
+        self.ends = frozenset(self.wall_relevant).union(crossed)

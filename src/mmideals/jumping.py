@@ -98,36 +98,15 @@ def _indicator_divisor(ideals: IdealDivisorSet, members: Iterable[int]) -> Divis
     return Divisor._of_ints(ideals.graph, coeffs)
 
 
-def _connected_parts(graph, members: list[int]) -> list[list[int]]:
-    member_set = set(members)
-    remaining = set(members)
-    parts = []
-    while remaining:
-        start = min(remaining)
-        block = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for j in frontier:
-                for nb in graph.adjacency[j]:
-                    if nb in member_set and nb not in block:
-                        block.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        parts.append(sorted(block))
-        remaining -= block
-    return parts
-
-
 def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
     """The minimal jumping divisor at a jumping point, computed once per
     point and cached as `engine.at(lam).gmin`.
 
     Membership is the value equation against the left-limit divisor; the
-    structural invariants (values in Z_{>0}; every end, a member with at most
-    one member neighbour, rupture or dicritical) are validated before
-    returning.  Affine members are legitimate: they carry the jumps of the
-    affine coordinates and count as valuation-carrying ends.
+    structural invariants (values in Z_{>0}; every exceptional end, a member
+    with at most one member neighbour, in `Classification.ends`) are
+    validated before returning.  Affine members are legitimate: they carry
+    the jumps of the affine coordinates and count as valuation-carrying ends.
     """
     return engine.at(lam).gmin
 
@@ -162,12 +141,9 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     member_set = set(members)
     valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
 
-    # An exceptional end may also be crossed by an affine component that
-    # carries multiplicity; that crossing plays the dicritical role when the
-    # ideals are not m-primary.
-    relevant, crossed = context.classification.wall_relevant, context.classification.crossed
+    ends = context.classification.ends
     for j in members:
-        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
+        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in ends:
             raise InternalInvariant(
                 f"end component {graph.ids[j]} of the jumping divisor is neither "
                 "rupture nor dicritical nor crossed by an affine component "
@@ -312,7 +288,9 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
 
     where frac is the fractional part of the value at the neighbor (affine
     neighbors included, with k = 0).  Both routes must agree on a nonnegative
-    integer, zero unless E_i is rupture or dicritical.
+    integer, zero unless E_i is rupture or dicritical, and every exceptional
+    end of G must be one; a component crossed by an affine component with
+    multiplicity counts as dicritical, as it does for G (`Classification.ends`).
     """
     context = engine.at(lam)
     coords, values, den = context.coords, context.values, context.den
@@ -321,7 +299,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
     ceil_part = Divisor._of_ints(graph, [-c for c in context.floor.coeffs])
     with_g = ceil_part + gmin.divisor
-    special = set(engine.classification.wall_relevant)
+    ends = engine.classification.ends
 
     member_idx = [graph.index[cid] for cid in gmin.components]
     checks: list[Check] = []
@@ -341,19 +319,12 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
         checks.append(Check(f"{cid}: direct == expansion", direct * den == expansion, details))
         checks.append(Check(f"{cid}: integer", expansion % den == 0, details))
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
-        if i not in special:
+        if i not in ends:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))
-
-    for block in _connected_parts(graph, member_idx):
-        for j in block:
-            if gmin.valences[graph.ids[j]] <= 1 and j < graph.n_exc:
-                checks.append(
-                    Check(
-                        f"{graph.ids[j]}: end is rupture or dicritical",
-                        j in special,
-                        {"component": graph.ids[j]},
-                    )
-                )
+    for j in member_idx:
+        cid = graph.ids[j]
+        if j < graph.n_exc and gmin.valences[cid] <= 1:
+            checks.append(Check(f"{cid}: end is rupture or dicritical", j in ends, {"component": cid}))
     return VerificationReport("numeric_conditions", coords, checks)
 
 

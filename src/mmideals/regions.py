@@ -57,6 +57,11 @@ __all__ = [
 
 Point = tuple  # tuple[Fraction, ...]
 
+
+def _fmt_tuple(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
 # Size caps a request can reach; hitting one raises LimitReached (exit 2).
 ENUMERATION_GUARD = 200_000  # walk steps
 CHAIN_GUARD = 100_000  # jumping numbers computed along one ray
@@ -142,7 +147,7 @@ class RegionPolytope:
                 continue
             lo, hi = span
             if lo is None or hi is None:
-                raise GeometryDegeneracy(f"unbounded wall segment at {wall.component}")
+                raise GeometryDegeneracy(f"unbounded wall segment at {wall.component} at lambda {_fmt_tuple(self.lam)}")
             if lo < hi:
                 edges.append((row, wall, line, lo, hi))
         return edges
@@ -387,7 +392,9 @@ class RegionEngine:
         region = RegionPolytope(context.coords, divisor, ineqs, self.scale)
         for ineq in region.inequalities:
             if ineq.numerator <= 0:
-                raise InternalInvariant(f"wall constant {ineq.constant} <= 0 at {ineq.component}")
+                raise InternalInvariant(
+                    f"wall constant {ineq.constant} <= 0 at {ineq.component} at lambda {_fmt_tuple(region.lam)}"
+                )
         return region
 
     def _wall(self, j: int, divisor: Divisor) -> WallInequality:
@@ -569,7 +576,7 @@ class RegionEngine:
                     # a grazing endpoint); it still seeds the region above.
                     seeds.append(_line_point(lifted, scale, b0))
         if region.inequalities and not facets:
-            raise GeometryDegeneracy("a fresh region produced no outer facet")
+            raise GeometryDegeneracy(f"a fresh region produced no outer facet at lambda {_fmt_tuple(region.lam)}")
         return tuple(facets), seeds
 
     # -- rays and chains ---------------------------------------------------

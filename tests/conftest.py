@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import mmideals.divisors
+import mmideals.regions
 from mmideals import RegionEngine, load_input
 from mmideals.graph import relative_canonical, validate_graph
 from mmideals.io import build_ideals
@@ -227,6 +228,16 @@ def count_closures(monkeypatch) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bounded_walks():
+    """Every walk of the suite stops at 2,000 steps with LimitReached; the
+    largest one takes 636 (box 4,12).  A walk that cannot close, say from
+    misplaced seeds, then fails at once instead of running for hours."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmideals.regions, "ENUMERATION_GUARD", 2_000)
+        yield
 
 
 @pytest.fixture(scope="session")

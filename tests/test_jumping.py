@@ -88,16 +88,29 @@ def test_affine_member_when_arrow_carries_multiplicity():
 
 
 def test_crossed_components_are_classified_once(engine, affine_engine, monkeypatch):
-    # the arrow A1 meets E2 and carries multiplicity in the A1 variant only
-    assert engine.classification.crossed == ()
-    assert affine_engine.classification.crossed == (affine_engine.graph.index["E2"],)
-    # E2 ends the jumping divisor at (1/6, 1) and is neither rupture nor
-    # dicritical, so the end check accepts it through `crossed` alone
+    index = engine.graph.index
+    # m-primary: the ends are exactly the dicritical E2 and E5
+    assert engine.classification.ends == {index["E2"], index["E5"]}
+    # the arrow A1 meets E2 and carries multiplicity in the A1 variant only;
+    # there E2 has no excess left, so it is an end through the crossing alone
+    assert [affine_engine.graph.exc_ids[j] for j in affine_engine.classification.wall_relevant] == ["E5"]
+    assert affine_engine.classification.ends == {index["E2"], index["E5"]}
     assert affine_engine.at(point(("1/6", "1"))).gmin.components == ("E2", "A1")
     fresh = RegionEngine(affine_engine.ideals)
-    monkeypatch.setattr(fresh.classification, "crossed", ())
+    monkeypatch.setattr(fresh.classification, "ends", frozenset({index["E5"]}))
     with pytest.raises(InternalInvariant, match="neither rupture nor dicritical"):
         fresh.at(point(("1/6", "1"))).gmin
+
+
+AFFINE_RAYS = [(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3)]
+
+
+def test_numeric_conditions_on_the_affine_variant(affine_engine):
+    # an end of G crossed by the arrow A1, which carries multiplicity, counts
+    # as dicritical in the verifier as it does for G itself
+    jumps = [tuple(t * u for u in ray) for ray in AFFINE_RAYS for t in affine_engine.wall_ray_restriction(ray, 3)]
+    assert len(jumps) == 448
+    assert [lam for lam in jumps if not verify_numeric_conditions(affine_engine, lam).passed] == []
 
 
 # -- contribution --------------------------------------------------------------

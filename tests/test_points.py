@@ -37,7 +37,6 @@ from mmideals.jumping import (
     Contribution,
     MinimalJumpingDivisor,
     VerificationReport,
-    _connected_parts,
     _indicator_divisor,
     _reduced_divisor,
     contributes,
@@ -123,7 +122,9 @@ def _verify_numeric_conditions_fractions(engine, lam) -> VerificationReport:
     gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     with_g = Divisor(graph, [-c for c in context.floor.coeffs]) + gmin.divisor
-    special = set(engine.classification.wall_relevant)
+    total = [sum(column) for column in zip(*(d.coeffs for d in ideals.divisors))]
+    crossed = {j for j in range(graph.n_exc) if any(a >= graph.n_exc and total[a] > 0 for a in graph.adjacency[j])}
+    special = set(engine.classification.wall_relevant) | crossed
     member_idx = [graph.index[cid] for cid in gmin.components]
     checks = []
     for i in member_idx:
@@ -147,12 +148,11 @@ def _verify_numeric_conditions_fractions(engine, lam) -> VerificationReport:
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in special:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))
-    for block in _connected_parts(graph, member_idx):
-        for j in block:
-            if gmin.valences[graph.ids[j]] <= 1 and j < graph.n_exc:
-                checks.append(
-                    Check(f"{graph.ids[j]}: end is rupture or dicritical", j in special, {"component": graph.ids[j]})
-                )
+    for j in member_idx:
+        if gmin.valences[graph.ids[j]] <= 1 and j < graph.n_exc:
+            checks.append(
+                Check(f"{graph.ids[j]}: end is rupture or dicritical", j in special, {"component": graph.ids[j]})
+            )
     return VerificationReport("numeric_conditions", coords, checks)
 
 

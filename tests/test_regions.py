@@ -849,7 +849,7 @@ def test_halfplanes_have_one_axis_row_per_coordinate(engine, single_engines):
 def test_vertices_of_a_hand_built_region(engine):
     walls = (WallInequality("E1", (2, 0), Fraction(3, 7), 3), WallInequality("E2", (1, 0), Fraction(1), 7))
     region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
-    with pytest.raises(GeometryDegeneracy):
+    with pytest.raises(GeometryDegeneracy, match=r"at E1 at lambda \(0, 0\)"):
         region.vertices()  # z2 is free, so the wall E1 has an unbounded edge
     capped = RegionPolytope(region.lam, region.divisor, walls + (WallInequality("E3", (0, 1), Fraction(5), 35),), 7)
     # E2 (z1 < 1) misses the closure, so it gives no edge
