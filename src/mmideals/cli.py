@@ -6,8 +6,9 @@ Everything about a command (handler, help, flags, output formats) lives in
 `_COMMANDS`; `mmideals --help` lists the commands.
 
 Exit codes: 0 success, 2 invalid input (an unreadable --input or unwritable
---output included), 3 unsupported geometry, 4 broken internal invariant.
-JSON output is byte-identical for identical input.
+--output included, and a text report stdout cannot encode), 3 unsupported
+geometry, 4 broken internal invariant.  JSON and SVG output is pure ASCII and
+byte-identical for identical input; --output files are written as UTF-8.
 """
 
 from __future__ import annotations
@@ -262,6 +263,11 @@ _COMMANDS = {
 }
 
 
+def _fail(exc: MMIError) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return exc.exit_code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     opts = vars(parser.parse_args(argv))
@@ -286,18 +292,20 @@ def main(argv=None) -> int:
         text, code = outcome if isinstance(outcome, tuple) else (outcome, 0)
         if opts["output"]:
             try:
-                with open(opts["output"], "w") as handle:
+                with open(opts["output"], "w", encoding="utf-8") as handle:
                     handle.write(text)
             except OSError as exc:
                 raise PreconditionViolated(f"{opts['output']}: cannot write ({exc})") from exc
     except MMIError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _fail(exc)
     except Exception:  # noqa: BLE001 - anything else is a bug, exit 4
         traceback.print_exc()
         return 4
     if not opts["output"]:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError:  # only text reports can hold non-ASCII
+            return _fail(PreconditionViolated(f"stdout ({sys.stdout.encoding}) cannot encode this report; use --output"))
     return code
 
 

@@ -15,11 +15,20 @@ point coordinates are lowest-terms rational strings, wall normals and
 divisor arrays are JSON integers, wall constants are rational strings, the
 canonical divisor is a number where integral and a 'p/q' string elsewhere,
 and keys are sorted on serialization.
+
+`dump_json` is a small canonical writer: for payloads keyed by text, as
+every report is, its bytes are exactly `json.dumps(payload, sort_keys=True,
+indent=2)` and a newline, pure ASCII, but it never runs the stdlib's
+pure-Python encoder (the C encoder serves only `indent=None`).  Strings go through json's C `encode_basestring_ascii`
+and a list of strings or ints is written with one `str.join`.  The
+predecessor order of the `enumerate` report is read off one packed int per
+divisor (`packed_predecessors`), not off pairwise `Divisor.le` calls.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +46,7 @@ __all__ = [
     "inequality_json",
     "facet_json",
     "record_json",
+    "packed_predecessors",
     "enumeration_json",
     "dump_json",
 ]
@@ -114,9 +124,9 @@ def facet_json(facet: CFacet) -> dict:
     }
 
 
-def record_json(record: ConstancyRecord, priors) -> dict:
-    """One record; its predecessors index the `priors` (records found before
-    it) whose divisor is `le` its own, strictly so as divisors are distinct."""
+def record_json(record: ConstancyRecord, predecessors: list[int]) -> dict:
+    """One record; `predecessors` are the indices of the records found
+    before it whose divisor lies below its own (see `enumeration_json`)."""
     return {
         "index": record.index,
         "representative": point_json(record.representative),
@@ -124,23 +134,110 @@ def record_json(record: ConstancyRecord, priors) -> dict:
         "divisor": divisor_json(record.divisor),
         "inequalities": [inequality_json(q) for q in record.region.inequalities],
         "cfacets": [facet_json(f) for f in record.cfacets],
-        "predecessors": [p.index for p in priors if p.divisor.le(record.divisor)],
+        "predecessors": predecessors,
         "truncated": record.truncated,
     }
 
 
+def packed_predecessors(rows) -> list[list[int]]:
+    """For each row of integer coefficients, the indices of the earlier rows
+    lying componentwise below it (the divisor order), read off one int per
+    row instead of pairwise `Divisor.le` calls.
+
+    Each coefficient, less the least coefficient of all rows, fills a field
+    one bit wider than the spread; that top bit is a guard.  Subtracting P
+    from P' with every guard set leaves a field's guard set exactly when
+    that field of P' is at least that of P, and never borrows across fields;
+    so D <= D' is ``((P' | H) - P) & H == H``, H holding the guard bits.
+    """
+    if not rows:
+        return []
+    least = min(map(min, rows))
+    width = (max(map(max, rows)) - least).bit_length() + 1
+    guards = sum(1 << (width * i + width - 1) for i in range(len(rows[0])))
+    packed = [sum((c - least) << (width * i) for i, c in enumerate(row)) for row in rows]
+    return [
+        [j for j, lower in enumerate(packed[:i]) if (upper - lower) & guards == guards]
+        for i, upper in enumerate(p | guards for p in packed)
+    ]
+
+
 def enumeration_json(result: EnumerationResult) -> dict:
+    records = result.records
+    predecessors = packed_predecessors([r.divisor.coeffs for r in records])
     return {
         "box": point_json(result.box),
-        "records": [record_json(r, result.records[: r.index]) for r in result.records],
+        "records": [record_json(r, below) for r, below in zip(records, predecessors)],
         "representatives": [point_json(p) for p in result.representatives],
         "queue": [point_json(p) for p in result.queue],
-        "distinct_ideals": len(result.records),
+        "distinct_ideals": len(records),
         "m_primary": result.m_primary,
         "warnings": list(result.warnings),
     }
 
 
+# -- canonical writer -----------------------------------------------------------
+
+_STR_LIST = frozenset((str,))
+_INT_LIST = frozenset((int,))
+
+
+def _emit(value, newline: str, put) -> None:
+    """Pass `value` to `put` in pieces, as `json.dumps(value, sort_keys=True,
+    indent=2)` writes it when it starts on a line ending in `newline` (a
+    newline and the current indent).  Dict keys must be text, as in every
+    report; any other key raises TypeError."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            put(sep + _encode_str(key) + ": ")
+            _emit(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        kinds = frozenset(map(type, value))
+        if kinds == _STR_LIST:
+            put("[" + inner + ("," + inner).join(map(_encode_str, value)) + newline + "]")
+        elif kinds == _INT_LIST:
+            put("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                _emit(item, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+    elif kind is str:
+        put(_encode_str(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif value is None:
+        put("null")
+    elif isinstance(value, dict):  # subclasses, written as the stdlib does
+        _emit(dict(value.items()), newline, put)
+    elif isinstance(value, (list, tuple)):
+        _emit(list(value), newline, put)
+    else:  # floats, str and int subclasses; TypeError for anything else
+        put(json.dumps(value))
+
+
 def dump_json(payload) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: exactly `json.dumps(payload, sort_keys=True,
+    indent=2)` and a newline, without the stdlib's pure-Python encoder."""
+    out: list[str] = []
+    _emit(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)

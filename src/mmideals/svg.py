@@ -7,7 +7,8 @@ JSON report), labelled with its wall equation.  For a single ideal the facets
 are points and are drawn as vertical ticks.  A region's shading is the path
 through `RegionPolytope.vertices()`, read off the wall edges the walk
 already clipped; no geometry is computed here.  Component ids in labels are
-XML-escaped.
+XML-escaped, and non-ASCII characters become character references (`&#233;`),
+so the SVG is pure ASCII.
 
 Everything is plain string assembly; output is deterministic.
 """
@@ -85,9 +86,11 @@ def _equation_label(facet) -> str:
             terms.append(f"{coeff}z{i + 1}")
     lhs = "+".join(terms) if terms else "0"
     label = f"{facet.component}: {lhs}={facet.constant}"
-    # XML character data, as xml.sax.saxutils.escape gives it; importing that
-    # module loads urllib and http, 45 modules and ~7 MB of resident memory
-    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    # XML character data, as xml.sax.saxutils.escape gives it (importing that
+    # module loads urllib and http, 45 modules and ~7 MB of resident memory),
+    # with non-ASCII characters as character references: the SVG is ASCII
+    label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return label.encode("ascii", "xmlcharrefreplace").decode("ascii")
 
 
 def render_walls(result: EnumerationResult) -> str:

@@ -5,11 +5,15 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 
+import mmideals
 import mmideals.graph
 import mmideals.regions
 from mmideals.cli import build_parser, main
@@ -145,6 +149,61 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "walls", "--input", INPUT, "--box", "1,3", "--output", str(target))
     assert code == 0 and out == ""
     assert target.read_text().lstrip().startswith("<svg")
+
+
+def accented_example(tmp_path) -> str:
+    """The running example with the exceptional ids E1..E5 renamed E1é..E5é."""
+    text = EXAMPLE_PATH.read_text()
+    for i in range(1, 6):
+        text = text.replace(f'"E{i}"', f'"E{i}\u00e9"')
+    source = tmp_path / "accented.json"
+    source.write_text(text, encoding="utf-8")
+    return str(source)
+
+
+def run_process(argv, **env) -> subprocess.CompletedProcess:
+    """`python -m mmideals.cli` in a child process with extra environment."""
+    env = {**os.environ, "PYTHONPATH": str(Path(mmideals.__file__).parents[1]), **env}
+    return subprocess.run([sys.executable, "-m", "mmideals.cli", *argv], capture_output=True, env=env, timeout=120)
+
+
+def test_walls_svg_writes_non_ascii_ids_as_character_references(tmp_path, capsys):
+    code, out, err = run(capsys, "walls", "--input", accented_example(tmp_path), "--box", "1,3")
+    assert (code, err) == (0, "")
+    assert out.isascii()
+    assert "E2&#233;: 6z1+2z2=3" in out
+    labels = [node.text for node in ElementTree.fromstring(out).iter("{http://www.w3.org/2000/svg}text")]
+    assert "E2\u00e9: 6z1+2z2=3" in labels
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["walls", "--box", "1,3"], ["enumerate", "--box", "1,3"], ["region", "--lambda", "0,0"]],
+    ids=lambda argv: argv[0],
+)
+def test_non_ascii_ids_reach_an_ascii_stdout(tmp_path, argv):
+    """SVG and JSON reports are ASCII, so an ASCII stdout takes them."""
+    done = run_process([argv[0], "--input", accented_example(tmp_path), *argv[1:]], PYTHONIOENCODING="ascii")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.isascii() and done.stdout.endswith(b"\n")
+
+
+def test_text_report_that_stdout_cannot_encode_exits_2(tmp_path):
+    argv = ["region", "--input", accented_example(tmp_path), "--lambda", "0,0", "--format", "text"]
+    done = run_process(argv, PYTHONIOENCODING="ascii")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: PreconditionViolated: stdout (ascii) cannot encode this report; use --output\n"
+
+
+def test_output_file_is_utf_8_under_an_ascii_locale(tmp_path, capsys):
+    source, target = accented_example(tmp_path), tmp_path / "region.txt"
+    argv = ["region", "--input", source, "--lambda", "0,0", "--format", "text", "--output", str(target)]
+    # the C locale without UTF-8 mode: the locale's encoding is ASCII
+    done = run_process(argv, LC_ALL="C", PYTHONUTF8="0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    code, out, _ = run(capsys, *argv[:-2])
+    assert code == 0 and "E2\u00e9: " in out
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_jumping_numbers_ideal(capsys):
