@@ -228,7 +228,6 @@ def _cmd_verify(engine, opts, fmt: str):
                 {
                     "kind": r.kind,
                     "passed": r.passed,
-                    "partial": r.partial,
                     "checks": [
                         {"name": c.name, "passed": c.passed, "details": c.details}
                         for c in r.checks

@@ -12,7 +12,9 @@ and it is the smallest reduced divisor one can subtract from the floor
 divisor so that the resulting ideal climbs all the way back to the left
 limit.  The verifiers below re-check the theorems behind that sentence on
 concrete points; they exist so that test suites (and the CLI) can confirm
-the algebraic and the combinatorial routes agree.
+the algebraic and the combinatorial routes agree.  All three are exact:
+closure is monotone, so the dichotomy over all 2^n candidate subsets takes
+|G| + 2 closures, with no sampling.
 
 Every function takes a :class:`~mmideals.regions.RegionEngine` and a point,
 and reads the floors, closures and left limits from the engine's cached
@@ -22,7 +24,6 @@ per-point context `engine.at(lam)`, so each is computed once per point.
 from __future__ import annotations
 
 import enum
-import random
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -51,11 +52,7 @@ __all__ = [
     "verify_jump_identity",
     "verify_numeric_conditions",
     "verify_contribution_dichotomy",
-    "SUBSET_CAP",
 ]
-
-# Above this many candidate subsets the contribution dichotomy samples them.
-SUBSET_CAP = 2**16
 
 
 def is_jumping_point(engine: RegionEngine, lam) -> bool:
@@ -96,6 +93,14 @@ def _indicator_divisor(ideals: IdealDivisorSet, members: Iterable[int]) -> Divis
     for j in members:
         coeffs[j] = 1
     return Divisor._of_ints(ideals.graph, coeffs)
+
+
+def _closed_without(context: PointContext, members: Sequence[int]) -> Divisor:
+    """closure(floor - H) for the reduced divisor H on `members`; floor - 0
+    closes to the divisor at the point itself."""
+    if not members:
+        return context.divisor
+    return antinef_closure(context.floor - _indicator_divisor(context.ideals, members))
 
 
 def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
@@ -198,16 +203,14 @@ def contributes(engine: RegionEngine, component_ids: Sequence[str], lam) -> Cont
         if context.values[j] % context.den:
             value = Fraction(context.values[j], context.den)
             raise IntegralityViolated(f"value {value} at {ideals.graph.ids[j]} is not an integer")
-    floor_div, at = context.floor, context.divisor
-    full = antinef_closure(floor_div - _indicator_divisor(ideals, members))
-    if full == at:
+    at = context.divisor
+    if _closed_without(context, members) == at:
         return Contribution.NO
     # Closure is monotone, so a proper subdivisor H of G contributes exactly
     # when a maximal one G - {j} containing H does: floor - (G - {j}) <=
     # floor - H puts its closure at or below that of H, strictly below `at`.
     for j in members:
-        rest = [i for i in members if i != j]
-        if antinef_closure(floor_div - _indicator_divisor(ideals, rest)) != at:
+        if _closed_without(context, [i for i in members if i != j]) != at:
             return Contribution.CONTRIBUTES
     return Contribution.CRITICALLY
 
@@ -225,11 +228,10 @@ class Check:
 
 
 class VerificationReport:
-    def __init__(self, kind: str, point, checks: list[Check], partial: bool = False):
+    def __init__(self, kind: str, point, checks: list[Check]):
         self.kind = kind
         self.point = point
         self.checks = checks
-        self.partial = partial
 
     @property
     def passed(self) -> bool:
@@ -288,9 +290,11 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
 
     where frac is the fractional part of the value at the neighbor (affine
     neighbors included, with k = 0).  Both routes must agree on a nonnegative
-    integer, zero unless E_i is rupture or dicritical, and every exceptional
-    end of G must be one; a component crossed by an affine component with
-    multiplicity counts as dicritical, as it does for G (`Classification.ends`).
+    integer, zero unless E_i is rupture or dicritical; a component crossed by
+    an affine component with multiplicity counts as dicritical, as it does
+    for G (`Classification.ends`).  That every exceptional end of G is one is
+    not checked here: the constructor of G raises first, and a member outside
+    the ends with at most one member neighbour has a negative expansion.
     """
     context = engine.at(lam)
     coords, values, den = context.coords, context.values, context.den
@@ -321,63 +325,47 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in ends:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))
-    for j in member_idx:
-        cid = graph.ids[j]
-        if j < graph.n_exc and gmin.valences[cid] <= 1:
-            checks.append(Check(f"{cid}: end is rupture or dicritical", j in ends, {"component": cid}))
     return VerificationReport("numeric_conditions", coords, checks)
 
 
 def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationReport:
-    """Sweep reduced divisors on integral-valued components at a jumping
-    point and check the dichotomy: every candidate ideal sits between the
-    ideal at lam and its left limit, and it equals the left limit exactly
-    when the candidate contains the minimal jumping divisor.
+    """Check the contribution dichotomy at a jumping point, exactly over all
+    reduced divisors H on the integral-valued candidate components C:
+    closure(floor - H) lies between the left limit and the ideal at lam, and
+    equals the left limit exactly when H contains G.
 
-    When the 2^n subsets of the n candidate components exceed SUBSET_CAP,
-    a seeded sample of 1024 subsets plus the empty and the full one is
-    checked instead and the report is flagged partial.
+    Closure is monotone, so |G| + 2 closures settle all 2^n subsets: the
+    lower side holds for every H once it holds for C, and the upper side
+    always does; the iff holds once floor - G closes to the left limit and,
+    for each j in G, floor - (C - {j}) does not, since every H without j
+    lies inside C - {j}.
     """
     context = engine.at(lam)
     gmin = minimal_jumping_divisor(engine, lam)
-    ideals, graph = engine.ideals, engine.graph
-    at, left, floor_div = context.divisor, context.left, context.floor
+    graph, left = engine.graph, context.left
     values, den = context.values, context.den
 
-    candidates = [j for j in sorted(ideals.support) if values[j] % den == 0 and values[j] >= den]
-    gmin_idx = frozenset(graph.index[cid] for cid in gmin.components)
-    if not gmin_idx <= set(candidates):
+    candidates = [j for j in sorted(engine.ideals.support) if values[j] % den == 0 and values[j] >= den]
+    members = [graph.index[cid] for cid in gmin.components]
+    if not set(members) <= set(candidates):
         raise InternalInvariant("minimal jumping divisor escapes the candidate set")
 
-    n = len(candidates)
-    universe = 1 << n
-    partial = universe > SUBSET_CAP
-    if partial:
-        # Sampling keeps the check useful without 2^n closures; anchor with
-        # the empty and the full subset, which pin both sides of the iff.
-        rng = random.Random(0)
-        masks: Sequence[int] = sorted({rng.randrange(universe) for _ in range(1024)} | {0, universe - 1})
-    else:
-        masks = range(universe)
-
-    bad_between = bad_iff = 0
-    for mask in masks:
-        subset = frozenset(candidates[i] for i in range(n) if mask >> i & 1)
-        # The empty subset closes floor - 0, which is `at` itself.
-        closed = antinef_closure(floor_div - _indicator_divisor(ideals, subset)) if subset else at
-        bad_between += not (left.le(closed) and closed.le(at))
-        bad_iff += (closed == left) != (gmin_idx <= subset)
-    count = len(masks)
+    lowest = _closed_without(context, candidates)
+    from_g = lowest if len(members) == len(candidates) else _closed_without(context, members)
+    redundant = [
+        graph.ids[j] for j in members if _closed_without(context, [i for i in candidates if i != j]) == left
+    ]
+    reaches_left = from_g == left
     checks = [
         Check(
             "every candidate ideal sits between the jump levels",
-            bad_between == 0,
-            {"violations": bad_between, "checked": count},
+            left.le(lowest),
+            {"left": list(left.coeffs), "lowest": list(lowest.coeffs)},
         ),
         Check(
             "left limit reached exactly by supersets of G",
-            bad_iff == 0,
-            {"violations": bad_iff, "checked": count},
+            reaches_left and not redundant,
+            {"reaches_left": reaches_left, "redundant": redundant},
         ),
     ]
-    return VerificationReport("contribution_dichotomy", context.coords, checks, partial=partial)
+    return VerificationReport("contribution_dichotomy", context.coords, checks)

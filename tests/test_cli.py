@@ -582,7 +582,7 @@ POINT_DIGESTS = {
         "mmi": "a88e7b4d0a396c25",
         "region": "542c64d069ae8f2f",
         "min-jumping-divisor": "d611a359aba4f6cd",
-        "verify": "44362a0c2db73f1f",
+        "verify": "4a46e6b6c0ac63d5",
         "canonical": "c0054c03077a11da",
         "jumping-numbers": "e3a2219784286e71",
     },
@@ -590,7 +590,7 @@ POINT_DIGESTS = {
         "mmi": "612510b10a8f002d",
         "region": "06b04d0801f16a32",
         "min-jumping-divisor": "764faba6cdee36e1",
-        "verify": "7a0c19babde92ba9",
+        "verify": "9c05848c0cb64fe2",
         "canonical": "f7d39a7116ae884f",
         "jumping-numbers": "c44b4067de541b86",
     },
@@ -598,7 +598,7 @@ POINT_DIGESTS = {
         "mmi": "de49b80c0bf326a6",
         "region": "a48cb79da0e6dd70",
         "min-jumping-divisor": "12cfb85689817fbd",
-        "verify": "4ff6e4c560c6da17",
+        "verify": "3d66e0411efbf0ed",
         "jumping-numbers": "f29d80759fe9ff80",
     },
 }

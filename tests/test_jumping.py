@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mmideals.jumping
 from mmideals import RegionEngine, is_jumping_point
 from mmideals.divisors import Divisor, antinef_closure
 from mmideals.graph import validate_graph
 from mmideals.io import build_ideals
 from mmideals.jumping import (
     Contribution,
+    MinimalJumpingDivisor,
+    _indicator_divisor,
     contributes,
     minimal_jumping_divisor,
     verify_contribution_dichotomy,
@@ -265,7 +266,6 @@ def test_verify_numeric_conditions(engine, lam):
 def test_verify_contribution_dichotomy(engine, lam):
     report = verify_contribution_dichotomy(engine, point(lam))
     assert report.passed, report.failures()
-    assert not report.partial
 
 
 def test_numeric_conditions_fail_a_non_integral_expansion(ideals):
@@ -285,15 +285,104 @@ def test_numeric_conditions_fail_a_non_integral_expansion(ideals):
     assert not report.passed
 
 
+def test_a_left_limit_above_the_ideal_fails_both_lower_bounds(ideals):
+    # a left limit that exceeds the ideal at lam on the arrow A1 is not below
+    # it, and not below the closure of floor - C either
+    engine = RegionEngine(ideals)
+    lam = point(("1/6", "1"))
+    context = engine.at(lam)
+    context.gmin
+    coeffs = list(context.left.coeffs)
+    coeffs[engine.graph.index["A1"]] = context.divisor.coeffs[engine.graph.index["A1"]] + 1
+    context.__dict__["left"] = Divisor(engine.graph, coeffs)
+    assert "left limit strictly below" in {c.name for c in verify_jump_identity(engine, lam).failures()}
+    failed = {c.name for c in verify_contribution_dichotomy(engine, lam).failures()}
+    assert "every candidate ideal sits between the jump levels" in failed
+
+
 def test_verify_reports_reject_non_jumps(engine):
     with pytest.raises(NotAJumpingPoint):
         verify_jump_identity(engine, point(("1/7", "1")))
 
 
-def test_dichotomy_sampling_above_cap(engine, monkeypatch):
-    # force the sampling path with a tiny cap; anchors keep both dichotomy
-    # directions covered, and the report says it was partial
-    monkeypatch.setattr(mmideals.jumping, "SUBSET_CAP", 1)
-    report = verify_contribution_dichotomy(engine, point(("1/2", "1")))
-    assert report.passed
-    assert report.partial
+def _dichotomy_by_subsets(engine, lam):
+    """The contribution dichotomy as first written: close floor - H for all
+    2^n reduced divisors H on the n integral-valued candidates and test each
+    one.  Oracle for the |G| + 2 closures of `verify_contribution_dichotomy`;
+    returns the verdicts of its two checks, against the context's G."""
+    context = engine.at(lam)
+    graph, left, at = engine.graph, context.left, context.divisor
+    rows = value_rows(context)
+    candidates = [j for j in sorted(engine.ideals.support) if rows[j][1].denominator == 1 and rows[j][1] >= 1]
+    gmin = {graph.index[cid] for cid in context.gmin.components}
+    between = iff = True
+    for mask in range(1 << len(candidates)):
+        subset = {j for i, j in enumerate(candidates) if mask >> i & 1}
+        coeffs = [c - (j in subset) for j, c in enumerate(context.floor.coeffs)]
+        closed = antinef_closure(Divisor(graph, coeffs))
+        between &= left.le(closed) and closed.le(at)
+        iff &= (closed == left) == (gmin <= subset)
+    return [between, iff]
+
+
+def _integral_at_least_one(context, j):
+    """The value lam . F - k at j is an integer >= 1: j is a candidate."""
+    return context.values[j] % context.den == 0 and context.values[j] >= context.den
+
+
+@pytest.fixture(scope="module")
+def jumping_walk_points(engine, affine_engine, fractional_engine):
+    """The jumping points among the representatives of each walk at box 1,3
+    with at most 12 candidates, so the oracle stays at 2^12 closures."""
+    points = {}
+    for which, eng in (("m-primary", engine), ("affine", affine_engine), ("fractional-k", fractional_engine)):
+        representatives = eng.enumerate_constancy_regions(("1", "3")).representatives
+        points[which] = (eng, [lam for lam in representatives if any(lam) and is_jumping_point(eng, lam)])
+        assert points[which][1]
+        for lam in points[which][1]:
+            context = eng.at(lam)
+            assert sum(_integral_at_least_one(context, j) for j in eng.ideals.support) <= 12
+    return points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_dichotomy_matches_the_all_subsets_oracle(jumping_walk_points, data):
+    eng, lams = jumping_walk_points[data.draw(st.sampled_from(["m-primary", "affine", "fractional-k"]))]
+    lam = data.draw(st.sampled_from(lams))
+    # A fresh engine, so a mutant G stays in this example's context.
+    fresh = RegionEngine(eng.ideals)
+    context = fresh.at(lam)
+    graph, gmin = fresh.graph, context.gmin
+    candidates = [graph.ids[j] for j in sorted(fresh.ideals.support) if _integral_at_least_one(context, j)]
+    others = [cid for cid in candidates if cid not in gmin.components]
+    mutation = data.draw(st.sampled_from(["none", "drop"] + (["add"] if others else [])))
+    if mutation == "drop":
+        gone = data.draw(st.sampled_from(gmin.components))
+        components = tuple(cid for cid in gmin.components if cid != gone)
+    elif mutation == "add":
+        extra = data.draw(st.sampled_from(others))
+        components = tuple(cid for cid in graph.ids if cid in gmin.components or cid == extra)
+    if mutation != "none":
+        members = [graph.index[cid] for cid in components]
+        context.__dict__["gmin"] = MinimalJumpingDivisor(
+            gmin.point, components, {}, {}, _indicator_divisor(fresh.ideals, members)
+        )
+    report = verify_contribution_dichotomy(fresh, lam)
+    assert [check.passed for check in report.checks] == _dichotomy_by_subsets(fresh, lam)
+    assert report.passed == (mutation == "none")
+
+
+@pytest.mark.parametrize("n", [14, 17])
+def test_dichotomy_is_exact_in_g_plus_two_closures(monkeypatch, n):
+    # At lam = n + 1 all n values n + 1 - k_j are positive integers, so every
+    # component is a candidate and the dichotomy spans 2^n subsets.
+    engine = _free_point_chain(n)
+    lam = (Fraction(n + 1),)
+    context = engine.at(lam)
+    assert all(_integral_at_least_one(context, j) for j in range(n))
+    gmin = context.gmin
+    calls = count_closures(monkeypatch)
+    report = verify_contribution_dichotomy(engine, lam)
+    assert report.passed, report.failures()
+    assert len(calls) <= len(gmin.components) + 2

@@ -148,11 +148,6 @@ def _verify_numeric_conditions_fractions(engine, lam) -> VerificationReport:
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
         if i not in special:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))
-    for j in member_idx:
-        if gmin.valences[graph.ids[j]] <= 1 and j < graph.n_exc:
-            checks.append(
-                Check(f"{graph.ids[j]}: end is rupture or dicritical", j in special, {"component": graph.ids[j]})
-            )
     return VerificationReport("numeric_conditions", coords, checks)
 
 
