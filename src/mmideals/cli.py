@@ -100,8 +100,8 @@ def _cmd_canonical(engine, opts, fmt: str):
 
 
 def _cmd_mmi(engine, opts, fmt: str):
-    point = engine.at(opts["lambda"]).coords
-    divisor = engine.mmi(point)
+    context = engine.at(opts["lambda"])
+    point, divisor = context.coords, context.divisor
     payload = {
         "command": "mmi",
         "lambda": reportio.point_json(point),
@@ -109,7 +109,7 @@ def _cmd_mmi(engine, opts, fmt: str):
         "components": list(engine.graph.ids),
     }
     if any(point):
-        left = engine.at(point).left
+        left = context.left
         payload["left_limit"] = reportio.divisor_json(left)
         payload["jumping"] = left != divisor
     if fmt == "text":
@@ -185,8 +185,8 @@ def _cmd_jumping_numbers(engine, opts, fmt: str):
 
 
 def _cmd_min_jumping_divisor(engine, opts, fmt: str):
-    point = engine.at(opts["lambda"]).coords
-    gmin = minimal_jumping_divisor(engine, point)
+    context = engine.at(opts["lambda"])
+    point, gmin = context.coords, minimal_jumping_divisor(engine, context.coords)
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
     payload = {
@@ -198,8 +198,8 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
             cid: {"coeffs": list(normal), "rhs": str(constant)}
             for cid, (normal, constant) in gmin.hyperplanes.items()
         },
-        "divisor_at": reportio.divisor_json(engine.mmi(point)),
-        "left_limit": reportio.divisor_json(engine.at(point).left),
+        "divisor_at": reportio.divisor_json(context.divisor),
+        "left_limit": reportio.divisor_json(context.left),
     }
     return reportio.dump_json(payload)
 

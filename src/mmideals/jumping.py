@@ -272,7 +272,7 @@ def verify_jump_identity(engine: RegionEngine, lam) -> VerificationReport:
         ),
         Check(
             "left limit strictly below",
-            left.le(at) and left != at,
+            left.le(at),  # left != at: else minimal_jumping_divisor raised NotAJumpingPoint
             {"left": _fmt_divisor(left), "at": _fmt_divisor(at)},
         ),
     ]

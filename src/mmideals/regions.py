@@ -18,8 +18,9 @@ meaning a . z < C / L, and floors come from integer numerators.  Membership,
 boundedness, facets and vertices are all answered from these walls: each
 wall line is clipped to the region once (`RegionPolytope.edges`), and the
 walk's facets and the closure's vertices, which the SVG outline draws, all
-read those edges.  A Fraction is built only for a value the walk emits (wall
-constants, facet points, seeds).
+read those edges.  Seeds and point-cache keys are integers (n_1, .., n_r, den)
+with gcd 1; a Fraction is built only for a value the walk emits (wall
+constants, facet points, and a walked point once, as its representative).
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class RegionPolytope:
         the axes as two sides, so that order walks its boundary."""
         if len(self.lam) != 2:
             raise UnsupportedGeometry("region vertices are computed for two ideals only")
-        ends = {_line_point(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
-        return [(Fraction(0), Fraction(0))] + sorted(ends, key=lambda p: (p[0], -p[1]))
+        ends = {_line_key(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
+        points = [(Fraction(x, den), Fraction(y, den)) for x, y, den in ends]
+        return [(Fraction(0), Fraction(0))] + sorted(points, key=lambda p: (p[0], -p[1]))
 
     @cached_property
     def edges(self) -> list[tuple]:
@@ -208,7 +210,8 @@ class EnumerationResult:
 
 
 def _over_lcm(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
+    """Rationals as integer numerators over the lcm of their denominators;
+    (*nums, den) is a key with gcd 1, equal for equal values."""
     den = math.lcm(*(q.denominator for q in values))
     return [q.numerator * (den // q.denominator) for q in values], den
 
@@ -261,6 +264,14 @@ def _line_point(line, scale: int, t: int, k: int = 1) -> Point:
     return (Fraction(k * m * u1 + t * a2, den), Fraction(k * m * u2 - t * a1, den))
 
 
+def _line_key(line, scale: int, t: int, k: int = 1) -> tuple[int, int, int]:
+    """The point z(t / k) of _line_point as a reduced key (x, y, den)."""
+    a1, a2, s, u1, u2, m = line
+    x, y, den = k * m * u1 + t * a2, k * m * u2 - t * a1, k * scale * s * m
+    g = math.gcd(x, y, den)
+    return x // g, y // g, den // g
+
+
 def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
     """Closed base interval minus a union of closed cuts inside it; returns
     the closures of the surviving open pieces, dropping zero-length ones."""
@@ -281,7 +292,8 @@ def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
 class PointContext:
     """Everything asked at one point lam of the orthant.
 
-    Built by :meth:`RegionEngine.at`, which caches it.  Filled at once:
+    Cached by :meth:`RegionEngine.at` under lam's key (n_1, .., n_r, den); a
+    walk seed comes as that key and gets its `coords` here.  Filled at once:
     `coords`; lam . F - K as integer numerators `values` over `den`; `floor`
     = values // den and its antinef closure `divisor`, which encodes the
     mixed multiplier ideal at lam.  Computed on first use: `left_floor`, its
@@ -292,11 +304,11 @@ class PointContext:
     cycle.
     """
 
-    def __init__(self, engine: "RegionEngine", coords: Point):
+    def __init__(self, engine: "RegionEngine", key: tuple[int, ...], coords: Point | None = None):
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
-        self.coords = coords
-        self.values, self.den = engine._numerators(coords)
+        self.coords = coords or tuple(Fraction(n, key[-1]) for n in key[:-1])
+        self.values, self.den = engine._numerators(key[:-1], key[-1])
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
 
@@ -342,7 +354,7 @@ class RegionEngine:
         # normal (e_{1,j}, ..., e_{r,j}) and L * k_j
         scaled_k, self.scale = _over_lcm(self.canonical)
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
-        self._points: dict[Point, PointContext] = {}
+        self._points: dict[tuple[int, ...], PointContext] = {}
 
     @property
     def r(self) -> int:
@@ -351,20 +363,24 @@ class RegionEngine:
     # -- pointwise data ---------------------------------------------------
 
     def at(self, lam) -> PointContext:
-        """The cached per-point context at lam."""
+        """The cached per-point context at lam, keyed by lam over the lcm of
+        its denominators (`_over_lcm`, computed once here)."""
         coords = parse_point(lam, self.r)
-        context = self._points.get(coords)
+        nums, den = _over_lcm(coords)
+        return self._context((*nums, den), coords)
+
+    def _context(self, key: tuple[int, ...], coords: Point | None = None) -> PointContext:
+        context = self._points.get(key)
         if context is None:
-            context = self._points[coords] = PointContext(self, coords)
+            context = self._points[key] = PointContext(self, key, coords)
         return context
 
     def mmi(self, lam) -> Divisor:
         return self.at(lam).divisor
 
-    def _numerators(self, coords: Point) -> tuple[list[int], int]:
+    def _numerators(self, nums: Sequence[int], m: int) -> tuple[list[int], int]:
         """lam . F - K per component as integer numerators v_j over den =
-        m * L, m the lcm of the denominators of lam: returns (v, den)."""
-        nums, m = _over_lcm(coords)
+        m * L, for lam = nums / m: returns (v, den)."""
         values = [self.scale * sum(map(operator.mul, nums, normal)) - m * k for normal, k in self._columns]
         return values, m * self.scale
 
@@ -376,7 +392,7 @@ class RegionEngine:
         lam_prime off the closure boundary cases by the region theorem; kept
         as an independent route on purpose.
         """
-        values, den = self._numerators(parse_point(lam_prime, self.r))
+        values, den = self._numerators(*_over_lcm(parse_point(lam_prime, self.r)))
         return all(v // den <= e for v, e in zip(values, self.mmi(lam).coeffs))
 
     def region_of(self, lam) -> RegionPolytope:
@@ -386,7 +402,9 @@ class RegionEngine:
         exceptional component; every constant k_j + 1 + e_j(lam) is positive,
         so the origin always lies inside.
         """
-        context = self.at(lam)
+        return self._region(self.at(lam))
+
+    def _region(self, context: PointContext) -> RegionPolytope:
         divisor = context.divisor
         ineqs = tuple(self._wall(j, divisor) for j in self.classification.wall_relevant)
         region = RegionPolytope(context.coords, divisor, ineqs, self.scale)
@@ -424,9 +442,9 @@ class RegionEngine:
         if self.r > 2:
             raise UnsupportedGeometry("wall walking is exact for one or two ideals only")
 
-        origin: Point = tuple(Fraction(0) for _ in range(self.r))
-        queue: list[PointContext] = [self.at(origin)]  # seeds, evaluated when queued
-        seen: set[Point] = {origin}
+        origin = (0,) * self.r + (1,)
+        queue: list[PointContext] = [self._context(origin)]  # seeds, evaluated when queued
+        seen = {origin}  # seed keys
         representatives: list[Point] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
         records = by_divisor.values()  # in discovery order
@@ -450,7 +468,7 @@ class RegionEngine:
                 known.representatives.append(lam)
                 continue
 
-            region = self.region_of(lam)
+            region = self._region(entry)
             facets, seeds = self._facets(region, records, box_pt)
             record = ConstancyRecord(
                 index=len(records),
@@ -469,7 +487,7 @@ class RegionEngine:
             for seed in seeds:
                 if seed not in seen:
                     seen.add(seed)
-                    queue.append(self.at(seed))
+                    queue.append(self._context(seed))
 
         return EnumerationResult(
             box=box_pt,
@@ -525,9 +543,9 @@ class RegionEngine:
                 best = ineq
         if best is None:
             return (), []
-        point = (Fraction(best.numerator, self.scale * best.coeffs[0]),)
+        point = (z := Fraction(best.numerator, self.scale * best.coeffs[0]),)
         facet = CFacet(best.component, best.coeffs, best.constant, point, point, point)
-        seeds = [point] if point[0] <= box_pt[0] else []
+        seeds = [(z.numerator, z.denominator)] if z <= box_pt[0] else []
         return (facet,), seeds
 
     def _facets_r2(self, region: RegionPolytope, priors, box_pt):
@@ -543,7 +561,7 @@ class RegionEngine:
         # row `row` of a prior's half-planes is the prior's copy of this wall.
         prior_planes = [prior.region.halfplanes for prior in priors]
         facets: list[CFacet] = []
-        seeds: list[Point] = []
+        seeds: list[tuple[int, int, int]] = []
         for row, ineq, line, lo, hi in region.edges:
             lifted = (*line[:5], line[5] * q)
             cuts = []
@@ -570,11 +588,11 @@ class RegionEngine:
                     continue
                 b0, b1 = boxed
                 if b0 < b1:
-                    seeds.append(_line_point(lifted, scale, b0 + b1, 2))
+                    seeds.append(_line_key(lifted, scale, b0 + b1, 2))
                 elif b0 == b1:
                     # The facet touches the box in a single point (a corner or
                     # a grazing endpoint); it still seeds the region above.
-                    seeds.append(_line_point(lifted, scale, b0))
+                    seeds.append(_line_key(lifted, scale, b0))
         if region.inequalities and not facets:
             raise GeometryDegeneracy(f"a fresh region produced no outer facet at lambda {_fmt_tuple(region.lam)}")
         return tuple(facets), seeds

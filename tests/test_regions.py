@@ -26,13 +26,14 @@ from mmideals.regions import (
     RegionPolytope,
     WallInequality,
     _clip_parameter,
+    _line_key,
     _line_point,
     _subtract_intervals,
     _wall_line,
 )
 from mmideals.svg import render_walls
 
-from conftest import DATA, GOLDEN, exc, point, value_rows
+from conftest import DATA, GOLDEN, count_closures, exc, point, value_rows
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -670,6 +671,19 @@ def _facets_r1_fractions(self, region, priors, box_pt):
     return (facet,), seeds
 
 
+def _keyed_seeds(facets_fractions):
+    """An oracle facet finder whose Fraction seeds come out as the walk's
+    point keys (n_1, .., n_r, den): numerators over the lcm of the
+    denominators."""
+
+    def facets(self, region, priors, box_pt):
+        found, seeds = facets_fractions(self, region, priors, box_pt)
+        dens = [math.lcm(*(z.denominator for z in seed)) for seed in seeds]
+        return found, [(*(z.numerator * (d // z.denominator) for z in seed), d) for seed, d in zip(seeds, dens)]
+
+    return facets
+
+
 def _truncated_fractions(self, region, box_pt):
     """Truncation as first written, from the Fraction extents."""
     for axis, limit in enumerate(box_pt):
@@ -746,6 +760,50 @@ def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
                 assert a1 * x + a2 * y == Fraction(c, scale)
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    wall=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-300, 300)).filter(
+        lambda w: w[:2] != (0, 0)
+    ),
+    normals=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=6),
+    lift=st.integers(1, 12),
+    scale=st.sampled_from([1, 2, 7, 60]),
+    t=st.integers(-10**6, 10**6),
+    k=st.sampled_from([1, 2]),
+)
+def test_line_key_is_the_reduced_line_point(wall, normals, lift, scale, t, k):
+    # a seed key is the point's numerators over the lcm of its denominators
+    a1, a2, c = wall
+    line = _wall_line((a1, a2), c, normals)
+    line = (*line[:5], line[5] * lift)  # as the walk lifts a line to the box
+    x, y, den = _line_key(line, scale, t, k)
+    want = _line_point(line, scale, t, k)
+    assert math.gcd(x, y, den) == 1
+    assert den == math.lcm(*(z.denominator for z in want))
+    assert (Fraction(x, den), Fraction(y, den)) == want
+
+
+def test_one_context_per_point_however_written(ideals):
+    eng = RegionEngine(ideals)
+    context = eng.at(("1/2", "1"))
+    assert eng.at(("2/4", "1")) is context
+    assert eng.at((Fraction(1, 2), 1)) is context
+    assert context.coords == (Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("box", [("2", "6"), ("3/4", "5/2")])
+def test_walked_points_need_no_closure_again(ideals, monkeypatch, box):
+    # the walk caches a seed under its key, and at(rep) finds it there
+    eng = RegionEngine(ideals)
+    result = eng.enumerate_constancy_regions(box)
+    reps = result.representatives
+    assert reps and all(type(z) is Fraction for rep in reps for z in rep)
+    calls = count_closures(monkeypatch)
+    assert [eng.at(rep).coords for rep in reps] == reps
+    assert [eng.at(tuple(map(str, rep))).coords for rep in reps] == reps
+    assert calls == []
+
+
 def test_fractional_k_input(fractional_engine):
     eng = fractional_engine
     assert [str(k) for k in eng.canonical[: eng.graph.n_exc]] == ["-2/7", "-4/7", "-1/7", "-2/7", "-3/7"]
@@ -792,8 +850,8 @@ def test_integer_geometry_matches_the_fraction_oracle(
     eng = engines[which]
     fast = eng.enumerate_constancy_regions(box)
     fast_payload, fast_svg = enumeration_json(fast), render_walls(fast)
-    monkeypatch.setattr(RegionEngine, "_facets_r1", _facets_r1_fractions)
-    monkeypatch.setattr(RegionEngine, "_facets_r2", _facets_r2_fractions)
+    monkeypatch.setattr(RegionEngine, "_facets_r1", _keyed_seeds(_facets_r1_fractions))
+    monkeypatch.setattr(RegionEngine, "_facets_r2", _keyed_seeds(_facets_r2_fractions))
     monkeypatch.setattr(RegionEngine, "_truncated", _truncated_fractions)
     monkeypatch.setattr(svg, "_region_outline", _region_outline_fractions)
     slow = eng.enumerate_constancy_regions(box)
