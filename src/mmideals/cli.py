@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _text_inequality(ineq) -> str:
-    lhs = " + ".join(f"{a} z{i + 1}" for i, a in enumerate(ineq.coeffs) if a)
-    return f"{ineq.component}: {lhs or '0'} < {ineq.constant}"
+    lhs = " + ".join(f"{a} z{i + 1}" for i, a in enumerate(ineq.coeffs))  # every a > 0
+    return f"{ineq.component}: {lhs} < {ineq.constant}"
 
 
 def _cmd_canonical(engine, opts, fmt: str):

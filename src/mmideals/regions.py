@@ -14,13 +14,18 @@ outer facet as the seed for the next region.
 
 All geometry is exact and runs on integers: with L the lcm of the
 denominators of K, a wall is the integer normal a and integer constant C
-meaning a . z < C / L, and floors come from integer numerators.  Membership,
-boundedness, facets and vertices are all answered from these walls: each
-wall line is clipped to the region once (`RegionPolytope.edges`), and the
-walk's facets and the closure's vertices, which the SVG outline draws, all
-read those edges.  Seeds and point-cache keys are integers (n_1, .., n_r, den)
-with gcd 1; a Fraction is built only for a value the walk emits (wall
-constants, facet points, and a walked point once, as its representative).
+meaning a . z < C / L, and floors come from integer numerators.  Every
+ideal divisor is at least 1 on every exceptional component (a nonzero
+effective antinef divisor on a connected negative definite tree is), so
+every normal is strictly positive: a wall crosses both axes, and a region
+with a wall is bounded.  Membership, boundedness, facets and vertices are
+all answered from these walls: each wall's segment between its axis
+intercepts is clipped by the other walls once (`RegionPolytope.edges`), and
+the walk's facets and the closure's vertices, which the SVG outline draws,
+all read those edges.  Seeds and point-cache keys are integers (n_1, ..,
+n_r, den) with gcd 1, and `_key_point` makes their Fractions; one is made
+only for a value the walk emits (wall constants, facet points, and a walked
+point once, as its representative).
 """
 
 from __future__ import annotations
@@ -87,10 +92,10 @@ class WallInequality:
 
 class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
-    {z >= 0, coeffs . z < constant for every wall}.
+    {z >= 0, coeffs . z < constant for every wall}, every coeffs > 0.
 
-    `halfplanes` lists its closure as integer rows (a, C) meaning a . z <=
-    C / L, one axis row -z_i <= 0 per coordinate first; `scale` is L.
+    `halfplanes` lists its walls as integer rows (a, C) meaning a . z <=
+    C / L, in the order of `inequalities`; `scale` is L.
     """
 
     def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
@@ -101,9 +106,7 @@ class RegionPolytope:
 
     @cached_property
     def halfplanes(self) -> list[tuple[int, ...]]:
-        r = len(self.lam)
-        axes = [(*(-int(i == axis) for i in range(r)), 0) for axis in range(r)]
-        return axes + [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
+        return [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Strict membership (points on a wall are outside), tested as
@@ -119,9 +122,8 @@ class RegionPolytope:
 
     @property
     def bounded(self) -> bool:
-        """Every normal is nonnegative, so the region is bounded exactly when
-        each axis has a wall with a positive coefficient there."""
-        return all(any(ineq.coeffs[axis] > 0 for ineq in self.inequalities) for axis in range(len(self.lam)))
+        """Every normal is positive, so any wall caps every axis."""
+        return bool(self.inequalities)
 
     def vertices(self) -> list[tuple[Fraction, Fraction]]:
         """Vertices of the closure of a two-ideal region: the origin, then
@@ -130,28 +132,23 @@ class RegionPolytope:
         if len(self.lam) != 2:
             raise UnsupportedGeometry("region vertices are computed for two ideals only")
         ends = {_line_key(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
-        points = [(Fraction(x, den), Fraction(y, den)) for x, y, den in ends]
+        points = map(_key_point, ends)
         return [(Fraction(0), Fraction(0))] + sorted(points, key=lambda p: (p[0], -p[1]))
 
     @cached_property
     def edges(self) -> list[tuple]:
-        """Each wall line of a two-ideal region clipped to the closure once:
-        (row, wall, line, lo, hi) per wall meeting it in a segment lo < hi,
+        """Each wall of a two-ideal region clipped to the closure once: its
+        segment between the axes (see _clip_parameter) cut by the other
+        walls; (row, wall, line, lo, hi) per wall keeping a piece lo < hi,
         `row` the wall's index in `halfplanes`."""
         planes = self.halfplanes
         edges = []
-        for row, wall in enumerate(self.inequalities, start=len(self.lam)):
-            if not any(wall.coeffs):
-                continue
+        for row, wall in enumerate(self.inequalities):
             line = _wall_line(wall.coeffs, wall.numerator, planes)
-            span = _clip_parameter(planes, line, None, None)
-            if span is None:
-                continue
-            lo, hi = span
-            if lo is None or hi is None:
-                raise GeometryDegeneracy(f"unbounded wall segment at {wall.component} at lambda {_fmt_tuple(self.lam)}")
-            if lo < hi:
-                edges.append((row, wall, line, lo, hi))
+            _, a2, c, m = line
+            span = _clip_parameter(planes, line, -(m // a2) * c, 0)
+            if span is not None and span[0] < span[1]:
+                edges.append((row, wall, line, *span))
         return edges
 
     def __repr__(self):
@@ -223,53 +220,50 @@ def _wall_line(coeffs: tuple[int, int], numerator: int, planes) -> tuple[int, ..
     """The line of a wall, as _clip_parameter takes it, for half-planes
     with the normals (b1, b2) of `planes`."""
     a1, a2 = coeffs
-    m = math.lcm(*(alpha for b1, b2, *_ in planes if (alpha := b1 * a2 - b2 * a1)))
-    return (a1, a2, a1, numerator, 0, m) if a1 != 0 else (a1, a2, a2, 0, numerator, m)
+    m = math.lcm(a1, a2, *(alpha for b1, b2, *_ in planes if (alpha := b1 * a2 - b2 * a1)))
+    return a1, a2, numerator, m
 
 
 def _clip_parameter(halfplanes, line, lo, hi):
-    """Intersect a wall line with half-planes (b1, b2, D) meaning
-    b . z <= D / L; returns (lo, hi), None for an unbounded side, or None.
+    """Clip the segment lo <= T <= hi of a wall line by half-planes (b1, b2,
+    D) meaning b . z <= D / L; returns (lo, hi), or None if nothing is left.
 
-    `line` = (a1, a2, s, u1, u2, m) is the wall a . z = C / L (a >= 0) as
-    z(T) = (m * u + T * (a2, -a1)) / (L * s * m), with s = a1, u = (C, 0)
-    when a1 != 0, else s = a2, u = (0, C).  A half-plane reads
-    (b1 * a2 - b2 * a1) * T <= m * (D * s - b . u), and m is a multiple of
-    every b1 * a2 - b2 * a1, so every bound on T is an integer.
+    `line` = (a1, a2, C, m) is the wall a . z = C / L (a > 0) as z(T) =
+    (m C + T a2, -T a1) / (L a1 m), meeting the z1-axis at T = 0 and the
+    z2-axis at T = -m C / a2.  A half-plane reads (b1 a2 - b2 a1) T <=
+    m (D a1 - b1 C), and m is a multiple of a1, a2 and every b1 a2 - b2 a1,
+    so every bound on T is an integer.
     """
-    a1, a2, s, u1, u2, m = line
+    a1, a2, c, m = line
     for b1, b2, d in halfplanes:
         alpha = b1 * a2 - b2 * a1
-        beta = d * s - b1 * u1 - b2 * u2
+        beta = d * a1 - b1 * c
         if alpha == 0:
             if beta < 0:
                 return None
             continue
         bound = beta * (m // alpha)
         if alpha > 0:
-            if hi is None or bound < hi:
+            if bound < hi:
                 hi = bound
-        else:
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
-
-
-def _line_point(line, scale: int, t: int, k: int = 1) -> Point:
-    """The point z(t / k) of a wall line (see _clip_parameter), as Fractions."""
-    a1, a2, s, u1, u2, m = line
-    den = k * scale * s * m
-    return (Fraction(k * m * u1 + t * a2, den), Fraction(k * m * u2 - t * a1, den))
+        elif bound > lo:
+            lo = bound
+    return (lo, hi) if lo <= hi else None
 
 
 def _line_key(line, scale: int, t: int, k: int = 1) -> tuple[int, int, int]:
-    """The point z(t / k) of _line_point as a reduced key (x, y, den)."""
-    a1, a2, s, u1, u2, m = line
-    x, y, den = k * m * u1 + t * a2, k * m * u2 - t * a1, k * scale * s * m
+    """The point z(t / k) of a wall line (see _clip_parameter) as a reduced
+    key (x, y, den)."""
+    a1, a2, c, m = line
+    x, y, den = k * m * c + t * a2, -t * a1, k * scale * a1 * m
     g = math.gcd(x, y, den)
     return x // g, y // g, den // g
+
+
+def _key_point(key) -> Point:
+    """The point of a key (n_1, .., n_r, den), as Fractions."""
+    den = key[-1]
+    return tuple(Fraction(n, den) for n in key[:-1])
 
 
 def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
@@ -307,7 +301,7 @@ class PointContext:
     def __init__(self, engine: "RegionEngine", key: tuple[int, ...], coords: Point | None = None):
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
-        self.coords = coords or tuple(Fraction(n, key[-1]) for n in key[:-1])
+        self.coords = coords or _key_point(key)
         self.values, self.den = engine._numerators(key[:-1], key[-1])
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
@@ -516,12 +510,10 @@ class RegionEngine:
 
     def _truncated(self, region: RegionPolytope, box_pt: Point) -> bool:
         # The region stays within the box limit b on an axis exactly when some
-        # wall a . z < C / L with a_axis > 0 caps it there: C / (L * a_axis) <= b.
+        # wall a . z < C / L caps it there: C / (L * a_axis) <= b.
         for axis, limit in enumerate(box_pt):
             p, q = limit.numerator * self.scale, limit.denominator  # L * b = p / q
-            if not any(
-                (a := ineq.coeffs[axis]) > 0 and ineq.numerator * q <= p * a for ineq in region.inequalities
-            ):
+            if not any(ineq.numerator * q <= p * ineq.coeffs[axis] for ineq in region.inequalities):
                 return True
         return False
 
@@ -538,8 +530,7 @@ class RegionEngine:
         # wall points strictly increase and `priors` is not read.
         best: WallInequality | None = None
         for ineq in region.inequalities:
-            a = ineq.coeffs[0]
-            if a > 0 and (best is None or ineq.numerator * best.coeffs[0] < best.numerator * a):
+            if best is None or ineq.numerator * best.coeffs[0] < best.numerator * ineq.coeffs[0]:
                 best = ineq
         if best is None:
             return (), []
@@ -554,8 +545,8 @@ class RegionEngine:
             (box_pt[0].denominator, 0, box_pt[0].numerator * scale),
             (0, box_pt[1].denominator, box_pt[1].numerator * scale),
         ]
-        # A wall line's m is a multiple of a1 and a2 (the axis rows), so the
-        # line lifted by q = q_x * q_y clips to the box on integer bounds.
+        # A wall line's m is a multiple of a1 and a2, so the line lifted by
+        # q = q_x * q_y clips to the box on integer bounds.
         q = box_pt[0].denominator * box_pt[1].denominator
         # Every region of the engine has the same walls in the same order, so
         # row `row` of a prior's half-planes is the prior's copy of this wall.
@@ -563,7 +554,7 @@ class RegionEngine:
         facets: list[CFacet] = []
         seeds: list[tuple[int, int, int]] = []
         for row, ineq, line, lo, hi in region.edges:
-            lifted = (*line[:5], line[5] * q)
+            lifted = (*line[:3], line[3] * q)
             cuts = []
             for planes in prior_planes:
                 if planes[row][2] < ineq.numerator:
@@ -578,9 +569,9 @@ class RegionEngine:
                         ineq.component,
                         ineq.coeffs,
                         ineq.constant,
-                        _line_point(line, scale, t0),
-                        _line_point(line, scale, t1),
-                        _line_point(line, scale, t0 + t1, 2),
+                        _key_point(_line_key(line, scale, t0)),
+                        _key_point(_line_key(line, scale, t1)),
+                        _key_point(_line_key(line, scale, t0 + t1, 2)),
                     )
                 )
                 boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
@@ -651,13 +642,14 @@ def next_jumping_number(engine: RegionEngine, direction, t_prev) -> Fraction:
     den = q * m * scale
     floor = [(p * scale * e - q * m * k) // den for e, k in columns]
     current = antinef_closure(Divisor._of_ints(engine.graph, floor))
-    # candidate j: (k_j + 1 + e_j(t)) / e_j = m (K_j + L (1 + e_j(t))) / (L E_j)
+    # candidate j: (k_j + 1 + e_j(t)) / e_j = m (K_j + L (1 + e_j(t))) / (L E_j);
+    # every ideal divisor is >= 1 on every exceptional E_j, so E_j > 0 there
     best_num, best_den = None, 1
     for (e, k), c in zip(columns, current.coeffs):
         if e > 0:
             num, cand_den = m * (k + scale * (1 + c)), scale * e
             if best_num is None or num * best_den < best_num * cand_den:
                 best_num, best_den = num, cand_den
-    if best_num is None or best_num * q <= p * best_den:
+    if best_num * q <= p * best_den:
         raise InternalInvariant("jumping-number candidate did not advance")
     return Fraction(best_num, best_den)

@@ -79,12 +79,8 @@ def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
 
 
 def _equation_label(facet) -> str:
-    terms = []
-    for i, a in enumerate(facet.coeffs):
-        if a:
-            coeff = "" if a == 1 else f"{a}"
-            terms.append(f"{coeff}z{i + 1}")
-    lhs = "+".join(terms) if terms else "0"
+    # wall normals are positive: every coefficient is written
+    lhs = "+".join(f"{'' if a == 1 else a}z{i + 1}" for i, a in enumerate(facet.coeffs))
     label = f"{facet.component}: {lhs}={facet.constant}"
     # XML character data, as xml.sax.saxutils.escape gives it (importing that
     # module loads urllib and http, 45 modules and ~7 MB of resident memory),

@@ -261,6 +261,41 @@ def test_verify_text(capsys):
     assert "jump_identity: ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (
+            ["mmi", "--lambda", "1/6,1"],
+            "lambda = (1/6, 1)\n"
+            "divisor = (1, 1, 1, 2, 3, 0, 0)\n"
+            "left limit = (0, 0, 0, 0, 0, 0, 0)\n"
+            "jumping point: yes\n",
+        ),
+        (
+            ["mmi", "--lambda", "1/12,1/2"],
+            "lambda = (1/12, 1/2)\n"
+            "divisor = (0, 0, 0, 0, 0, 0, 0)\n"
+            "left limit = (0, 0, 0, 0, 0, 0, 0)\n"
+            "jumping point: no\n",
+        ),
+        (["mmi", "--lambda", "0,0"], "lambda = (0, 0)\ndivisor = (0, 0, 0, 0, 0, 0, 0)\n"),
+        (["jumping-numbers", "--ideal", "a1", "--upto", "1"], "10/21 13/21 16/21 17/21 19/21 20/21\n"),
+        (["min-jumping-divisor", "--lambda", "1/6,1"], "G = E2 at (1/6, 1)\n"),
+        (
+            ["enumerate", "--box", "1/100,1/100"],
+            "R0: rep (0, 0) divisor (0, 0, 0, 0, 0, 0, 0) facets 2\n"
+            "representatives: 1\n"
+            "distinct ideals: 1\n"
+            "warning: BoxTooSmall: the box misses the boundary of the first region; "
+            "no jumping point lies inside it\n",
+        ),
+    ],
+    ids=["mmi-jump", "mmi-no-jump", "mmi-origin", "jumping-numbers", "min-jumping-divisor", "enumerate-warning"],
+)
+def test_text_reports(capsys, argv, want):
+    assert run(capsys, *argv, "--input", INPUT, "--format", "text") == (0, want, "")
+
+
 def test_verify_non_jumping_point_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "--input", INPUT, "--lambda", "1/7,1")
     assert code == 2
@@ -299,6 +334,55 @@ def test_exit_2_on_malformed_shape(tmp_path, capsys, raw):
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: PreconditionViolated: ")
+
+
+@pytest.mark.parametrize(
+    "raw,argv,err",
+    [
+        ([_ONE], ["canonical"], "PreconditionViolated: {path}: top level must be an object"),
+        (dict(_ONE, ideals=[]), ["canonical"], "PreconditionViolated: input needs at least one ideal"),
+        (
+            dict(_ONE, ideals=[{"name": 5, "mult": {"E1": 1}}]),
+            ["canonical"],
+            "PreconditionViolated: ideal name must be a string, got 5",
+        ),
+        (
+            dict(_ONE, exceptional=[{"id": 5, "self": -1}]),
+            ["canonical"],
+            "PreconditionViolated: exceptional component without a usable id: {{'id': 5, 'self': -1}}",
+        ),
+        (
+            dict(_ONE, affine=[{"id": "", "meets": ["E1"]}]),
+            ["canonical"],
+            "PreconditionViolated: affine component without a usable id: {{'id': '', 'meets': ['E1']}}",
+        ),
+        (
+            dict(_ONE, edges=[["E1"]]),
+            ["canonical"],
+            "PreconditionViolated: edge must join exactly two component ids: ['E1']",
+        ),
+        (
+            dict(_ONE, ideals=[{"mult": {"E1": [1]}}]),
+            ["canonical"],
+            "PreconditionViolated: ideal 'a1'[E1]: unsupported value [1]",
+        ),
+        (None, ["enumerate", "--box", "1"], "DimensionMismatch: box needs 2 coordinates"),
+    ],
+    ids=[
+        "top-level-list",
+        "no-ideals",
+        "ideal-name",
+        "exceptional-id",
+        "empty-affine-id",
+        "one-id-edge",
+        "list-multiplicity",
+        "box-too-short",
+    ],
+)
+def test_exit_2_with_one_error_line(tmp_path, capsys, raw, argv, err):
+    source = tmp_path / "input.json"
+    source.write_text(EXAMPLE_PATH.read_text() if raw is None else json.dumps(raw))
+    assert run(capsys, *argv, "--input", str(source)) == (2, "", f"error: {err.format(path=source)}\n")
 
 
 @pytest.mark.parametrize(

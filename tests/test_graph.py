@@ -9,10 +9,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmideals.divisors import Divisor
+from mmideals.divisors import Divisor, antinef_closure
 from mmideals.graph import Classification, DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
 from mmideals.io import build_ideals
 from mmideals.errors import (
@@ -225,6 +225,28 @@ def test_integer_tree_elimination_matches_both_oracles(tree):
     nums, det = _tree_solve(graph, rhs)
     assert all(type(x) is int for x in nums + [det])
     assert [Fraction(x, det) for x in nums] == list(k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_trees(), st.data())
+def test_accepted_ideal_divisors_are_positive_on_every_exceptional_component(tree, data):
+    # D . E_i <= 0 on a connected tree forces a nonzero effective D to be >= 1
+    # on every E_i: a zero E_i next to a positive neighbour would have D . E_i
+    # > 0.  So every wall normal (e_{1,j}, ..., e_{r,j}) is strictly positive.
+    selfs, edges = tree
+    n = len(selfs)
+    try:
+        graph = validate_graph(_tree_raw(selfs, edges))
+    except NotNegativeDefinite:
+        assume(False)
+    start = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    closed = antinef_closure(Divisor(graph, start))
+    assert IdealDivisorSet(graph, ("a",), (closed,)).divisors == (closed,)
+    assert min(closed.coeffs) >= 1
+    j = data.draw(st.integers(0, n - 1))
+    dented = Divisor(graph, closed.coeffs[:j] + (0,) + closed.coeffs[j + 1 :])
+    with pytest.raises(PreconditionViolated, match="not antinef" if n > 1 else "zero divisor"):
+        IdealDivisorSet(graph, ("a",), (dented,))
 
 
 def test_chain_of_eighty_minus_two_curves():

@@ -202,6 +202,19 @@ def test_monomial_canonical_and_mixed_multiplier_ideals(monomial_pairs):
     assert 50 < sum(engine.ideals.is_m_primary() for *_, engine in monomial_pairs) < 350
 
 
+def test_monomial_wall_normals_are_positive(monomial_pairs):
+    # every accepted ideal divisor is >= 1 on every exceptional component,
+    # m-primary or not, so every wall normal is strictly positive
+    walls = 0
+    for ideals, _, engine in monomial_pairs:
+        n = engine.graph.n_exc
+        assert all(min(d.coeffs[:n]) >= 1 for d in engine.ideals.divisors), ideals
+        inequalities = engine.region_of((0, 0)).inequalities
+        assert all(min(ineq.coeffs) >= 1 for ineq in inequalities), ideals
+        walls += len(inequalities)
+    assert walls >= len(monomial_pairs)
+
+
 def test_monomial_verifiers(monomial_pairs):
     for ideals, _, engine in monomial_pairs[:8]:
         for ray in [(1, 0), (0, 1), (1, 1)]:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number, svg
+from mmideals.cli import main
 from mmideals.graph import validate_graph
 from mmideals.io import build_ideals, enumeration_json
 from mmideals.errors import (
@@ -26,8 +27,8 @@ from mmideals.regions import (
     RegionPolytope,
     WallInequality,
     _clip_parameter,
+    _key_point,
     _line_key,
-    _line_point,
     _subtract_intervals,
     _wall_line,
 )
@@ -74,15 +75,24 @@ def test_region_constant_lookup(engine):
     assert _constant_for(region, "E1") is None
 
 
-def test_a_region_with_an_uncapped_axis_is_unbounded(engine):
-    # no fixture has one: every wall below leaves z2 free
-    walls = (WallInequality("E1", (2, 0), Fraction(3, 7), 3), WallInequality("E2", (1, 0), Fraction(1), 7))
-    region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
-    assert not region.bounded
-    assert region.contains(point(("0", "100")))
-    assert not region.contains(point(("3/14", "0")))  # on the wall E1
-    capped = RegionPolytope(region.lam, region.divisor, walls + (WallInequality("E3", (0, 1), Fraction(5), 35),), 7)
-    assert capped.bounded
+def test_a_region_with_an_uncapped_axis_is_unbounded(tmp_path, capsys):
+    # Every wall normal is positive, so only a region without walls leaves an
+    # axis uncapped.  One -1 curve crossed by two arrows is no rupture, and
+    # neither ideal has excess on it, so it is not dicritical either.
+    raw = {
+        "exceptional": [{"id": "E1", "self": -1}],
+        "affine": [{"id": "A1", "meets": ["E1"]}, {"id": "A2", "meets": ["E1"]}],
+        "ideals": [{"mult": {"E1": 1, "A1": 1}}, {"mult": {"E1": 1, "A2": 1}}],
+    }
+    region = RegionEngine(build_ideals(validate_graph(raw), raw["ideals"])).region_of(("1/2", "1/3"))
+    assert region.inequalities == () and not region.bounded
+    assert region.contains(point(("100", "100")))
+    assert region.edges == [] and region.vertices() == [(0, 0)]
+    source = tmp_path / "uncapped.json"
+    source.write_text(json.dumps(raw))
+    assert main(["region", "--input", str(source), "--lambda", "1/2,1/3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bounded"] is False and payload["inequalities"] == []
 
 
 # -- membership ---------------------------------------------------------------
@@ -294,6 +304,11 @@ def test_next_jumping_number_free_function(engine):
     assert next_jumping_number(engine, (0, 1), Fraction(3, 2)) == 2
     # strictly after t_prev even when t_prev is itself a jumping number
     assert next_jumping_number(engine, ("0", "1"), 1) == Fraction(3, 2)
+
+
+def test_next_jumping_number_refuses_a_negative_start(engine):
+    with pytest.raises(PreconditionViolated, match="^t_prev must be nonnegative$"):
+        next_jumping_number(engine, (1, 0), -1)
 
 
 def test_next_jumping_number_checks_the_direction(engine):
@@ -734,37 +749,36 @@ def _region_outline_fractions(region, m):
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
+# wall normals are positive (every ideal divisor is >= 1 on every exceptional
+# component), so a wall line is drawn with a1, a2 >= 1
+positive_walls = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(-300, 300))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    wall=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-300, 300)).filter(
-        lambda w: w[:2] != (0, 0)
-    ),
+    wall=positive_walls,
     planes=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-300, 300)), max_size=6),
-    bounds=st.tuples(st.none() | st.integers(-10**6, 10**6), st.none() | st.integers(-10**6, 10**6)),
+    bounds=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
     scale=st.sampled_from([1, 2, 7, 60]),
 )
 def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
     a1, a2, c = wall
     line = _wall_line((a1, a2), c, [plane[:2] for plane in planes])
-    unit = scale * line[2] * line[5]  # the line parameter t is T / unit
-    as_t = lambda T: None if T is None else Fraction(T, unit)
+    unit = scale * a1 * line[3]  # the line parameter t is T / unit
+    as_t = lambda T: Fraction(T, unit)
     got = _clip_parameter(planes, line, *bounds)
-    p0 = (Fraction(c, scale * a1), Fraction(0)) if a1 else (Fraction(0), Fraction(c, scale * a2))
+    p0 = (Fraction(c, scale * a1), Fraction(0))
     fraction_planes = [(b1, b2, Fraction(d, scale)) for b1, b2, d in planes]
     want = _clip_parameter_fractions(fraction_planes, p0, (a2, -a1), *map(as_t, bounds))
     assert (got if got is None else tuple(map(as_t, got))) == want
-    if got is not None:
-        for t in got:
-            if t is not None:  # a bound is a point of the wall line
-                x, y = _line_point(line, scale, t)
-                assert a1 * x + a2 * y == Fraction(c, scale)
+    for t in got or ():  # a bound is a point of the wall line
+        x, y = _key_point(_line_key(line, scale, t))
+        assert a1 * x + a2 * y == Fraction(c, scale)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(
-    wall=st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(-300, 300)).filter(
-        lambda w: w[:2] != (0, 0)
-    ),
+    wall=positive_walls,
     normals=st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=6),
     lift=st.integers(1, 12),
     scale=st.sampled_from([1, 2, 7, 60]),
@@ -775,12 +789,14 @@ def test_line_key_is_the_reduced_line_point(wall, normals, lift, scale, t, k):
     # a seed key is the point's numerators over the lcm of its denominators
     a1, a2, c = wall
     line = _wall_line((a1, a2), c, normals)
-    line = (*line[:5], line[5] * lift)  # as the walk lifts a line to the box
+    line = (*line[:3], line[3] * lift)  # as the walk lifts a line to the box
     x, y, den = _line_key(line, scale, t, k)
-    want = _line_point(line, scale, t, k)
+    # the point of parameter t / k: z2 = -t / (k L m), and a . z = C / L
+    z2 = Fraction(-t, k * scale * line[3])
+    want = ((Fraction(c, scale) - a2 * z2) / a1, z2)
     assert math.gcd(x, y, den) == 1
     assert den == math.lcm(*(z.denominator for z in want))
-    assert (Fraction(x, den), Fraction(y, den)) == want
+    assert _key_point((x, y, den)) == want
 
 
 def test_one_context_per_point_however_written(ideals):
@@ -895,20 +911,23 @@ def test_single_ideal_facet_points_strictly_increase(single_engines, which, box)
     assert points and points == sorted(set(points))
 
 
-def test_halfplanes_have_one_axis_row_per_coordinate(engine, single_engines):
-    assert engine.region_of((0, 0)).halfplanes[:2] == [(-1, 0, 0), (0, -1, 0)]
+def test_halfplanes_have_one_row_per_wall(engine, single_engines):
+    # E2 and E5 at the origin: normals (6, 2) and (21, 6), L * (k + 1) = 3, 10
+    assert engine.region_of((0, 0)).halfplanes == [(6, 2, 3), (21, 6, 10)]
     region = single_engines["example-a2"].region_of((0,))
-    assert region.halfplanes[0] == (-1, 0)
-    assert all(len(row) == 2 for row in region.halfplanes)
+    assert region.halfplanes == [(2, 3)]  # F2 alone is dicritical at E2 only
     with pytest.raises(UnsupportedGeometry):
         region.vertices()
 
 
 def test_vertices_of_a_hand_built_region(engine):
-    walls = (WallInequality("E1", (2, 0), Fraction(3, 7), 3), WallInequality("E2", (1, 0), Fraction(1), 7))
+    walls = (
+        WallInequality("E1", (2, 1), Fraction(3, 7), 3),
+        WallInequality("E2", (1, 1), Fraction(1), 7),
+        WallInequality("E3", (1, 2), Fraction(5, 7), 5),
+    )
     region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
-    with pytest.raises(GeometryDegeneracy, match=r"at E1 at lambda \(0, 0\)"):
-        region.vertices()  # z2 is free, so the wall E1 has an unbounded edge
-    capped = RegionPolytope(region.lam, region.divisor, walls + (WallInequality("E3", (0, 1), Fraction(5), 35),), 7)
-    # E2 (z1 < 1) misses the closure, so it gives no edge
-    assert capped.vertices() == [(0, 0), (0, 5), (Fraction(3, 14), 5), (Fraction(3, 14), 0)]
+    # E2 (z1 + z2 < 1) misses the closure, so it gives no edge
+    assert [wall.component for _, wall, *_ in region.edges] == ["E1", "E3"]
+    want = [(0, 0), (0, Fraction(5, 14)), (Fraction(1, 21), Fraction(1, 3)), (Fraction(3, 14), 0)]
+    assert region.vertices() == _region_vertices_fractions(region) == want
