@@ -6,11 +6,11 @@ the algorithm reads, the relative canonical divisor K, is a plain tuple from
 :func:`mmideals.graph.relative_canonical`.
 
 The central object is the antinef closure: the least antinef divisor
-dominating a given one.  It is computed by Enriques' unloading, one full
-sweep at a time: collect every exceptional component with negative excess,
-raise each by ceil(rho_i / E_i^2), repeat until the excess vector is
-nonnegative.  On negative definite trees this converges and the fixed point
-is independent of sweep order.
+dominating a given one.  It is computed by Enriques' unloading on a
+worklist: a component with negative excess rises by ceil(rho_i / E_i^2) and
+only its neighbours are checked again.  Every raise is forced, so on
+negative definite trees the fixed point does not depend on their order
+(Casas-Alvero, *Singularities of Plane Curves*, LMS LN 276).
 
 The ideal at a point lam of the orthant is encoded by the antinef closure of
 floor(sum_i lam_i F_i - K), and the ideal just before lam (the "left limit")
@@ -41,7 +41,7 @@ __all__ = [
     "parse_point",
 ]
 
-MAX_UNLOAD_ITERS = 10**6  # sweeps per closure before NonTermination
+MAX_UNLOAD_ITERS = 10**6  # rounds per closure before NonTermination
 
 
 class Divisor:
@@ -126,7 +126,8 @@ def unload_once(divisor: Divisor) -> Divisor:
 
     Raises every exceptional component with negative excess by
     ceil(rho_i / E_i^2) >= 1, all in one pass.  A divisor that is already
-    antinef comes back unchanged, which is the loop's fixed-point test.
+    antinef comes back unchanged: iterated to that fixed point, this is the
+    reference for :func:`antinef_closure`.
     """
     g = divisor.graph
     coeffs = divisor.coeffs
@@ -144,17 +145,32 @@ def unload_once(divisor: Divisor) -> Divisor:
 def antinef_closure(divisor: Divisor) -> Divisor:
     """Least antinef divisor dominating `divisor`.
 
-    Iterates :func:`unload_once` to its fixed point.  The iteration count is
-    capped at MAX_UNLOAD_ITERS; hitting the cap raises NonTermination, since
-    on valid negative definite input the loop always terminates.
+    Round 1 checks every exceptional component, each later round the
+    exceptional neighbours of those the round before raised; a round that
+    raises nothing ends it, in no more rounds than :func:`unload_once` takes
+    sweeps to its fixed point.  An antinef divisor comes back as itself.
+    Past MAX_UNLOAD_ITERS rounds it raises NonTermination.
     """
-    current = divisor
-    for _ in range(MAX_UNLOAD_ITERS):
-        bumped = unload_once(current)
-        if bumped == current:
-            return current
-        current = bumped
-    raise NonTermination(f"unloading did not stabilize within MAX_UNLOAD_ITERS = {MAX_UNLOAD_ITERS} sweeps")
+    g = divisor.graph
+    n, self_int, adjacency = g.n_exc, g.self_int, g.adjacency
+    coeffs = list(divisor.coeffs)
+    queue = range(n)
+    for rounds in range(1, MAX_UNLOAD_ITERS + 1):
+        raised = []
+        for i in queue:
+            dot = self_int[i] * coeffs[i]  # D . E_i
+            for j in adjacency[i]:
+                dot += coeffs[j]
+            if dot > 0:  # rise by ceil(D . E_i / -E_i^2)
+                coeffs[i] -= dot // self_int[i]
+                raised.append(i)
+        if not raised:
+            return divisor if rounds == 1 else Divisor._of_ints(g, coeffs)
+        queue = {j for i in raised for j in adjacency[i] if j < n}
+    raise NonTermination(
+        f"unloading did not stabilize within MAX_UNLOAD_ITERS = {MAX_UNLOAD_ITERS} sweeps: "
+        f"{g.exc_ids[raised[0]]} still rising after {rounds} rounds"
+    )
 
 
 def parse_point(lam, r: int) -> tuple:

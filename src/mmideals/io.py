@@ -28,6 +28,7 @@ divisor (`packed_predecessors`), not off pairwise `Divisor.le` calls.
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii as _encode_str
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +43,7 @@ __all__ = [
     "build_ideals",
     "rational_json",
     "point_json",
+    "key_json",
     "divisor_json",
     "inequality_json",
     "facet_json",
@@ -96,6 +98,13 @@ def point_json(point) -> list[str]:
     return [str(c) for c in point]
 
 
+def key_json(key) -> list[str]:
+    """A point key (n_1, .., n_r, den) as `point_json` writes its point:
+    each n / den in lowest terms, with no Fraction made."""
+    *nums, den = key
+    return [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
+
+
 def divisor_json(divisor: Divisor) -> list[int]:
     return list(divisor.coeffs)
 
@@ -118,9 +127,9 @@ def region_json(region: RegionPolytope) -> dict:
 def facet_json(facet: CFacet) -> dict:
     return {
         "component": facet.component,
-        "from": point_json(facet.start),
-        "to": point_json(facet.end),
-        "midpoint": point_json(facet.midpoint),
+        "from": key_json(facet.keys[0]),
+        "to": key_json(facet.keys[1]),
+        "midpoint": key_json(facet.keys[2]),
     }
 
 

@@ -22,10 +22,11 @@ with a wall is bounded.  Membership, boundedness, facets and vertices are
 all answered from these walls: each wall's segment between its axis
 intercepts is clipped by the other walls once (`RegionPolytope.edges`), and
 the walk's facets and the closure's vertices, which the SVG outline draws,
-all read those edges.  Seeds and point-cache keys are integers (n_1, ..,
-n_r, den) with gcd 1, and `_key_point` makes their Fractions; one is made
-only for a value the walk emits (wall constants, facet points, and a walked
-point once, as its representative).
+all read those edges.  Seeds, point-cache keys, facet points and vertices
+are integer keys (n_1, .., n_r, den) with gcd 1, which the JSON report and
+the SVG read as ints; `_key_point` makes a key's Fractions only for a caller
+that asks (`CFacet.start`, `RegionPolytope.vertices()`) and for a walked
+point once, as its representative.
 """
 
 from __future__ import annotations
@@ -125,15 +126,19 @@ class RegionPolytope:
         """Every normal is positive, so any wall caps every axis."""
         return bool(self.inequalities)
 
-    def vertices(self) -> list[tuple[Fraction, Fraction]]:
-        """Vertices of the closure of a two-ideal region: the origin, then
-        the ends of the wall edges by (x, -y).  The closure is convex with
-        the axes as two sides, so that order walks its boundary."""
+    def vertex_keys(self) -> list[tuple[int, int, int]]:
+        """Vertices of the closure of a two-ideal region as point keys: the
+        origin, then the ends of the wall edges by (x, -y).  The closure is
+        convex with the axes as two sides, so that order walks its boundary."""
         if len(self.lam) != 2:
             raise UnsupportedGeometry("region vertices are computed for two ideals only")
         ends = {_line_key(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
-        points = map(_key_point, ends)
-        return [(Fraction(0), Fraction(0))] + sorted(points, key=lambda p: (p[0], -p[1]))
+        common = math.lcm(*(den for *_, den in ends))
+        return [(0, 0, 1)] + sorted(ends, key=lambda k: (k[0] * (common // k[2]), -k[1] * (common // k[2])))
+
+    def vertices(self) -> list[tuple[Fraction, Fraction]]:
+        """The points of `vertex_keys`, as Fractions."""
+        return [_key_point(key) for key in self.vertex_keys()]
 
     @cached_property
     def edges(self) -> list[tuple]:
@@ -159,20 +164,24 @@ class CFacet:
     """One facet of a constancy region: a maximal piece of a wall line not
     covered by the closures of previously computed regions.
 
-    `start`/`end` are the endpoints of the closure of the piece; `midpoint`
-    is its barycenter and always lies in the relative interior.  For a single
-    ideal (r = 1) facets degenerate to points and the three coincide.
+    `keys` are the point keys (n_1, .., n_r, den) of the endpoints of the
+    closure of the piece and of its barycenter, which always lies in the
+    relative interior; `start`, `end` and `midpoint` make their Fraction
+    points.  For a single ideal (r = 1) facets degenerate to points and the
+    three coincide.
     """
 
-    __slots__ = ("component", "coeffs", "constant", "start", "end", "midpoint")
+    __slots__ = ("component", "coeffs", "constant", "keys")
 
-    def __init__(self, component, coeffs, constant, start, end, midpoint):
+    def __init__(self, component, coeffs, constant, keys):
         self.component = component
         self.coeffs = coeffs
         self.constant = constant
-        self.start = start
-        self.end = end
-        self.midpoint = midpoint
+        self.keys = keys
+
+    start = property(lambda self: _key_point(self.keys[0]))
+    end = property(lambda self: _key_point(self.keys[1]))
+    midpoint = property(lambda self: _key_point(self.keys[2]))
 
     def __repr__(self):
         return f"CFacet({self.component}, {self.start} -> {self.end})"
@@ -534,9 +543,10 @@ class RegionEngine:
                 best = ineq
         if best is None:
             return (), []
-        point = (z := Fraction(best.numerator, self.scale * best.coeffs[0]),)
-        facet = CFacet(best.component, best.coeffs, best.constant, point, point, point)
-        seeds = [(z.numerator, z.denominator)] if z <= box_pt[0] else []
+        z = Fraction(best.numerator, self.scale * best.coeffs[0])
+        key = (z.numerator, z.denominator)
+        facet = CFacet(best.component, best.coeffs, best.constant, (key, key, key))
+        seeds = [key] if z <= box_pt[0] else []
         return (facet,), seeds
 
     def _facets_r2(self, region: RegionPolytope, priors, box_pt):
@@ -564,16 +574,8 @@ class RegionEngine:
                     cuts.append(cut)
 
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
-                facets.append(
-                    CFacet(
-                        ineq.component,
-                        ineq.coeffs,
-                        ineq.constant,
-                        _key_point(_line_key(line, scale, t0)),
-                        _key_point(_line_key(line, scale, t1)),
-                        _key_point(_line_key(line, scale, t0 + t1, 2)),
-                    )
-                )
+                keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))
+                facets.append(CFacet(ineq.component, ineq.coeffs, ineq.constant, keys))
                 boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
                 if boxed is None:
                     continue

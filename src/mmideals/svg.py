@@ -5,10 +5,11 @@ discovered region with a hatch pattern and draws every C-facet as one solid
 `<polyline>` (exactly one per facet, so diagrams stay checkable against the
 JSON report), labelled with its wall equation.  For a single ideal the facets
 are points and are drawn as vertical ticks.  A region's shading is the path
-through `RegionPolytope.vertices()`, read off the wall edges the walk
-already clipped; no geometry is computed here.  Component ids in labels are
-XML-escaped, and non-ASCII characters become character references (`&#233;`),
-so the SVG is pure ASCII.
+through `RegionPolytope.vertex_keys()`, read off the wall edges the walk
+already clipped; no geometry is computed here.  A point key (n_1, .., n_r,
+den) maps through n / den, which is float(Fraction(n, den)).  Component ids
+in labels are XML-escaped, and non-ASCII characters become character
+references (`&#233;`), so the SVG is pure ASCII.
 
 Everything is plain string assembly; output is deterministic.
 """
@@ -51,10 +52,15 @@ class _Mapper:
             raise PreconditionViolated(f"box {self.bx:g} x {self.by:g} is too small to draw in floating point")
 
     def x(self, v) -> float:
-        return MARGIN + float(v) * self.sx
+        return MARGIN + v * self.sx
 
     def y(self, v) -> float:
-        return HEIGHT - MARGIN - float(v) * self.sy
+        return HEIGHT - MARGIN - v * self.sy
+
+    def point(self, key) -> tuple[float, float]:
+        # int true division is correctly rounded: n / den is float(Fraction(n, den))
+        x, y, den = key
+        return self.x(x / den), self.y(y / den)
 
 
 def _axes(m: _Mapper) -> list[str]:
@@ -74,7 +80,7 @@ def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     """Closed path through the vertices of the region closure, for shading."""
     if not region.bounded:
         return None
-    path = "M " + " L ".join(f"{_fmt(m.x(px))} {_fmt(m.y(py))}" for px, py in region.vertices()) + " Z"
+    path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in map(m.point, region.vertex_keys())) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
@@ -107,12 +113,11 @@ def render_walls(result: EnumerationResult) -> str:
     for rec in result.records:
         for facet in rec.cfacets:
             if len(result.box) == 1:
-                x = facet.midpoint[0]
-                x1, y1 = m.x(x), m.y(0)
-                x2, y2 = m.x(x), m.y(m.by)
+                x, den = facet.keys[2]
+                x1, y1 = m.x(x / den), m.y(0)
+                x2, y2 = x1, m.y(m.by)
             else:
-                x1, y1 = m.x(facet.start[0]), m.y(facet.start[1])
-                x2, y2 = m.x(facet.end[0]), m.y(facet.end[1])
+                (x1, y1), (x2, y2) = map(m.point, facet.keys[:2])
             parts.append(
                 f'<polyline points="{_fmt(x1)},{_fmt(y1)} {_fmt(x2)},{_fmt(y2)}" '
                 'fill="none" stroke="#1a3d6d" stroke-width="2"/>'

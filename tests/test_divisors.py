@@ -142,6 +142,15 @@ def test_closure_iteration_cap(graph, monkeypatch):
         antinef_closure(D(graph, (0, 3, 0, 0, 0)))
 
 
+def test_closure_cap_names_the_rising_component(graph, monkeypatch):
+    # (0, 3, 0, 0, 0) closes in 12 rounds, as it does in 12 sweeps
+    monkeypatch.setattr("mmideals.divisors.MAX_UNLOAD_ITERS", 11)
+    with pytest.raises(NonTermination, match=r"11 sweeps: E5 still rising after 11 rounds$"):
+        antinef_closure(D(graph, (0, 3, 0, 0, 0)))
+    monkeypatch.setattr("mmideals.divisors.MAX_UNLOAD_ITERS", 12)
+    assert exc(antinef_closure(D(graph, (0, 3, 0, 0, 0)))) == (2, 3, 3, 6, 9)
+
+
 def test_closure_cap_from_environment(graph, monkeypatch):
     monkeypatch.setattr("mmideals.divisors.MAX_UNLOAD_ITERS", 1)
     with pytest.raises(NonTermination):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmideals.divisors import Divisor, antinef_closure
+import mmideals.divisors
+from mmideals.divisors import Divisor, antinef_closure, unload_once
 from mmideals.graph import Classification, DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
 from mmideals.io import build_ideals
 from mmideals.errors import (
@@ -225,6 +226,33 @@ def test_integer_tree_elimination_matches_both_oracles(tree):
     nums, det = _tree_solve(graph, rhs)
     assert all(type(x) is int for x in nums + [det])
     assert [Fraction(x, det) for x in nums] == list(k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(random_trees(), st.data())
+def test_worklist_closure_matches_the_sweep_oracle(tree, data):
+    # Every raise of the worklist is forced, so it reaches the fixed point of
+    # the full sweeps, and it needs no more rounds than they need sweeps: it
+    # stays under a cap of that many.  Floors may be negative anywhere, and
+    # affine arrows enter the products but are never raised.
+    selfs, edges = tree
+    n = len(selfs)
+    raw = _tree_raw(selfs, edges)
+    arrows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True), max_size=3))
+    raw["affine"] = [{"id": f"A{a}", "meets": [f"E{i}" for i in meets]} for a, meets in enumerate(arrows)]
+    try:
+        graph = validate_graph(raw)
+    except NotNegativeDefinite:
+        assume(False)
+    floor = Divisor(graph, data.draw(st.lists(st.integers(-6, 6), min_size=graph.n_total, max_size=graph.n_total)))
+    fixed, sweeps = floor, 1
+    while (bumped := unload_once(fixed)) != fixed:
+        fixed, sweeps = bumped, sweeps + 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mmideals.divisors, "MAX_UNLOAD_ITERS", sweeps)
+        closed = antinef_closure(floor)
+    assert closed == fixed
+    assert (closed is floor) == (sweeps == 1)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

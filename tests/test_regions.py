@@ -14,7 +14,7 @@ import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number, svg
 from mmideals.cli import main
 from mmideals.graph import validate_graph
-from mmideals.io import build_ideals, enumeration_json
+from mmideals.io import build_ideals, enumeration_json, key_json, point_json
 from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
@@ -649,7 +649,8 @@ def _facets_r2_fractions(self, region, priors, box_pt):
                 cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))
         at = lambda t: (p0[0] + t * direction[0], p0[1] + t * direction[1])
         for t0, t1 in _subtract_intervals_fractions(lo, hi, cuts):
-            facets.append(CFacet(ineq.component, ineq.coeffs, c, at(t0), at(t1), at((t0 + t1) / 2)))
+            ends = (at(t0), at(t1), at((t0 + t1) / 2))
+            facets.append(CFacet(ineq.component, ineq.coeffs, c, tuple(map(_fraction_key, ends))))
             boxed = _clip_parameter_fractions(box_planes, p0, direction, t0, t1)
             if boxed is None:
                 continue
@@ -681,20 +682,26 @@ def _facets_r1_fractions(self, region, priors, box_pt):
         if ext is not None and m <= ext:
             return (), []
     point = (m,)
-    facet = CFacet(ineq.component, ineq.coeffs, ineq.constant, point, point, point)
+    key = _fraction_key(point)
+    facet = CFacet(ineq.component, ineq.coeffs, ineq.constant, (key, key, key))
     seeds = [point] if m <= box_pt[0] else []
     return (facet,), seeds
 
 
+def _fraction_key(point):
+    """The walk's point key (n_1, .., n_r, den) of a Fraction point:
+    numerators over the lcm of the denominators."""
+    den = math.lcm(*(z.denominator for z in point))
+    return (*(z.numerator * (den // z.denominator) for z in point), den)
+
+
 def _keyed_seeds(facets_fractions):
     """An oracle facet finder whose Fraction seeds come out as the walk's
-    point keys (n_1, .., n_r, den): numerators over the lcm of the
-    denominators."""
+    point keys."""
 
     def facets(self, region, priors, box_pt):
         found, seeds = facets_fractions(self, region, priors, box_pt)
-        dens = [math.lcm(*(z.denominator for z in seed)) for seed in seeds]
-        return found, [(*(z.numerator * (d // z.denominator) for z in seed), d) for seed, d in zip(seeds, dens)]
+        return found, list(map(_fraction_key, seeds))
 
     return facets
 
@@ -799,6 +806,31 @@ def test_line_key_is_the_reduced_line_point(wall, normals, lift, scale, t, k):
     assert _key_point((x, y, den)) == want
 
 
+# numerators and denominators small enough to share factors often, and large
+# ones; a key need not be reduced per coordinate, as (2, 3, 4) is not
+key_numerators = st.one_of(st.integers(-60, 60), st.integers(-(10**30), 10**30))
+key_denominators = st.one_of(st.integers(1, 60), st.integers(1, 10**30))
+point_keys = st.builds(lambda nums, den: (*nums, den), st.lists(key_numerators, min_size=1, max_size=2), key_denominators)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example([(2, 3, 4)] * 3)
+@example([(0, 6, 3), (6, 0, 3), (3, 3, 6)])
+@given(st.lists(point_keys, min_size=3, max_size=3))
+def test_a_key_writes_and_draws_as_its_fractions(keys):
+    # the report writes a key's text and the SVG its floats with no Fraction
+    # made, and a facet built from keys shows the Fraction points it always did
+    for key in keys:
+        *nums, den = key
+        point = tuple(Fraction(n, den) for n in nums)
+        assert point == _key_point(key)
+        assert key_json(key) == point_json(point)
+        assert [n / den for n in nums] == [float(z) for z in point]
+    facet = CFacet("E1", (1, 1), Fraction(1), tuple(keys))
+    assert (facet.start, facet.end, facet.midpoint) == tuple(map(_key_point, keys))
+    assert all(type(z) is Fraction for z in facet.start + facet.end + facet.midpoint)
+
+
 def test_one_context_per_point_however_written(ideals):
     eng = RegionEngine(ideals)
     context = eng.at(("1/2", "1"))
@@ -895,6 +927,40 @@ def test_region_vertices_match_the_fraction_oracle(engine, affine_engine, fracti
         vertices = rec.region.vertices()
         assert vertices == _region_vertices_fractions(rec.region)
         assert all(type(z) is Fraction for p in vertices for z in p)
+
+
+CERTIFICATE_CASES = [
+    pytest.param(
+        *case.values,
+        id=case.id,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 1: walls of a non-m-primary tuple miss the crossed and affine components",
+        ),
+    )
+    if case.values[0] == "affine"
+    else case
+    for case in TWO_IDEAL_CASES
+]
+
+
+@pytest.mark.parametrize("which,box", CERTIFICATE_CASES)
+def test_every_region_certifies_its_wall_set(engine, affine_engine, fractional_engine, which, box):
+    # The region theorem: on the open region of the record with divisor e,
+    # lam . F_j - k_j < e_j + 1 for every component j, affine ones included.
+    # Each bound is linear and the region convex, so it holds there exactly
+    # when it holds with <= at every vertex (x, y) / den of the closure; in
+    # integers, L (x a_1j + y a_2j) - den L k_j <= den L (e_j + 1).
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    scale = eng.scale
+    uncertified = {
+        rec.index
+        for rec in eng.enumerate_constancy_regions(box).records
+        for x, y, den in rec.region.vertex_keys()
+        for ((a1, a2), scaled_k), e in zip(eng._columns, rec.divisor.coeffs)
+        if scale * (x * a1 + y * a2) - den * scaled_k > den * scale * (e + 1)
+    }
+    assert uncertified == set()
 
 
 @pytest.mark.parametrize("which,box", SINGLE_IDEAL_CASES)
