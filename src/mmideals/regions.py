@@ -604,18 +604,66 @@ class RegionEngine:
         """Jumping values of t for the family along the ray t * direction.
 
         The restriction is the single-ideal chain of sum_i u_i F_i, so walls
-        crossed by the ray appear exactly at these parameters.
+        crossed by the ray appear exactly at these parameters.  One `_Ray`
+        walks the chain, each closure warm from the one before; jumps are
+        compared with `t_max` on integers and made Fractions when kept.
         """
-        u = tuple(_as_fraction(x, "direction") for x in direction)
-        t = next_jumping_number(self, u, 0)  # checks the direction before --upto is read
+        ray = _Ray(self, direction)  # checks the direction before --upto is read
         limit = _as_fraction(t_max, "upto")
         values: list[Fraction] = []
-        for _ in range(CHAIN_GUARD):
-            if t > limit:
-                return values
-            values.append(t)
-            t = next_jumping_number(self, u, t)
-        raise LimitReached(f"ray passed CHAIN_GUARD = {CHAIN_GUARD} jumping numbers below {limit}; lower --upto")
+        p, q = ray.step(0, 1)
+        while p * limit.denominator <= limit.numerator * q:
+            if len(values) == CHAIN_GUARD:
+                raise LimitReached(f"ray passed CHAIN_GUARD = {CHAIN_GUARD} jumping numbers below {limit}; lower --upto")
+            values.append(Fraction(p, q))
+            p, q = ray.step(p, q)
+        return values
+
+
+class _Ray:
+    """The ray t * u as the single-ideal chain of sum_i u_i F_i, its
+    direction checked once (one coordinate per ideal, none negative, not all
+    zero).  With u = U / m, E = U . F and K = K' / L, a column (L E_j, m
+    K'_j) gives t e_j - k_j = (p L E_j - q m K'_j) / (q m L) at t = p / q,
+    and a term (j, m (K'_j + L), L E_j) for each E_j > 0 gives the candidate
+    (k_j + 1 + e_j(t)) / e_j = (m (K'_j + L) + m L e_j(t)) / (L E_j);
+    affine components compete too (K' is 0 there), which is what picks up
+    jumps of non-m-primary ideals."""
+
+    def __init__(self, engine: RegionEngine, direction):
+        u = [_as_fraction(x, "direction") for x in direction]
+        if len(u) != engine.r:
+            raise DimensionMismatch(f"direction needs {engine.r} coordinates")
+        nums, m = _over_lcm(u)
+        if min(nums) < 0 or not any(nums):
+            raise PreconditionViolated("direction must be nonzero and nonnegative")
+        scale = engine.scale
+        self.graph, self.den = engine.graph, m * scale
+        columns = [(sum(map(operator.mul, nums, normal)), k) for normal, k in engine._columns]
+        self.columns = [(scale * e, m * k) for e, k in columns]
+        self.terms = [(j, m * (k + scale), scale * e) for j, (e, k) in enumerate(columns) if e > 0]
+        self.last = None  # (p, q, closure coefficients) of the last step
+
+    def step(self, p: int, q: int) -> tuple[int, int]:
+        """The least jump after t = p / q >= 0 as a reduced (num, den).  The
+        floor never decreases along the ray, and closure is monotone and
+        idempotent, so after a step at t' <= t the closure D' of t' starts
+        this one: closure(max(floor, D')) = closure(floor)."""
+        den = q * self.den
+        floor = [(p * e - q * k) // den for e, k in self.columns]
+        if self.last is not None and self.last[0] * q <= p * self.last[1]:
+            floor = list(map(max, floor, self.last[2]))
+        current = antinef_closure(Divisor._of_ints(self.graph, floor)).coeffs
+        self.last = p, q, current
+        best_num, best_den = None, 1
+        for j, base, cand_den in self.terms:
+            num = base + self.den * current[j]
+            if best_num is None or num * best_den < best_num * cand_den:
+                best_num, best_den = num, cand_den
+        if best_num * q <= p * best_den:
+            raise InternalInvariant("jumping-number candidate did not advance")
+        g = math.gcd(best_num, best_den)
+        return best_num // g, best_den // g
 
 
 def next_jumping_number(engine: RegionEngine, direction, t_prev) -> Fraction:
@@ -623,35 +671,11 @@ def next_jumping_number(engine: RegionEngine, direction, t_prev) -> Fraction:
 
     The ideals on the ray form the single-ideal chain of sum_i u_i F_i: with
     e = u . F and e(t) the antinef divisor at t, the next jump is the
-    minimum over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j;
-    affine components compete too (their k is 0), which is what picks up
-    jumps of non-m-primary ideals.  Runs on the engine's integer columns:
-    e = E / m with E = U . F for u = U / m, and k = K / L.
+    minimum over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j: one
+    cold step of a fresh `_Ray`, closing the floor at t_prev from scratch.
     """
-    u = [_as_fraction(x, "direction") for x in direction]
-    if len(u) != engine.r:
-        raise DimensionMismatch(f"direction needs {engine.r} coordinates")
-    nums, m = _over_lcm(u)
-    if min(nums) < 0 or not any(nums):
-        raise PreconditionViolated("direction must be nonzero and nonnegative")
+    ray = _Ray(engine, direction)
     t0 = _as_fraction(t_prev, "t_prev")
     if t0 < 0:
         raise PreconditionViolated("t_prev must be nonnegative")
-    scale = engine.scale
-    columns = [(sum(map(operator.mul, nums, normal)), k) for normal, k in engine._columns]
-    # t0 e_j - k_j = (p L E_j - q m K_j) / (q m L) with t0 = p / q
-    p, q = t0.numerator, t0.denominator
-    den = q * m * scale
-    floor = [(p * scale * e - q * m * k) // den for e, k in columns]
-    current = antinef_closure(Divisor._of_ints(engine.graph, floor))
-    # candidate j: (k_j + 1 + e_j(t)) / e_j = m (K_j + L (1 + e_j(t))) / (L E_j);
-    # every ideal divisor is >= 1 on every exceptional E_j, so E_j > 0 there
-    best_num, best_den = None, 1
-    for (e, k), c in zip(columns, current.coeffs):
-        if e > 0:
-            num, cand_den = m * (k + scale * (1 + c)), scale * e
-            if best_num is None or num * best_den < best_num * cand_den:
-                best_num, best_den = num, cand_den
-    if best_num * q <= p * best_den:
-        raise InternalInvariant("jumping-number candidate did not advance")
-    return Fraction(best_num, best_den)
+    return Fraction(*ray.step(t0.numerator, t0.denominator))

@@ -23,11 +23,12 @@ import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number
 from mmideals.cli import main
 from mmideals.divisors import Divisor, antinef_closure
-from mmideals.graph import validate_graph
+from mmideals.graph import IdealDivisorSet, validate_graph
 from mmideals.errors import (
     IntegralityViolated,
     InternalInvariant,
     MMIError,
+    NotNegativeDefinite,
     NonIntegralDivisor,
     NotAJumpingPoint,
     ZeroPoint,
@@ -45,6 +46,7 @@ from mmideals.jumping import (
 )
 
 from conftest import EXAMPLE_PATH, value_rows
+from test_graph import _tree_raw, random_trees
 
 
 def _left_floor_fractions(context) -> list:
@@ -281,6 +283,57 @@ def test_next_jumping_number_matches_the_fraction_oracle(engines, which, directi
     assert next_jumping_number(eng, direction, got) == _next_jumping_number_fractions(
         eng.graph, combined, eng.canonical, got
     )
+
+
+def _tree_engine(data) -> RegionEngine:
+    """One or two ideals on a random tree (`test_graph.random_trees`), made
+    definite where it is not by lowering each E_i^2 to at most -(degree + 1),
+    with up to two affine arrows: each ideal the antinef closure of a random
+    nonzero start, so some carry affine multiplicity and are not m-primary."""
+    selfs, edges = data.draw(random_trees(), label="tree")
+    n = len(selfs)
+    arrows = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="arrows")
+    affine = [{"id": f"A{a}", "meets": [f"E{i}"]} for a, i in enumerate(arrows)]
+    try:
+        graph = validate_graph({**_tree_raw(selfs, edges), "affine": affine})
+    except NotNegativeDefinite:
+        degree = [sum(i in edge for edge in edges) for i in range(n)]
+        selfs = [min(s, -d - 1) for s, d in zip(selfs, degree)]
+        graph = validate_graph({**_tree_raw(selfs, edges), "affine": affine})
+    start = st.lists(st.integers(0, 2), min_size=graph.n_total, max_size=graph.n_total).filter(any)
+    divisors = [antinef_closure(Divisor(graph, data.draw(start))) for _ in range(data.draw(st.integers(1, 2)))]
+    return RegionEngine(IdealDivisorSet(graph, [f"a{i}" for i in range(len(divisors))], divisors))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_ray_chains_match_the_cold_fraction_oracle(engines, data):
+    # A ray walks its chain with each closure started from the one before;
+    # iterating the cold Fraction step from 0 must give the same chain, so a
+    # stale or misordered warm closure shows here.  The limit is a multiple
+    # of the first jump, below it or up to four times past it.
+    which = data.draw(st.just("tree") | st.sampled_from(WHICH), label="which")
+    eng = _tree_engine(data) if which == "tree" else engines[which]
+    part = st.fractions(0, 3, max_denominator=4)
+    direction = data.draw(st.lists(part, min_size=eng.r, max_size=eng.r), label="direction")
+    if not any(direction):
+        direction[0] = Fraction(1)
+    columns = zip(*(d.coeffs for d in eng.ideals.divisors))
+    combined = [sum(u * c for u, c in zip(direction, column)) for column in columns]
+    want, t = [], _next_jumping_number_fractions(eng.graph, combined, eng.canonical, 0)
+    limit = t * data.draw(st.fractions("1/2", 4, max_denominator=12), label="limit / first jump")
+    while t <= limit:
+        want.append(t)
+        t = _next_jumping_number_fractions(eng.graph, combined, eng.canonical, t)
+    assert eng.wall_ray_restriction(direction, limit) == want
+
+    # the warm start itself: for t' <= t on the ray, closing max(floor_t,
+    # closure(floor_t')) gives closure(floor_t)
+    earlier, later = sorted(data.draw(st.lists(st.fractions(0, 2, max_denominator=12), min_size=2, max_size=2)))
+    floors = [[math.floor(t * e - k) for e, k in zip(combined, eng.canonical)] for t in (earlier, later)]
+    warm = antinef_closure(Divisor(eng.graph, floors[0]))
+    cold = antinef_closure(Divisor(eng.graph, floors[1]))
+    assert antinef_closure(Divisor(eng.graph, list(map(max, floors[1], warm.coeffs)))) == cold
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

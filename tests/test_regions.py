@@ -19,6 +19,7 @@ from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
     GeometryDegeneracy,
+    LimitReached,
     PreconditionViolated,
     UnsupportedGeometry,
 )
@@ -327,16 +328,29 @@ def test_next_jumping_number_checks_the_direction(engine):
 
 def test_ray_takes_one_step_per_jump(engine, monkeypatch):
     calls = []
+    step = mmideals.regions._Ray.step
 
-    def counted(*args):
-        calls.append(args)
-        return next_jumping_number(*args)
+    def counted(ray, p, q):
+        calls.append((ray, Fraction(p, q)))
+        return step(ray, p, q)
 
-    monkeypatch.setattr(mmideals.regions, "next_jumping_number", counted)
+    monkeypatch.setattr(mmideals.regions._Ray, "step", counted)
     values = engine.wall_ray_restriction((1, 1), 1)
-    # one step per value, and one more that passes the limit
+    # one step per value, and one more that passes the limit, all on one ray
     assert len(calls) == len(values) + 1
     assert [t for *_, t in calls] == [0, *values]
+    assert len({id(ray) for ray, _ in calls}) == 1
+
+
+def test_chain_guard_trips_only_past_its_cap(engine, monkeypatch):
+    # the ray (1, 1) has the two jumps 10/27 and 13/27 up to 1/2
+    values = engine.wall_ray_restriction((1, 1), "1/2")
+    assert values == [Fraction(10, 27), Fraction(13, 27)]
+    monkeypatch.setattr(mmideals.regions, "CHAIN_GUARD", len(values))
+    assert engine.wall_ray_restriction((1, 1), "1/2") == values
+    monkeypatch.setattr(mmideals.regions, "CHAIN_GUARD", len(values) - 1)
+    with pytest.raises(LimitReached, match=r"^ray passed CHAIN_GUARD = 1 jumping numbers below 1/2; lower --upto$"):
+        engine.wall_ray_restriction((1, 1), "1/2")
 
 
 def test_ray_restriction(engine):
