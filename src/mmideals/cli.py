@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _text_inequality(ineq) -> str:
     lhs = " + ".join(f"{a} z{i + 1}" for i, a in enumerate(ineq.coeffs))  # every a > 0
-    return f"{ineq.component}: {lhs} < {ineq.constant}"
+    return f"{ineq.component}: {lhs} < {reportio.key_json((ineq.numerator, ineq.scale))[0]}"
 
 
 def _cmd_canonical(engine, opts, fmt: str):
@@ -101,19 +101,19 @@ def _cmd_canonical(engine, opts, fmt: str):
 
 def _cmd_mmi(engine, opts, fmt: str):
     context = engine.at(opts["lambda"])
-    point, divisor = context.coords, context.divisor
+    lam, divisor = reportio.key_json(context.key), context.divisor
     payload = {
         "command": "mmi",
-        "lambda": reportio.point_json(point),
+        "lambda": lam,
         "divisor": reportio.divisor_json(divisor),
         "components": list(engine.graph.ids),
     }
-    if any(point):
+    if any(context.key[:-1]):
         left = context.left
         payload["left_limit"] = reportio.divisor_json(left)
         payload["jumping"] = left != divisor
     if fmt == "text":
-        lines = [f"lambda = {_fmt_tuple(point)}", f"divisor = {_fmt_tuple(divisor.coeffs)}"]
+        lines = [f"lambda = {_fmt_tuple(lam)}", f"divisor = {_fmt_tuple(divisor.coeffs)}"]
         if "left_limit" in payload:
             lines.append(f"left limit = {_fmt_tuple(left.coeffs)}")
             lines.append(f"jumping point: {'yes' if payload['jumping'] else 'no'}")
@@ -125,13 +125,13 @@ def _cmd_region(engine, opts, fmt: str):
     region = engine.region_of(opts["lambda"])
     payload = {
         "command": "region",
-        "lambda": reportio.point_json(region.lam),
+        "lambda": reportio.key_json(region.key),
         "divisor": reportio.divisor_json(region.divisor),
         "m_primary": engine.ideals.is_m_primary(),
     }
     payload.update(reportio.region_json(region))
     if fmt == "text":
-        lines = [f"region of {_fmt_tuple(region.lam)}:"]
+        lines = [f"region of {_fmt_tuple(payload['lambda'])}:"]
         lines += ["  " + _text_inequality(q) for q in region.inequalities]
         lines.append(f"  bounded: {'yes' if region.bounded else 'no'}")
         return "\n".join(lines) + "\n"
@@ -142,7 +142,7 @@ def _enumeration_text(result) -> str:
     lines = []
     for rec in result.records:
         lines.append(
-            f"R{rec.index}: rep {_fmt_tuple(rec.representative)} "
+            f"R{rec.index}: rep {_fmt_tuple(reportio.key_json(rec.representative))} "
             f"divisor {_fmt_tuple(rec.divisor.coeffs)} "
             f"facets {len(rec.cfacets)}"
         )
@@ -186,12 +186,12 @@ def _cmd_jumping_numbers(engine, opts, fmt: str):
 
 def _cmd_min_jumping_divisor(engine, opts, fmt: str):
     context = engine.at(opts["lambda"])
-    point, gmin = context.coords, minimal_jumping_divisor(engine, context.coords)
+    lam, gmin = reportio.key_json(context.key), minimal_jumping_divisor(engine, context.coords)
     if fmt == "text":
-        return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(point)}\n"
+        return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(lam)}\n"
     payload = {
         "command": "min-jumping-divisor",
-        "lambda": reportio.point_json(point),
+        "lambda": lam,
         "components": list(gmin.components),
         "valences": {cid: v for cid, v in gmin.valences.items()},
         "hyperplanes": {
@@ -205,11 +205,11 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
 
 
 def _cmd_verify(engine, opts, fmt: str):
-    point = engine.at(opts["lambda"]).coords
+    context = engine.at(opts["lambda"])
     reports = [
-        verify_jump_identity(engine, point),
-        verify_numeric_conditions(engine, point),
-        verify_contribution_dichotomy(engine, point),
+        verify_jump_identity(engine, context.coords),
+        verify_numeric_conditions(engine, context.coords),
+        verify_contribution_dichotomy(engine, context.coords),
     ]
     all_passed = all(r.passed for r in reports)
     if fmt == "text":
@@ -222,7 +222,7 @@ def _cmd_verify(engine, opts, fmt: str):
     else:
         payload = {
             "command": "verify",
-            "lambda": reportio.point_json(point),
+            "lambda": reportio.key_json(context.key),
             "passed": all_passed,
             "reports": [
                 {

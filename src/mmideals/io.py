@@ -14,7 +14,8 @@ Reports follow fixed conventions so output is byte-identical across runs:
 point coordinates are lowest-terms rational strings, wall normals and
 divisor arrays are JSON integers, wall constants are rational strings, the
 canonical divisor is a number where integral and a 'p/q' string elsewhere,
-and keys are sorted on serialization.
+and keys are sorted on serialization.  `key_json` writes every point and
+every wall constant from its integer key, with no Fraction made.
 
 `dump_json` is a small canonical writer: for payloads keyed by text, as
 every report is, its bytes are exactly `json.dumps(payload, sort_keys=True,
@@ -42,7 +43,6 @@ __all__ = [
     "load_input",
     "build_ideals",
     "rational_json",
-    "point_json",
     "key_json",
     "divisor_json",
     "inequality_json",
@@ -93,14 +93,10 @@ def rational_json(q: int | Fraction):
     return q.numerator if q.denominator == 1 else str(q)
 
 
-def point_json(point) -> list[str]:
-    """Coordinates are always strings, integers included ('1', '1/6')."""
-    return [str(c) for c in point]
-
-
 def key_json(key) -> list[str]:
-    """A point key (n_1, .., n_r, den) as `point_json` writes its point:
-    each n / den in lowest terms, with no Fraction made."""
+    """A point key (n_1, .., n_r, den) as strings, integers included ('1',
+    '1/6'): each n / den in lowest terms, as str(Fraction(n, den)) writes
+    it, with no Fraction made.  A wall constant is the key (numerator, L)."""
     *nums, den = key
     return [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
 
@@ -113,7 +109,7 @@ def inequality_json(ineq: WallInequality) -> dict:
     return {
         "component": ineq.component,
         "coeffs": list(ineq.coeffs),
-        "rhs": str(ineq.constant),
+        "rhs": key_json((ineq.numerator, ineq.scale))[0],
     }
 
 
@@ -126,7 +122,7 @@ def region_json(region: RegionPolytope) -> dict:
 
 def facet_json(facet: CFacet) -> dict:
     return {
-        "component": facet.component,
+        "component": facet.wall.component,
         "from": key_json(facet.keys[0]),
         "to": key_json(facet.keys[1]),
         "midpoint": key_json(facet.keys[2]),
@@ -138,8 +134,8 @@ def record_json(record: ConstancyRecord, predecessors: list[int]) -> dict:
     before it whose divisor lies below its own (see `enumeration_json`)."""
     return {
         "index": record.index,
-        "representative": point_json(record.representative),
-        "representatives": [point_json(p) for p in record.representatives],
+        "representative": key_json(record.representative),
+        "representatives": [key_json(key) for key in record.representatives],
         "divisor": divisor_json(record.divisor),
         "inequalities": [inequality_json(q) for q in record.region.inequalities],
         "cfacets": [facet_json(f) for f in record.cfacets],
@@ -175,10 +171,10 @@ def enumeration_json(result: EnumerationResult) -> dict:
     records = result.records
     predecessors = packed_predecessors([r.divisor.coeffs for r in records])
     return {
-        "box": point_json(result.box),
+        "box": key_json(result.box),
         "records": [record_json(r, below) for r, below in zip(records, predecessors)],
-        "representatives": [point_json(p) for p in result.representatives],
-        "queue": [point_json(p) for p in result.queue],
+        "representatives": [key_json(key) for key in result.representatives],
+        "queue": [key_json(key) for key in result.queue],
         "distinct_ideals": len(records),
         "m_primary": result.m_primary,
         "warnings": list(result.warnings),

@@ -312,11 +312,11 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
             continue
         cid = graph.ids[i]
         direct = graph.dot_exceptional(with_g.coeffs, i)
-        # the expansion times den, on integers: den * lam_m is one, and
-        # den * frac(q_j) is v_j mod den
+        # the expansion times den, on integers: den * lam_m is L * n_m for the
+        # key (n_1, .., n_r, m) of lam, and den * frac(q_j) is v_j mod den
         expansion = (
             (gmin.valences[cid] - 2) * den
-            + sum(c.numerator * (den // c.denominator) * rho[i] for c, rho in zip(coords, ideals.excess))
+            + sum(engine.scale * n * rho[i] for n, rho in zip(context.key[:-1], ideals.excess))
             + sum(values[nb] % den for nb in graph.adjacency[i])
         )
         details = {"component": cid, "direct": str(direct), "expansion": str(Fraction(expansion, den))}

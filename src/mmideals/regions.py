@@ -22,11 +22,11 @@ with a wall is bounded.  Membership, boundedness, facets and vertices are
 all answered from these walls: each wall's segment between its axis
 intercepts is clipped by the other walls once (`RegionPolytope.edges`), and
 the walk's facets and the closure's vertices, which the SVG outline draws,
-all read those edges.  Seeds, point-cache keys, facet points and vertices
-are integer keys (n_1, .., n_r, den) with gcd 1, which the JSON report and
-the SVG read as ints; `_key_point` makes a key's Fractions only for a caller
-that asks (`CFacet.start`, `RegionPolytope.vertices()`) and for a walked
-point once, as its representative.
+all read those edges.  The walk makes no Fraction: the box, seeds, cache
+keys, representatives, facet points and vertices are integer keys (n_1, ..,
+n_r, den) with gcd 1, and a wall constant is its numerator over L.  A key's
+Fractions are made only for a caller that asks (`PointContext.coords`,
+`CFacet.start`, `RegionPolytope.vertices()`, `WallInequality.constant`).
 """
 
 from __future__ import annotations
@@ -75,16 +75,18 @@ CHAIN_GUARD = 100_000  # jumping numbers computed along one ray
 
 
 class WallInequality:
-    """One strict inequality coeffs . z < constant; `numerator` is the
-    integer constant * L, L the lcm of the denominators of K."""
+    """One strict inequality coeffs . z < numerator / scale, `scale` being
+    L, the lcm of the denominators of K."""
 
-    __slots__ = ("component", "coeffs", "constant", "numerator")
+    __slots__ = ("component", "coeffs", "numerator", "scale")
 
-    def __init__(self, component: str, coeffs: tuple[int, ...], constant: Fraction, numerator: int):
+    def __init__(self, component: str, coeffs: tuple[int, ...], numerator: int, scale: int):
         self.component = component
         self.coeffs = coeffs
-        self.constant = constant
         self.numerator = numerator
+        self.scale = scale
+
+    constant = property(lambda self: Fraction(self.numerator, self.scale))
 
     def __repr__(self):
         lhs = " + ".join(f"{a}*z{i + 1}" for i, a in enumerate(self.coeffs))
@@ -96,11 +98,11 @@ class RegionPolytope:
     {z >= 0, coeffs . z < constant for every wall}, every coeffs > 0.
 
     `halfplanes` lists its walls as integer rows (a, C) meaning a . z <=
-    C / L, in the order of `inequalities`; `scale` is L.
+    C / L, in the order of `inequalities`; `scale` is L.  `key` is lam's.
     """
 
-    def __init__(self, lam: Point, divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
-        self.lam = lam
+    def __init__(self, key: tuple[int, ...], divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
+        self.key = key
         self.divisor = divisor
         self.inequalities = inequalities
         self.scale = scale
@@ -112,7 +114,7 @@ class RegionPolytope:
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Strict membership (points on a wall are outside), tested as
         L * (a . nums) < C * m on the point's numerators nums over m."""
-        if len(point) != len(self.lam):
+        if len(point) != len(self.key) - 1:
             raise DimensionMismatch("point dimension does not match the region")
         if any(z < 0 for z in point):
             return False
@@ -130,7 +132,7 @@ class RegionPolytope:
         """Vertices of the closure of a two-ideal region as point keys: the
         origin, then the ends of the wall edges by (x, -y).  The closure is
         convex with the axes as two sides, so that order walks its boundary."""
-        if len(self.lam) != 2:
+        if len(self.key) != 3:
             raise UnsupportedGeometry("region vertices are computed for two ideals only")
         ends = {_line_key(line, self.scale, t) for *_, line, lo, hi in self.edges for t in (lo, hi)}
         common = math.lcm(*(den for *_, den in ends))
@@ -157,12 +159,12 @@ class RegionPolytope:
         return edges
 
     def __repr__(self):
-        return f"RegionPolytope(lam={self.lam}, walls={len(self.inequalities)})"
+        return f"RegionPolytope(key={self.key}, walls={len(self.inequalities)})"
 
 
 class CFacet:
-    """One facet of a constancy region: a maximal piece of a wall line not
-    covered by the closures of previously computed regions.
+    """One facet of a constancy region: a maximal piece of its `wall`'s line
+    not covered by the closures of previously computed regions.
 
     `keys` are the point keys (n_1, .., n_r, den) of the endpoints of the
     closure of the piece and of its barycenter, which always lies in the
@@ -171,12 +173,10 @@ class CFacet:
     three coincide.
     """
 
-    __slots__ = ("component", "coeffs", "constant", "keys")
+    __slots__ = ("wall", "keys")
 
-    def __init__(self, component, coeffs, constant, keys):
-        self.component = component
-        self.coeffs = coeffs
-        self.constant = constant
+    def __init__(self, wall: WallInequality, keys):
+        self.wall = wall
         self.keys = keys
 
     start = property(lambda self: _key_point(self.keys[0]))
@@ -184,12 +184,12 @@ class CFacet:
     midpoint = property(lambda self: _key_point(self.keys[2]))
 
     def __repr__(self):
-        return f"CFacet({self.component}, {self.start} -> {self.end})"
+        return f"CFacet({self.wall.component}, {self.start} -> {self.end})"
 
 
 class ConstancyRecord:
-    """A discovered constancy region: every representative point that landed
-    in it, its divisor, its wall polytope, and its outer facets."""
+    """A discovered constancy region: the key of every representative that
+    landed in it, its divisor, its wall polytope, and its outer facets."""
 
     def __init__(self, index, representative, divisor, region, cfacets, truncated):
         self.index = index
@@ -209,8 +209,8 @@ class EnumerationResult:
         self.box = box
         self.by_divisor = by_divisor  # divisor -> its record, in discovery order
         self.records = list(by_divisor.values())
-        self.representatives = representatives  # processed points, in order (D)
-        self.queue = queue  # unprocessed seeds left over (N)
+        self.representatives = representatives  # keys of the processed points, in order (D)
+        self.queue = queue  # keys of the unprocessed seeds left over (N)
         self.warnings = warnings
         self.m_primary = m_primary
 
@@ -295,13 +295,14 @@ def _subtract_intervals(lo: int, hi: int, cuts: list[tuple[int, int]]):
 class PointContext:
     """Everything asked at one point lam of the orthant.
 
-    Cached by :meth:`RegionEngine.at` under lam's key (n_1, .., n_r, den); a
-    walk seed comes as that key and gets its `coords` here.  Filled at once:
-    `coords`; lam . F - K as integer numerators `values` over `den`; `floor`
-    = values // den and its antinef closure `divisor`, which encodes the
-    mixed multiplier ideal at lam.  Computed on first use: `left_floor`, its
-    closure `left` (the ideal just before lam along the ray) and the minimal
-    jumping divisor `gmin`.  A walk therefore pays one closure per point.
+    Cached by :meth:`RegionEngine.at` under lam's `key` (n_1, .., n_r, den),
+    as which a walk seed comes.  Filled at once: lam . F - K as integer
+    numerators `values` over `den`; `floor` = values // den and its antinef
+    closure `divisor`, which encodes the mixed multiplier ideal at lam.
+    Computed on first use: lam's Fractions `coords` (a point query hands
+    over those it parsed), `left_floor`, its closure `left` (the ideal just
+    before lam along the ray) and the minimal jumping divisor `gmin`.  A
+    walk therefore pays one closure per point and makes no Fraction.
 
     It keeps what it uses, not the engine, so the two form no reference
     cycle.
@@ -310,10 +311,14 @@ class PointContext:
     def __init__(self, engine: "RegionEngine", key: tuple[int, ...], coords: Point | None = None):
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
-        self.coords = coords or _key_point(key)
+        self.key = key
+        if coords is not None:
+            self.coords = coords
         self.values, self.den = engine._numerators(key[:-1], key[-1])
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
+
+    coords = cached_property(lambda self: _key_point(self.key))
 
     @cached_property
     def left_floor(self) -> Divisor:
@@ -322,14 +327,14 @@ class PointContext:
         elsewhere), v // den otherwise.  This is the exact eps -> 0+ limit of
         floor((1 - eps) * form - k): coordinates with form = 0 never move.
         The form is positive exactly where some lam_i > 0 has e_{i,j} > 0."""
-        moving = {j for c, d in zip(self.coords, self.ideals.divisors) if c for j, e in enumerate(d.coeffs) if e > 0}
+        moving = {j for n, d in zip(self.key[:-1], self.ideals.divisors) if n for j, e in enumerate(d.coeffs) if e > 0}
         return Divisor._of_ints(self.graph, [(v - (j in moving)) // self.den for j, v in enumerate(self.values)])
 
     @cached_property
     def left(self) -> Divisor:
         """Antinef divisor of the ideal at (1 - eps) * lam for eps -> 0+.
         Undefined at the origin (there is nothing to the left of 0)."""
-        if not any(self.coords):
+        if not any(self.key[:-1]):
             raise ZeroPoint("left limit undefined at the origin")
         return antinef_closure(self.left_floor)
 
@@ -387,17 +392,6 @@ class RegionEngine:
         values = [self.scale * sum(map(operator.mul, nums, normal)) - m * k for normal, k in self._columns]
         return values, m * self.scale
 
-    def membership(self, lam_prime, lam) -> bool:
-        """Does the ideal at lam_prime contain the ideal at lam?
-
-        Decided componentwise: floor(lam'-value - k) <= e(lam) at every
-        component, affine ones included.  Agrees with the wall polytope for
-        lam_prime off the closure boundary cases by the region theorem; kept
-        as an independent route on purpose.
-        """
-        values, den = self._numerators(*_over_lcm(parse_point(lam_prime, self.r)))
-        return all(v // den <= e for v, e in zip(values, self.mmi(lam).coeffs))
-
     def region_of(self, lam) -> RegionPolytope:
         """Wall polytope of the constancy region holding lam.
 
@@ -410,45 +404,47 @@ class RegionEngine:
     def _region(self, context: PointContext) -> RegionPolytope:
         divisor = context.divisor
         ineqs = tuple(self._wall(j, divisor) for j in self.classification.wall_relevant)
-        region = RegionPolytope(context.coords, divisor, ineqs, self.scale)
+        region = RegionPolytope(context.key, divisor, ineqs, self.scale)
         for ineq in region.inequalities:
             if ineq.numerator <= 0:
                 raise InternalInvariant(
-                    f"wall constant {ineq.constant} <= 0 at {ineq.component} at lambda {_fmt_tuple(region.lam)}"
+                    f"wall constant {ineq.constant} <= 0 at {ineq.component} at lambda {_fmt_tuple(context.coords)}"
                 )
         return region
 
     def _wall(self, j: int, divisor: Divisor) -> WallInequality:
         normal, k = self._columns[j]
         numerator = k + self.scale * (1 + divisor.coeffs[j])
-        return WallInequality(self.graph.exc_ids[j], normal, Fraction(numerator, self.scale), numerator)
+        return WallInequality(self.graph.exc_ids[j], normal, numerator, self.scale)
 
     # -- enumeration -------------------------------------------------------
 
     def enumerate_constancy_regions(self, box, max_points: int | None = None) -> EnumerationResult:
         """Walk the constancy regions outward from the origin.
 
-        `box` is the closed search window [0, box_1] x ... ; seeds outside it
-        are kept on the queue but never processed, so with `max_points=None`
-        the run terminates exactly when every region meeting the box has a
+        `box` is the closed search window [0, box_1] x ... ; the result holds
+        it, the representatives and the queue as keys.  Seeds outside it are
+        kept on the queue but never processed, so with `max_points=None` the
+        run terminates exactly when every region meeting the box has a
         record.  `max_points` stops the walk once that many representatives
         have been emitted (the region count can be smaller, since points
         landing in a known region only join its representative list).
         """
-        box_pt = tuple(_as_fraction(b, "box") for b in box)
-        if len(box_pt) != self.r:
+        nums, den = _over_lcm([_as_fraction(b, "box") for b in box])
+        if len(nums) != self.r:
             raise DimensionMismatch(f"box needs {self.r} coordinates")
-        if any(b <= 0 for b in box_pt):
+        if min(nums) <= 0:
             raise PreconditionViolated("box coordinates must be positive")
         if max_points is not None and max_points < 1:
             raise PreconditionViolated("max_points must be positive when given")
         if self.r > 2:
             raise UnsupportedGeometry("wall walking is exact for one or two ideals only")
+        box_key = (*nums, den)
 
         origin = (0,) * self.r + (1,)
         queue: list[PointContext] = [self._context(origin)]  # seeds, evaluated when queued
         seen = {origin}  # seed keys
-        representatives: list[Point] = []
+        representatives: list[tuple[int, ...]] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
         records = by_divisor.values()  # in discovery order
         warnings: list[str] = []
@@ -463,23 +459,23 @@ class RegionEngine:
 
             self._prioritize(queue)
             entry = queue.pop(0)
-            lam, divisor = entry.coords, entry.divisor
-            representatives.append(lam)
+            key, divisor = entry.key, entry.divisor
+            representatives.append(key)
 
             known = by_divisor.get(divisor)
             if known is not None:
-                known.representatives.append(lam)
+                known.representatives.append(key)
                 continue
 
             region = self._region(entry)
-            facets, seeds = self._facets(region, records, box_pt)
+            facets, seeds = self._facets(region, records, box_key)
             record = ConstancyRecord(
                 index=len(records),
-                representative=lam,
+                representative=key,
                 divisor=divisor,
                 region=region,
                 cfacets=facets,
-                truncated=self._truncated(region, box_pt),
+                truncated=self._truncated(region, box_key),
             )
             by_divisor[divisor] = record
             if record.index == 0 and not seeds:
@@ -493,10 +489,10 @@ class RegionEngine:
                     queue.append(self._context(seed))
 
         return EnumerationResult(
-            box=box_pt,
+            box=box_key,
             by_divisor=by_divisor,
             representatives=representatives,
-            queue=[entry.coords for entry in queue],
+            queue=[entry.key for entry in queue],
             warnings=warnings,
             m_primary=self.ideals.is_m_primary(),
         )
@@ -517,21 +513,21 @@ class RegionEngine:
                 rest.append(entry)
         queue[:] = picked[::-1] + rest
 
-    def _truncated(self, region: RegionPolytope, box_pt: Point) -> bool:
-        # The region stays within the box limit b on an axis exactly when some
-        # wall a . z < C / L caps it there: C / (L * a_axis) <= b.
-        for axis, limit in enumerate(box_pt):
-            p, q = limit.numerator * self.scale, limit.denominator  # L * b = p / q
-            if not any(ineq.numerator * q <= p * ineq.coeffs[axis] for ineq in region.inequalities):
+    def _truncated(self, region: RegionPolytope, box: tuple[int, ...]) -> bool:
+        # The region stays within the box limit n / den on an axis exactly
+        # when some wall a . z < C / L caps it there: C * den <= L * n * a_axis.
+        *limits, den = box
+        for axis, n in enumerate(limits):
+            if not any(ineq.numerator * den <= self.scale * n * ineq.coeffs[axis] for ineq in region.inequalities):
                 return True
         return False
 
-    def _facets(self, region: RegionPolytope, priors: list[ConstancyRecord], box_pt: Point):
+    def _facets(self, region: RegionPolytope, priors: list[ConstancyRecord], box: tuple[int, ...]):
         if self.r == 1:
-            return self._facets_r1(region, priors, box_pt)
-        return self._facets_r2(region, priors, box_pt)
+            return self._facets_r1(region, priors, box)
+        return self._facets_r2(region, priors, box)
 
-    def _facets_r1(self, region: RegionPolytope, priors, box_pt):
+    def _facets_r1(self, region: RegionPolytope, priors, box):
         # The ray meets the wall a * z < C / L at z = C / (L * a); the first
         # wall it meets has the least C / a, found by cross-multiplication.
         # No prior closure reaches that point: the walk holds one seed at a
@@ -543,21 +539,19 @@ class RegionEngine:
                 best = ineq
         if best is None:
             return (), []
-        z = Fraction(best.numerator, self.scale * best.coeffs[0])
-        key = (z.numerator, z.denominator)
-        facet = CFacet(best.component, best.coeffs, best.constant, (key, key, key))
-        seeds = [key] if z <= box_pt[0] else []
+        num, den = best.numerator, self.scale * best.coeffs[0]
+        g = math.gcd(num, den)
+        key = (num // g, den // g)
+        facet = CFacet(best, (key, key, key))
+        seeds = [key] if num * box[1] <= box[0] * den else []
         return (facet,), seeds
 
-    def _facets_r2(self, region: RegionPolytope, priors, box_pt):
+    def _facets_r2(self, region: RegionPolytope, priors, box):
         scale = self.scale
-        box_planes = [
-            (box_pt[0].denominator, 0, box_pt[0].numerator * scale),
-            (0, box_pt[1].denominator, box_pt[1].numerator * scale),
-        ]
+        x, y, q = box
+        box_planes = [(q, 0, x * scale), (0, q, y * scale)]
         # A wall line's m is a multiple of a1 and a2, so the line lifted by
-        # q = q_x * q_y clips to the box on integer bounds.
-        q = box_pt[0].denominator * box_pt[1].denominator
+        # the box's denominator q clips to the box on integer bounds.
         # Every region of the engine has the same walls in the same order, so
         # row `row` of a prior's half-planes is the prior's copy of this wall.
         prior_planes = [prior.region.halfplanes for prior in priors]
@@ -575,7 +569,7 @@ class RegionEngine:
 
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
                 keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))
-                facets.append(CFacet(ineq.component, ineq.coeffs, ineq.constant, keys))
+                facets.append(CFacet(ineq, keys))
                 boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
                 if boxed is None:
                     continue
@@ -587,7 +581,9 @@ class RegionEngine:
                     # a grazing endpoint); it still seeds the region above.
                     seeds.append(_line_key(lifted, scale, b0))
         if region.inequalities and not facets:
-            raise GeometryDegeneracy(f"a fresh region produced no outer facet at lambda {_fmt_tuple(region.lam)}")
+            raise GeometryDegeneracy(
+                f"a fresh region produced no outer facet at lambda {_fmt_tuple(_key_point(region.key))}"
+            )
         return tuple(facets), seeds
 
     # -- rays and chains ---------------------------------------------------

@@ -6,9 +6,10 @@ discovered region with a hatch pattern and draws every C-facet as one solid
 JSON report), labelled with its wall equation.  For a single ideal the facets
 are points and are drawn as vertical ticks.  A region's shading is the path
 through `RegionPolytope.vertex_keys()`, read off the wall edges the walk
-already clipped; no geometry is computed here.  A point key (n_1, .., n_r,
-den) maps through n / den, which is float(Fraction(n, den)).  Component ids
-in labels are XML-escaped, and non-ASCII characters become character
+already clipped; no geometry is computed here.  Every point, the box
+included, is a key (n_1, .., n_r, den) and maps through n / den, which is
+float(Fraction(n, den)); `io.key_json` writes the wall constants.  Component
+ids in labels are XML-escaped, and non-ASCII characters become character
 references (`&#233;`), so the SVG is pure ASCII.
 
 Everything is plain string assembly; output is deterministic.
@@ -17,9 +18,9 @@ Everything is plain string assembly; output is deterministic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import PreconditionViolated
+from .io import key_json
 from .regions import EnumerationResult, RegionPolytope
 
 __all__ = ["render_walls"]
@@ -44,7 +45,8 @@ def _fmt(x: float) -> str:
 
 class _Mapper:
     def __init__(self, box):
-        self.bx, self.by = float(box[0]), float(box[1])
+        # int true division is correctly rounded: n / den is float(Fraction(n, den))
+        self.bx, self.by = box[0] / box[2], box[1] / box[2]
         # an exact side can round to 0.0, or to a float whose scale overflows
         self.sx = (WIDTH - 2 * MARGIN) / self.bx if self.bx else math.inf
         self.sy = (HEIGHT - 2 * MARGIN) / self.by if self.by else math.inf
@@ -58,7 +60,6 @@ class _Mapper:
         return HEIGHT - MARGIN - v * self.sy
 
     def point(self, key) -> tuple[float, float]:
-        # int true division is correctly rounded: n / den is float(Fraction(n, den))
         x, y, den = key
         return self.x(x / den), self.y(y / den)
 
@@ -84,10 +85,10 @@ def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
-def _equation_label(facet) -> str:
+def _equation_label(wall) -> str:
     # wall normals are positive: every coefficient is written
-    lhs = "+".join(f"{'' if a == 1 else a}z{i + 1}" for i, a in enumerate(facet.coeffs))
-    label = f"{facet.component}: {lhs}={facet.constant}"
+    lhs = "+".join(f"{'' if a == 1 else a}z{i + 1}" for i, a in enumerate(wall.coeffs))
+    label = f"{wall.component}: {lhs}={key_json((wall.numerator, wall.scale))[0]}"
     # XML character data, as xml.sax.saxutils.escape gives it (importing that
     # module loads urllib and http, 45 modules and ~7 MB of resident memory),
     # with non-ASCII characters as character references: the SVG is ASCII
@@ -99,12 +100,11 @@ def render_walls(result: EnumerationResult) -> str:
     """Full diagram for an enumeration run: hatched regions, solid facet
     polylines, equation labels."""
     box = result.box
-    if len(box) == 1:
-        box = (box[0], Fraction(1))
-    m = _Mapper(box)
+    two = len(box) == 3
+    m = _Mapper(box if two else (box[0], box[1], box[1]))  # one ideal: height 1
     parts = [PREAMBLE % {"w": WIDTH, "h": HEIGHT}]
     for rec in result.records:
-        if len(result.box) == 2:
+        if two:
             outline = _region_outline(rec.region, m)
             if outline:
                 parts.append(outline)
@@ -112,7 +112,7 @@ def render_walls(result: EnumerationResult) -> str:
         parts.append(part)
     for rec in result.records:
         for facet in rec.cfacets:
-            if len(result.box) == 1:
+            if not two:
                 x, den = facet.keys[2]
                 x1, y1 = m.x(x / den), m.y(0)
                 x2, y2 = x1, m.y(m.by)
@@ -125,7 +125,7 @@ def render_walls(result: EnumerationResult) -> str:
             lx, ly = (x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5
             parts.append(
                 f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="10" fill="#1a3d6d">'
-                f"{_equation_label(facet)}</text>"
+                f"{_equation_label(facet.wall)}</text>"
             )
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -27,8 +27,10 @@ import pytest
 import mmideals.divisors
 import mmideals.regions
 from mmideals import RegionEngine, load_input
+from mmideals.divisors import parse_point
 from mmideals.graph import relative_canonical, validate_graph
 from mmideals.io import build_ideals
+from mmideals.regions import _over_lcm
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE_PATH = DATA / "example_two_ideals.json"
@@ -198,6 +200,23 @@ GOLDEN = {
 
 def point(pair) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(c) for c in pair)
+
+
+def key_point(key) -> tuple[Fraction, ...]:
+    """The point of a walk key (n_1, .., n_r, den), as Fractions."""
+    return tuple(Fraction(n, key[-1]) for n in key[:-1])
+
+
+def membership(engine, lam_prime, lam) -> bool:
+    """Does the ideal at lam_prime contain the ideal at lam?
+
+    Decided componentwise: floor(lam' . F - K) <= e(lam) at every component,
+    affine ones included.  Agrees with the wall polytope for lam_prime off
+    the closure boundary cases by the region theorem; an independent route
+    to `RegionPolytope.contains`.
+    """
+    values, den = engine._numerators(*_over_lcm(parse_point(lam_prime, engine.r)))
+    return all(v // den <= e for v, e in zip(values, engine.mmi(lam).coeffs))
 
 
 def value_rows(context) -> list[tuple[Fraction, Fraction]]:

@@ -25,7 +25,7 @@ from mmideals.jumping import (
 )
 from mmideals.errors import NotNegativeDefinite
 
-from conftest import GOLDEN, affine_crossings, exc, intersection_matrix, point
+from conftest import GOLDEN, affine_crossings, exc, intersection_matrix, key_point, membership, point
 
 
 # -- criterion 1: the nine-step walk reproduces the known table ------------------
@@ -36,9 +36,9 @@ def test_criterion_1_golden_walk(graph, canonical, golden_run):
     for start, want in GOLDEN["closures"].items():
         assert exc(antinef_closure(Divisor(graph, start + (0, 0)))) == want
 
-    got_order = tuple(tuple(str(c) for c in p) for p in golden_run.representatives)
+    got_order = tuple(tuple(str(c) for c in key_point(p)) for p in golden_run.representatives)
     assert got_order == GOLDEN["walk_order"]
-    got_queue = tuple(tuple(str(c) for c in p) for p in golden_run.queue)
+    got_queue = tuple(tuple(str(c) for c in key_point(p)) for p in golden_run.queue)
     assert got_queue == GOLDEN["walk_queue_after"]
 
     assert len(golden_run.records) == 5
@@ -77,7 +77,7 @@ def test_criterion_2_first_wall_geometry(golden_run):
     assert e2_axis == (0, Fraction(3, 2))
     assert e5_axis == (Fraction(10, 21), 0)
 
-    facets = {f.component: f for f in rec.cfacets}
+    facets = {f.wall.component: f for f in rec.cfacets}
     assert facets["E2"].start == e2_axis
     assert facets["E2"].end == vertex
     assert facets["E2"].midpoint == tuple((p + q) / 2 for p, q in zip(e2_axis, vertex))
@@ -230,7 +230,7 @@ def test_criterion_5_membership_matches_polytope():
             region = engine.region_of(lam)
             for _ in range(100):
                 probe = (random_fraction(rng, 4), random_fraction(rng, 4))
-                assert engine.membership(probe, lam) == region.contains(probe), (
+                assert membership(engine, probe, lam) == region.contains(probe), (
                     engine.ideals.divisors,
                     lam,
                     probe,
@@ -265,9 +265,9 @@ def test_criterion_6_verifiers_and_facet_constancy(engine, golden_run):
             for probe in (third, two_thirds):
                 g = minimal_jumping_divisor(engine, probe)
                 assert g.components == g_mid.components
-            normal, constant = g_mid.hyperplanes[facet.component]
-            assert normal == facet.coeffs
-            assert constant == facet.constant
+            normal, constant = g_mid.hyperplanes[facet.wall.component]
+            assert normal == facet.wall.coeffs
+            assert constant == facet.wall.constant
 
 
 # -- criterion 7: the full walk covers every value inside the box ----------------

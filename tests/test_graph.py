@@ -188,11 +188,11 @@ def _tree_raw(selfs, edges) -> dict:
 
 
 @st.composite
-def random_trees(draw):
-    """A random recursive tree on 1-80 components, relabelled so component 0
-    is any vertex, with self-intersections in -7..-1: drawn freely, or
-    at or beyond -(degree) so that definite trees are common too."""
-    n = draw(st.integers(1, 80))
+def random_trees(draw, max_size=80):
+    """A random recursive tree on 1 to `max_size` components, relabelled so
+    component 0 is any vertex, with self-intersections in -7..-1: drawn
+    freely, or at or beyond -(degree) so that definite trees are common too."""
+    n = draw(st.integers(1, max_size))
     label = draw(st.permutations(range(n)))
     edges = [(label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n)]
     if draw(st.booleans()):

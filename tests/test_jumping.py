@@ -32,7 +32,7 @@ from mmideals.errors import (
     ZeroPoint,
 )
 
-from conftest import EXAMPLE_PATH, GOLDEN, count_closures, point, value_rows
+from conftest import EXAMPLE_PATH, GOLDEN, count_closures, key_point, point, value_rows
 
 
 JUMPING = [lam for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
@@ -191,7 +191,7 @@ def walk_points(engine, affine_engine):
     """Representatives of the box-[0,1]x[0,3] walk of each tuple: the
     jumping points, where values turn integral and G can contribute."""
     return {
-        which: eng.enumerate_constancy_regions(("1", "3")).representatives
+        which: list(map(key_point, eng.enumerate_constancy_regions(("1", "3")).representatives))
         for which, eng in (("m-primary", engine), ("affine", affine_engine))
     }
 
@@ -336,7 +336,7 @@ def jumping_walk_points(engine, affine_engine, fractional_engine):
     with at most 12 candidates, so the oracle stays at 2^12 closures."""
     points = {}
     for which, eng in (("m-primary", engine), ("affine", affine_engine), ("fractional-k", fractional_engine)):
-        representatives = eng.enumerate_constancy_regions(("1", "3")).representatives
+        representatives = map(key_point, eng.enumerate_constancy_regions(("1", "3")).representatives)
         points[which] = (eng, [lam for lam in representatives if any(lam) and is_jumping_point(eng, lam)])
         assert points[which][1]
         for lam in points[which][1]:

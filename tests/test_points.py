@@ -45,7 +45,7 @@ from mmideals.jumping import (
     verify_numeric_conditions,
 )
 
-from conftest import EXAMPLE_PATH, value_rows
+from conftest import EXAMPLE_PATH, key_point, value_rows
 from test_graph import _tree_raw, random_trees
 
 
@@ -185,7 +185,7 @@ def walk_points(engines):
     for which, eng in engines.items():
         result = eng.enumerate_constancy_regions(("1", "3"))
         ends = [p for rec in result.records for f in rec.cfacets for p in (f.start, f.end)]
-        points[which] = sorted(set(result.representatives) | set(ends))
+        points[which] = sorted(set(map(key_point, result.representatives)) | set(ends))
     return points
 
 

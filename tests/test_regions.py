@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
@@ -11,15 +12,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mmideals.regions
-from mmideals import RegionEngine, next_jumping_number, svg
-from mmideals.cli import main
-from mmideals.graph import validate_graph
-from mmideals.io import build_ideals, enumeration_json, key_json, point_json
+from mmideals import RegionEngine, load_input, next_jumping_number, svg
+from mmideals.cli import _enumeration_text, main
+from mmideals.divisors import Divisor, antinef_closure
+from mmideals.graph import IdealDivisorSet, validate_graph
+from mmideals.io import build_ideals, dump_json, enumeration_json, key_json
 from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
     GeometryDegeneracy,
     LimitReached,
+    NotNegativeDefinite,
     PreconditionViolated,
     UnsupportedGeometry,
 )
@@ -35,7 +38,8 @@ from mmideals.regions import (
 )
 from mmideals.svg import render_walls
 
-from conftest import DATA, GOLDEN, count_closures, exc, point, value_rows
+from conftest import DATA, GOLDEN, count_closures, exc, membership, point, value_rows
+from test_graph import _tree_raw, random_trees
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -96,21 +100,45 @@ def test_a_region_with_an_uncapped_axis_is_unbounded(tmp_path, capsys):
     assert payload["bounded"] is False and payload["inequalities"] == []
 
 
+@pytest.mark.parametrize(
+    "ideals,box",
+    [
+        ([{"mult": {"E1": 1, "A1": 1}}, {"mult": {"E1": 1, "A2": 1}}], "1,1"),
+        ([{"mult": {"E1": 1, "A1": 1}}], "1"),
+    ],
+    ids=["two-ideals", "one-ideal"],
+)
+def test_walks_of_an_input_without_walls_draw_what_they_report(tmp_path, capsys, ideals, box):
+    # One -1 curve with an arrow per ideal: no region has a wall today (ROADMAP
+    # item 1 will give it some), so only the invariants are asserted: one
+    # polyline per facet, and one outline per two-ideal record with a wall.
+    arrows = [{"id": f"A{i + 1}", "meets": ["E1"]} for i in range(len(ideals))]
+    source = tmp_path / "wall-less.json"
+    source.write_text(json.dumps({"exceptional": [{"id": "E1", "self": -1}], "affine": arrows, "ideals": ideals}))
+    argv = ["--input", str(source), "--box", box]
+    assert main(["enumerate", *argv]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert main(["walls", *argv]) == 0
+    picture = capsys.readouterr().out
+    assert picture.count("<polyline ") == sum(len(rec["cfacets"]) for rec in records)
+    outlined = sum(bool(rec["inequalities"]) for rec in records) if len(ideals) == 2 else 0
+    assert picture.count("<path ") == outlined
+
+
 # -- membership ---------------------------------------------------------------
 
 
 def test_membership_goldens(engine):
-    member = engine.membership
-    assert member(("1/12", "1/2"), ("0", "0"))
-    assert not member(("1/6", "1"), ("0", "0"))  # on the wall
-    assert not member(("1/6", "3/2"), ("1/6", "1"))
-    assert member(("17/42", "1/4"), ("1/6", "1"))  # same region
-    assert not member(("13/21", "1"), ("1/2", "1"))
+    assert membership(engine, ("1/12", "1/2"), ("0", "0"))
+    assert not membership(engine, ("1/6", "1"), ("0", "0"))  # on the wall
+    assert not membership(engine, ("1/6", "3/2"), ("1/6", "1"))
+    assert membership(engine, ("17/42", "1/4"), ("1/6", "1"))  # same region
+    assert not membership(engine, ("13/21", "1"), ("1/2", "1"))
 
 
 def test_membership_is_reflexive(engine):
     for lam in GOLDEN["mmi"]:
-        assert engine.membership(point(lam), point(lam))
+        assert membership(engine, point(lam), point(lam))
 
 
 coords = st.fractions(min_value=0, max_value=3, max_denominator=9)
@@ -120,7 +148,7 @@ coords = st.fractions(min_value=0, max_value=3, max_denominator=9)
 @given(st.tuples(coords, coords), st.tuples(coords, coords))
 def test_membership_agrees_with_polytope(engine, lam, probe):
     # m-primary input, so the wall polytope is exactly the inclusion region
-    assert engine.membership(probe, lam) == engine.region_of(lam).contains(probe)
+    assert membership(engine, probe, lam) == engine.region_of(lam).contains(probe)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -129,7 +157,7 @@ def test_membership_means_containment(engine, lam):
     # lam' in the region of lam  <=>  divisor at lam' <= divisor at lam... the
     # forward half: every member keeps the divisor below
     region_divisor = engine.mmi(("1/6", "1"))
-    if engine.membership(lam, ("1/6", "1")):
+    if membership(engine, lam, ("1/6", "1")):
         assert engine.mmi(lam).le(region_divisor)
 
 
@@ -137,12 +165,12 @@ def test_membership_means_containment(engine, lam):
 
 
 def test_walk_representative_order(golden_run):
-    got = tuple(tuple(str(c) for c in p) for p in golden_run.representatives)
+    got = tuple(tuple(str(c) for c in _key_point(p)) for p in golden_run.representatives)
     assert got == GOLDEN["walk_order"]
 
 
 def test_walk_queue_after_nine(golden_run):
-    got = tuple(tuple(str(c) for c in p) for p in golden_run.queue)
+    got = tuple(tuple(str(c) for c in _key_point(p)) for p in golden_run.queue)
     assert got == GOLDEN["walk_queue_after"]
 
 
@@ -161,7 +189,7 @@ def test_walk_facets(golden_run):
         rec = golden_run.records[idx]
         got = tuple(
             (
-                f.component,
+                f.wall.component,
                 tuple(str(c) for c in f.start),
                 tuple(str(c) for c in f.end),
                 tuple(str(c) for c in f.midpoint),
@@ -196,7 +224,7 @@ def test_report_predecessors_match_a_direct_scan(affine_engine, fractional_engin
 def test_walk_representatives_map_to_their_records(golden_run, engine):
     for rec in golden_run.records:
         for rep in rec.representatives:
-            assert engine.mmi(rep) == rec.divisor
+            assert engine.mmi(_key_point(rep)) == rec.divisor
 
 
 def test_walk_nothing_truncated(golden_run):
@@ -256,7 +284,7 @@ def single_engine(example_raw):
 
 def test_single_ideal_walk(single_engine):
     result = single_engine.enumerate_constancy_regions(("3",))
-    got = [(str(rec.representative[0]), exc(rec.divisor)) for rec in result.records]
+    got = [(str(_key_point(rec.representative)[0]), exc(rec.divisor)) for rec in result.records]
     assert got == [
         ("0", (0, 0, 0, 0, 0)),
         ("3/2", (1, 1, 1, 2, 3)),
@@ -632,9 +660,10 @@ def test_drawing_a_walk_clips_no_wall(engine, monkeypatch):
     assert picture.count("<path ") == sum(rec.region.bounded for rec in result.records) > 0
 
 
-def _facets_r2_fractions(self, region, priors, box_pt):
+def _facets_r2_fractions(self, region, priors, box):
     """The facet clipper as first written, on Fraction half-planes and
     parameters.  Oracle for the integer `RegionEngine._facets_r2`."""
+    box_pt = _key_point(box)
     box_planes = [(1, 0, box_pt[0]), (0, 1, box_pt[1])]
     facets, seeds = [], []
     for ineq in region.inequalities:
@@ -664,7 +693,7 @@ def _facets_r2_fractions(self, region, priors, box_pt):
         at = lambda t: (p0[0] + t * direction[0], p0[1] + t * direction[1])
         for t0, t1 in _subtract_intervals_fractions(lo, hi, cuts):
             ends = (at(t0), at(t1), at((t0 + t1) / 2))
-            facets.append(CFacet(ineq.component, ineq.coeffs, c, tuple(map(_fraction_key, ends))))
+            facets.append(CFacet(ineq, tuple(map(_fraction_key, ends))))
             boxed = _clip_parameter_fractions(box_planes, p0, direction, t0, t1)
             if boxed is None:
                 continue
@@ -678,9 +707,10 @@ def _facets_r2_fractions(self, region, priors, box_pt):
     return tuple(facets), seeds
 
 
-def _facets_r1_fractions(self, region, priors, box_pt):
+def _facets_r1_fractions(self, region, priors, box):
     """The single-ideal facet finder as first written, from the Fraction
     extents.  Oracle for the integer `RegionEngine._facets_r1`."""
+    box_pt = _key_point(box)
     best = None
     for ineq in region.inequalities:
         a = ineq.coeffs[0]
@@ -697,7 +727,7 @@ def _facets_r1_fractions(self, region, priors, box_pt):
             return (), []
     point = (m,)
     key = _fraction_key(point)
-    facet = CFacet(ineq.component, ineq.coeffs, ineq.constant, (key, key, key))
+    facet = CFacet(ineq, (key, key, key))
     seeds = [point] if m <= box_pt[0] else []
     return (facet,), seeds
 
@@ -713,16 +743,16 @@ def _keyed_seeds(facets_fractions):
     """An oracle facet finder whose Fraction seeds come out as the walk's
     point keys."""
 
-    def facets(self, region, priors, box_pt):
-        found, seeds = facets_fractions(self, region, priors, box_pt)
+    def facets(self, region, priors, box):
+        found, seeds = facets_fractions(self, region, priors, box)
         return found, list(map(_fraction_key, seeds))
 
     return facets
 
 
-def _truncated_fractions(self, region, box_pt):
+def _truncated_fractions(self, region, box):
     """Truncation as first written, from the Fraction extents."""
-    for axis, limit in enumerate(box_pt):
+    for axis, limit in enumerate(_key_point(box)):
         ext = _extent(region, axis)
         if ext is None or ext > limit:
             return True
@@ -838,9 +868,9 @@ def test_a_key_writes_and_draws_as_its_fractions(keys):
         *nums, den = key
         point = tuple(Fraction(n, den) for n in nums)
         assert point == _key_point(key)
-        assert key_json(key) == point_json(point)
+        assert key_json(key) == [str(z) for z in point]
         assert [n / den for n in nums] == [float(z) for z in point]
-    facet = CFacet("E1", (1, 1), Fraction(1), tuple(keys))
+    facet = CFacet(WallInequality("E1", (1, 1), 1, 1), tuple(keys))
     assert (facet.start, facet.end, facet.midpoint) == tuple(map(_key_point, keys))
     assert all(type(z) is Fraction for z in facet.start + facet.end + facet.midpoint)
 
@@ -859,11 +889,41 @@ def test_walked_points_need_no_closure_again(ideals, monkeypatch, box):
     eng = RegionEngine(ideals)
     result = eng.enumerate_constancy_regions(box)
     reps = result.representatives
-    assert reps and all(type(z) is Fraction for rep in reps for z in rep)
+    assert reps and all(type(n) is int for rep in reps for n in rep)
+    points = list(map(_key_point, reps))
     calls = count_closures(monkeypatch)
-    assert [eng.at(rep).coords for rep in reps] == reps
-    assert [eng.at(tuple(map(str, rep))).coords for rep in reps] == reps
+    assert [eng.at(p).coords for p in points] == points
+    assert [eng.at(tuple(map(str, p))).coords for p in points] == points
     assert calls == []
+
+
+@contextlib.contextmanager
+def _fractions_made():
+    """The arguments of every Fraction constructed inside the block."""
+    made = []
+    original = vars(Fraction)["__new__"]
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = original
+
+
+@pytest.mark.parametrize("path,box", [("example_two_ideals.json", (2, 6)), ("fractional_k.json", (3, 3))])
+def test_a_walk_and_its_reports_make_no_fraction(path, box):
+    # every point and wall constant is an integer key from seed to report
+    eng = RegionEngine(load_input(DATA / path)[1])
+    box = tuple(map(Fraction, box))
+    with _fractions_made() as made:
+        result = eng.enumerate_constancy_regions(box)
+        reports = dump_json(enumeration_json(result)), _enumeration_text(result), render_walls(result)
+    assert len(result.records) > 50 and all(reports)
+    assert made == []
 
 
 def test_fractional_k_input(fractional_engine):
@@ -966,15 +1026,39 @@ def test_every_region_certifies_its_wall_set(engine, affine_engine, fractional_e
     # when it holds with <= at every vertex (x, y) / den of the closure; in
     # integers, L (x a_1j + y a_2j) - den L k_j <= den L (e_j + 1).
     eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    assert _uncertified(eng.enumerate_constancy_regions(box), eng) == set()
+
+
+def _uncertified(result, eng) -> set[int]:
+    """The records of a walk with a closure vertex where some component's
+    bound fails (see test_every_region_certifies_its_wall_set)."""
     scale = eng.scale
-    uncertified = {
+    return {
         rec.index
-        for rec in eng.enumerate_constancy_regions(box).records
+        for rec in result.records
         for x, y, den in rec.region.vertex_keys()
         for ((a1, a2), scaled_k), e in zip(eng._columns, rec.divisor.coeffs)
         if scale * (x * a1 + y * a2) - den * scaled_k > den * scale * (e + 1)
     }
-    assert uncertified == set()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_trees(max_size=10), st.data())
+def test_every_region_of_a_random_m_primary_pair_certifies_its_wall_set(tree, data):
+    # Two ideals on a random tree of at most 10 components, made definite
+    # where it is not by lowering each E_i^2 to at most -(degree + 1); each
+    # the antinef closure of a random nonzero 0..3 vector, so m-primary.
+    selfs, edges = tree
+    try:
+        graph = validate_graph(_tree_raw(selfs, edges))
+    except NotNegativeDefinite:
+        degree = [sum(i in edge for edge in edges) for i in range(len(selfs))]
+        graph = validate_graph(_tree_raw([min(s, -d - 1) for s, d in zip(selfs, degree)], edges))
+    start = st.lists(st.integers(0, 3), min_size=len(selfs), max_size=len(selfs)).filter(any)
+    divisors = [antinef_closure(Divisor(graph, data.draw(start))) for _ in range(2)]
+    eng = RegionEngine(IdealDivisorSet(graph, ("a1", "a2"), divisors))
+    assert eng.ideals.is_m_primary()
+    assert _uncertified(eng.enumerate_constancy_regions((1, 1), max_points=300), eng) == set()
 
 
 @pytest.mark.parametrize("which,box", SINGLE_IDEAL_CASES)
@@ -985,7 +1069,7 @@ def test_single_ideal_facet_points_strictly_increase(single_engines, which, box)
     records = single_engines[which].enumerate_constancy_regions(box).records
     for i, rec in enumerate(records):
         for facet in rec.cfacets:
-            assert rec.representative[0] < facet.midpoint[0]
+            assert _key_point(rec.representative)[0] < facet.midpoint[0]
             assert all(_extent(prior.region, 0) < facet.midpoint[0] for prior in records[:i])
     points = [facet.midpoint[0] for rec in records for facet in rec.cfacets]
     assert points and points == sorted(set(points))
@@ -1002,11 +1086,11 @@ def test_halfplanes_have_one_row_per_wall(engine, single_engines):
 
 def test_vertices_of_a_hand_built_region(engine):
     walls = (
-        WallInequality("E1", (2, 1), Fraction(3, 7), 3),
-        WallInequality("E2", (1, 1), Fraction(1), 7),
-        WallInequality("E3", (1, 2), Fraction(5, 7), 5),
+        WallInequality("E1", (2, 1), 3, 7),
+        WallInequality("E2", (1, 1), 7, 7),
+        WallInequality("E3", (1, 2), 5, 7),
     )
-    region = RegionPolytope(point(("0", "0")), engine.mmi((0, 0)), walls, 7)
+    region = RegionPolytope((0, 0, 1), engine.mmi((0, 0)), walls, 7)
     # E2 (z1 + z2 < 1) misses the closure, so it gives no edge
     assert [wall.component for _, wall, *_ in region.edges] == ["E1", "E3"]
     want = [(0, 0), (0, Fraction(5, 14)), (Fraction(1, 21), Fraction(1, 3)), (Fraction(3, 14), 0)]
