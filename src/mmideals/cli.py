@@ -22,12 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import io as reportio
 from .errors import MMIError, PreconditionViolated
-from .jumping import (
-    minimal_jumping_divisor,
-    verify_contribution_dichotomy,
-    verify_jump_identity,
-    verify_numeric_conditions,
-)
+from .jumping import verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
 from .regions import RegionEngine, _fmt_tuple
 from .svg import render_walls
 
@@ -186,7 +181,7 @@ def _cmd_jumping_numbers(engine, opts, fmt: str):
 
 def _cmd_min_jumping_divisor(engine, opts, fmt: str):
     context = engine.at(opts["lambda"])
-    lam, gmin = reportio.key_json(context.key), minimal_jumping_divisor(engine, context.coords)
+    lam, gmin = reportio.key_json(context.key), context.gmin
     if fmt == "text":
         return f"G = {' + '.join(gmin.components)} at {_fmt_tuple(lam)}\n"
     payload = {

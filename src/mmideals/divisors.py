@@ -31,7 +31,7 @@ from .errors import (
     NonTermination,
     PreconditionViolated,
 )
-from .graph import DualGraph, _as_fraction
+from .graph import DualGraph, _coordinates
 
 __all__ = [
     "Divisor",
@@ -176,13 +176,13 @@ def antinef_closure(divisor: Divisor) -> Divisor:
 def parse_point(lam, r: int) -> tuple:
     """Coerce a point of the parameter orthant to a tuple of Fractions.
 
-    Accepts a sequence of ints / Fractions / 'p/q' strings; floats are
-    rejected.  Coordinates must be nonnegative and there must be exactly one
-    per ideal.
+    Accepts a sequence of ints / Fractions / 'p/q' strings; floats and a
+    bare string are rejected.  Coordinates must be nonnegative and there
+    must be exactly one per ideal.
     """
-    coords = tuple(_as_fraction(c, "lambda") for c in lam)
+    coords = tuple(_coordinates(lam, "lambda"))
     if len(coords) != r:
         raise DimensionMismatch(f"point has {len(coords)} coordinates, expected {r}")
-    if any(c < 0 for c in coords):
+    if any(c.numerator < 0 for c in coords):
         raise PreconditionViolated("lambda must lie in the nonnegative orthant")
     return coords

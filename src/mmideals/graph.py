@@ -70,6 +70,14 @@ def _as_fraction(value, what: str) -> Fraction:
     raise PreconditionViolated(f"{what}: unsupported value {value!r}")
 
 
+def _coordinates(values, what: str) -> list[Fraction]:
+    """Exact coordinates of a point, box or direction; a string is refused
+    rather than read one coordinate per character."""
+    if isinstance(values, str):
+        raise PreconditionViolated(f"{what}: expected a sequence of coordinates, got the string {values!r}")
+    return [_as_fraction(v, what) for v in values]
+
+
 class DualGraph:
     """Validated dual graph.  Build one with :func:`validate_graph`."""
 
@@ -91,7 +99,7 @@ class DualGraph:
         self.n_exc = len(exc_ids)
         self.n_aff = len(aff_ids)
         self.n_total = self.n_exc + self.n_aff
-        self.index: dict[str, int] = {cid: i for i, cid in enumerate(self.ids)}
+        self.index: dict[str, int] = dict(zip(self.ids, range(self.n_total)))
 
         # Every pair of components with intersection 1, exceptional edges and
         # affine crossings alike; each row sorted, so exceptional neighbours
@@ -155,11 +163,18 @@ class DualGraph:
         are parsed exactly, so "6/2" is 3; a value that is not an integer
         raises NonIntegralDivisor once every value has parsed.
         """
-        coeffs = [0] * self.n_total
+        coeffs: list = [0] * self.n_total
+        exact = True
         for cid, value in mapping.items():
-            if cid not in self.index:
+            i = self.index.get(cid)
+            if i is None:
                 raise DanglingReference(f"{what}: unknown component id {cid!r}")
-            coeffs[self.index[cid]] = value if type(value) is int else _as_fraction(value, f"{what}[{cid}]")
+            if type(value) is not int:
+                value = _as_fraction(value, f"{what}[{cid}]")
+                exact = False
+            coeffs[i] = value
+        if exact:
+            return coeffs
         if any(c.denominator != 1 for c in coeffs):
             raise NonIntegralDivisor(f"{what}: multiplicities must be integers")
         return [c.numerator for c in coeffs]
@@ -179,7 +194,8 @@ def validate_graph(raw: Mapping) -> DualGraph:
 
     Checks, in order: the JSON shape, unique ids, edges/arrows referencing
     known components, the exceptional graph being a tree, and negative
-    definiteness of the intersection matrix.
+    definiteness of the intersection matrix.  Each list is read once, and
+    every id is looked up in one index of all ids.
     """
     exc_raw = raw.get("exceptional")
     if not exc_raw:
@@ -198,7 +214,7 @@ def validate_graph(raw: Mapping) -> DualGraph:
         self_int.append(self_raw)
 
     aff_ids: list[str] = []
-    aff_meets_ids: list[list[str]] = []
+    aff_meets_ids: list[Sequence[str]] = []
     for entry in _list_of(raw.get("affine", []), dict, "'affine'"):
         cid = entry.get("id")
         if not isinstance(cid, str) or not cid:
@@ -207,31 +223,34 @@ def validate_graph(raw: Mapping) -> DualGraph:
         if not isinstance(meets, (list, tuple)) or not meets or not all(isinstance(m, str) for m in meets):
             raise PreconditionViolated(f"{cid}: affine component must cross at least one exceptional component id")
         aff_ids.append(cid)
-        aff_meets_ids.append(list(meets))
+        aff_meets_ids.append(meets)
 
-    all_ids = exc_ids + aff_ids
-    seen: set[str] = set()
-    for cid in all_ids:
-        if cid in seen:
-            raise DuplicateId(f"component id {cid!r} appears twice")
-        seen.add(cid)
-    exc_index = {cid: i for i, cid in enumerate(exc_ids)}
+    ids = exc_ids + aff_ids
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids):
+        seen: set[str] = set()
+        for cid in ids:
+            if cid in seen:
+                raise DuplicateId(f"component id {cid!r} appears twice")
+            seen.add(cid)
+    n = len(exc_ids)
 
     edges: list[tuple[int, int]] = []
     edge_set: set[tuple[int, int]] = set()
     for pair in _list_of(raw.get("edges", []), (list, tuple), "'edges'"):
-        if len(pair) != 2 or not all(isinstance(cid, str) for cid in pair):
+        if len(pair) != 2 or not (isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise PreconditionViolated(f"edge must join exactly two component ids: {pair!r}")
         a, b = pair
-        for cid in (a, b):
-            if cid not in exc_index:
-                if cid in seen:
+        i, j = index.get(a, n), index.get(b, n)
+        if i >= n or j >= n:
+            for cid in (a, b):
+                if cid not in index:
+                    raise DanglingReference(f"edge {pair!r}: unknown component id {cid!r}")
+                if index[cid] >= n:
                     raise DanglingReference(f"edge {pair!r}: {cid!r} is not an exceptional component")
-                raise DanglingReference(f"edge {pair!r}: unknown component id {cid!r}")
-        i, j = exc_index[a], exc_index[b]
         if i == j:
             raise NotATree(f"self-edge at {a!r}")
-        key = (min(i, j), max(i, j))
+        key = (i, j) if i < j else (j, i)
         if key in edge_set:
             raise NotATree(f"duplicate edge {pair!r}")
         edge_set.add(key)
@@ -239,16 +258,16 @@ def validate_graph(raw: Mapping) -> DualGraph:
 
     meets_idx: list[tuple[int, ...]] = []
     for cid, meets in zip(aff_ids, aff_meets_ids):
-        row = []
+        row: list[int] = []
         for target in meets:
-            if target not in exc_index:
+            i = index.get(target, n)
+            if i >= n:
                 raise DanglingReference(f"affine {cid!r} crosses unknown exceptional component {target!r}")
-            if exc_index[target] in row:
+            if i in row:
                 raise NotATree(f"affine {cid!r} crosses {target!r} twice")
-            row.append(exc_index[target])
+            row.append(i)
         meets_idx.append(tuple(sorted(row)))
 
-    n = len(exc_ids)
     if len(edges) != n - 1:
         raise NotATree(f"tree on {n} components needs {n - 1} edges, got {len(edges)}")
     graph = DualGraph(tuple(exc_ids), tuple(self_int), tuple(edges), tuple(aff_ids), tuple(meets_idx))
@@ -299,11 +318,19 @@ def relative_canonical(graph: DualGraph) -> tuple:
     smooth surface), a Fraction elsewhere.
     """
     nums, det = graph.canonical_numerators
-    nums = nums + [0] * graph.n_aff  # a copy: the cached list stays as solved
-    for i in range(graph.n_exc):
-        if graph.dot_exceptional(nums, i) != det * (-2 - graph.self_int[i]):
+    n = graph.n_exc
+    k = []
+    for x, s, row in zip(nums, graph.self_int, graph.adjacency):
+        dot = s * x  # (M X)_i: rows list exceptional neighbours first
+        for j in row:
+            if j >= n:
+                break
+            dot += nums[j]
+        if dot != det * (-2 - s):
             raise InternalInvariant("adjunction check failed for the relative canonical divisor")
-    return tuple(x // det if x % det == 0 else Fraction(x, det) for x in nums)
+        q, rem = divmod(x, det)
+        k.append(Fraction(x, det) if rem else q)
+    return tuple(k) + (0,) * graph.n_aff
 
 
 class IdealDivisorSet:
@@ -317,32 +344,36 @@ class IdealDivisorSet:
             raise PreconditionViolated("at least one ideal is required")
         if len(set(names)) != len(names):
             raise DuplicateId("ideal names must be unique")
-        checked = []
         excess: list[tuple[int, ...]] = []
+        support: set[int] = set()
         for name, div in zip(names, divisors):
             if div.graph is not graph:
                 raise GraphMismatch(f"ideal {name!r} lives on a different graph")
-            if any(c < 0 for c in div.coeffs):
+            coeffs = div.coeffs
+            if min(coeffs) < 0:
                 raise PreconditionViolated(f"ideal {name!r}: multiplicities must be nonnegative")
-            if all(c == 0 for c in div.coeffs):
+            if not any(coeffs):
                 raise PreconditionViolated(f"ideal {name!r}: zero divisor does not define an ideal")
-            rho = tuple(-graph.dot_exceptional(div.coeffs, i) for i in range(graph.n_exc))
-            bad = next((i for i, r in enumerate(rho) if r < 0), None)
-            if bad is not None:
-                raise PreconditionViolated(
-                    f"ideal {name!r}: not antinef, excess {rho[bad]} at {graph.exc_ids[bad]}"
-                )
-            checked.append(div)
-            excess.append(rho)
+            # rho_j = -F . E_j, one pass over the adjacency rows
+            rho = []
+            for cid, c, s, row in zip(graph.exc_ids, coeffs, graph.self_int, graph.adjacency):
+                r = -s * c
+                for j in row:
+                    r -= coeffs[j]
+                if r < 0:
+                    raise PreconditionViolated(f"ideal {name!r}: not antinef, excess {r} at {cid}")
+                rho.append(r)
+            excess.append(tuple(rho))
+            support.update(j for j, c in enumerate(coeffs) if c)
         self.graph = graph
         self.names = tuple(names)
-        self.divisors = tuple(checked)
-        self.r = len(checked)
+        self.divisors = tuple(divisors)
+        self.r = len(self.divisors)
         # rho[i][j]: excess of F_i at the j-th exceptional component.
         self.excess = tuple(excess)
         # Global indices where some F_i is positive: the support of sum F_i,
         # which bounds reduced jumping divisor candidates.
-        self.support = frozenset(j for d in checked for j, c in enumerate(d.coeffs) if c > 0)
+        self.support = frozenset(support)
 
     def __repr__(self):
         return f"IdealDivisorSet({', '.join(self.names)})"
@@ -363,9 +394,12 @@ class Classification:
     dicritical role, so the minimal jumping divisor may end there as well."""
 
     def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
-        n, adj, support = graph.n_exc, graph.adjacency, ideals.support
+        n, adj = graph.n_exc, graph.adjacency
+        # Excesses are nonnegative, so a column with a nonzero entry is
+        # dicritical; a row lists exceptional neighbours first, so E_j is
+        # rupture when its third neighbour is exceptional.
         self.wall_relevant = tuple(
-            j for j in range(n) if sum(nb < n for nb in adj[j]) >= 3 or any(rho[j] > 0 for rho in ideals.excess)
+            j for j, column in enumerate(zip(*ideals.excess)) if any(column) or len(adj[j]) > 2 and adj[j][2] < n
         )
-        crossed = (j for j in range(n) if any(nb >= n and nb in support for nb in adj[j]))
+        crossed = [j for a in ideals.support if a >= n for j in adj[a]]
         self.ends = frozenset(self.wall_relevant).union(crossed)

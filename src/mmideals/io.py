@@ -32,7 +32,6 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 from fractions import Fraction
-from pathlib import Path
 
 from .divisors import Divisor
 from .errors import PreconditionViolated
@@ -57,7 +56,8 @@ __all__ = [
 def load_input(path) -> tuple[DualGraph, IdealDivisorSet]:
     """Read and validate an input file; returns the graph and ideal tuple."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionViolated(f"{path}: cannot read ({exc})") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer over the interpreter's digit limit
@@ -81,7 +81,7 @@ def build_ideals(graph: DualGraph, raw_ideals) -> IdealDivisorSet:
         if not isinstance(mult, dict):
             raise PreconditionViolated(f"ideal {name!r}: 'mult' must be an object")
         names.append(name)
-        divisors.append(Divisor(graph, graph.coefficients(mult, f"ideal {name!r}")))
+        divisors.append(Divisor._of_ints(graph, graph.coefficients(mult, f"ideal {name!r}")))
     return IdealDivisorSet(graph, names, divisors)
 
 

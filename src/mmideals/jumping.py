@@ -19,6 +19,8 @@ closure is monotone, so the dichotomy over all 2^n candidate subsets takes
 Every function takes a :class:`~mmideals.regions.RegionEngine` and a point,
 and reads the floors, closures and left limits from the engine's cached
 per-point context `engine.at(lam)`, so each is computed once per point.
+Each verifier enters `engine.at` once and reads the minimal jumping divisor
+as `gmin` from that context, so it parses its point once.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def verify_jump_identity(engine: RegionEngine, lam) -> VerificationReport:
     divisor G at a jumping point: the closure of (left-limit divisor + G) and
     of (left floor + G) must each equal the divisor at lam."""
     context = engine.at(lam)
-    gmin = minimal_jumping_divisor(engine, lam)
+    gmin = context.gmin
     at, left = context.divisor, context.left
 
     from_closed = antinef_closure(left + gmin.divisor)
@@ -298,7 +300,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     """
     context = engine.at(lam)
     coords, values, den = context.coords, context.values, context.den
-    gmin = minimal_jumping_divisor(engine, lam)
+    gmin = context.gmin
     ideals, graph = engine.ideals, engine.graph
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
     ceil_part = Divisor._of_ints(graph, [-c for c in context.floor.coeffs])
@@ -341,7 +343,7 @@ def verify_contribution_dichotomy(engine: RegionEngine, lam) -> VerificationRepo
     lies inside C - {j}.
     """
     context = engine.at(lam)
-    gmin = minimal_jumping_divisor(engine, lam)
+    gmin = context.gmin
     graph, left = engine.graph, context.left
     values, den = context.values, context.den
 

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedGeometry,
     ZeroPoint,
 )
-from .graph import Classification, IdealDivisorSet, _as_fraction, relative_canonical
+from .graph import Classification, IdealDivisorSet, _as_fraction, _coordinates, relative_canonical
 from .jumping import _minimal_jumping_divisor
 
 __all__ = [
@@ -351,6 +351,11 @@ class RegionEngine:
     Walls come from rupture and dicritical exceptional components only: the
     wall theorem needs no more for m-primary tuples (reports expose
     `m_primary` so callers can tell when that guarantee applies).
+
+    Set-up is one pass on integers: L (`scale`) and L * K come from the
+    graph's cached integer solve K = X / D, not from the Fractions of K;
+    `canonical` stays K as the tuple `relative_canonical` returns, whose
+    adjunction check still runs once per engine.
     """
 
     def __init__(self, ideals: IdealDivisorSet):
@@ -358,9 +363,14 @@ class RegionEngine:
         self.graph = ideals.graph
         self.canonical = relative_canonical(self.graph)
         self.classification = Classification(self.graph, ideals)
-        # L = `scale`, the lcm of the denominators of K; per component j the
-        # normal (e_{1,j}, ..., e_{r,j}) and L * k_j
-        scaled_k, self.scale = _over_lcm(self.canonical)
+        # L = `scale`, the lcm of the denominators of K = X / D: each k_j
+        # has denominator D / gcd(D, X_j), so with g = gcd(D, X_1, ..) L is
+        # D / g and L * k_j is X_j / g.  Per component j the normal
+        # (e_{1,j}, ..., e_{r,j}) and L * k_j (0 on affine components).
+        nums, det = self.graph.canonical_numerators
+        g = math.gcd(det, *nums)
+        self.scale = det // g
+        scaled_k = [x // g for x in nums] + [0] * self.graph.n_aff
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
         self._points: dict[tuple[int, ...], PointContext] = {}
 
@@ -430,7 +440,7 @@ class RegionEngine:
         have been emitted (the region count can be smaller, since points
         landing in a known region only join its representative list).
         """
-        nums, den = _over_lcm([_as_fraction(b, "box") for b in box])
+        nums, den = _over_lcm(_coordinates(box, "box"))
         if len(nums) != self.r:
             raise DimensionMismatch(f"box needs {self.r} coordinates")
         if min(nums) <= 0:
@@ -627,7 +637,7 @@ class _Ray:
     jumps of non-m-primary ideals."""
 
     def __init__(self, engine: RegionEngine, direction):
-        u = [_as_fraction(x, "direction") for x in direction]
+        u = _coordinates(direction, "direction")
         if len(u) != engine.r:
             raise DimensionMismatch(f"direction needs {engine.r} coordinates")
         nums, m = _over_lcm(u)

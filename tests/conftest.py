@@ -231,6 +231,38 @@ def value_rows(context) -> list[tuple[Fraction, Fraction]]:
     return [(form, form - k) for form, k in zip(forms, context.canonical)]
 
 
+def reference_setup(graph, ideals) -> dict:
+    """What an engine's set-up computes, by the definitions its one integer
+    pass replaced: K from the cached solve as Fractions, its adjunction
+    checked with `dot_exceptional`; L and L * K as `_over_lcm` of K; each
+    excess as -F . E_i per component; the support, and `Classification`'s
+    predicates, rupture counting exceptional neighbours only.  Keys are the
+    attribute names of the engine, `ideals` and `classification`."""
+    n = graph.n_exc
+    nums, det = graph.canonical_numerators
+    nums = nums + [0] * graph.n_aff
+    for i in range(n):
+        assert graph.dot_exceptional(nums, i) == det * (-2 - graph.self_int[i])
+    canonical = tuple(x // det if x % det == 0 else Fraction(x, det) for x in nums)
+    scaled_k, scale = _over_lcm(canonical)
+    excess = tuple(tuple(-graph.dot_exceptional(d.coeffs, i) for i in range(n)) for d in ideals.divisors)
+    support = frozenset(j for d in ideals.divisors for j, c in enumerate(d.coeffs) if c > 0)
+    adj = graph.adjacency
+    wall_relevant = tuple(
+        j for j in range(n) if sum(nb < n for nb in adj[j]) >= 3 or any(rho[j] > 0 for rho in excess)
+    )
+    crossed = (j for j in range(n) if any(nb >= n and nb in support for nb in adj[j]))
+    return {
+        "scale": scale,
+        "_columns": list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k)),
+        "canonical": canonical,
+        "wall_relevant": wall_relevant,
+        "ends": frozenset(wall_relevant).union(crossed),
+        "excess": excess,
+        "support": support,
+    }
+
+
 def count_closures(monkeypatch) -> list:
     """Rebind every alias of `antinef_closure` in the package's modules to a
     wrapper that records its argument; returns the list it appends to."""

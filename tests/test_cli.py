@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -412,6 +413,77 @@ def test_one_bad_multiplicity(tmp_path, capsys, value, code, err):
     assert got == (code, want_out, err)
 
 
+_REPLACEMENTS = {
+    "wrong-type": ("x", "1/2", 1.5, None, [], {}, ["E1"], {"id": "E1"}),
+    "bool": (True, False),
+    "negative": (-1, -2, -7),
+    # large, but far below the int-to-str digit limit of 3.11+, so that every
+    # message prints the same on 3.10
+    "large": (2**64, 10**50, -(10**40)),
+}
+_IDS = ("E1", "E2", "E3", "E4", "E5", "A1", "A2")
+
+
+def _locations(value):
+    """(container, key) of every value below `value` in a JSON tree."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in list(items):
+        yield value, key
+        yield from _locations(item)
+
+
+def _mutate(raw: dict, rng) -> None:
+    """One mutation of the example, in place: a key deleted, a value
+    replaced, an id reference renamed (unknown, another id, an affine id), or
+    an edge added (a duplicate or a self-edge)."""
+    kind = rng.choice([*_REPLACEMENTS, "delete", "unknown-id", "other-id", "affine-id", "duplicate-edge", "self-edge"])
+    places = list(_locations(raw))
+    if kind == "delete":
+        container, key = rng.choice([(c, k) for c, k in places if isinstance(c, dict)])
+        del container[key]
+    elif kind in _REPLACEMENTS:
+        container, key = rng.choice(places)
+        container[key] = rng.choice(_REPLACEMENTS[kind])
+    elif kind.endswith("-id"):
+        # an id, an edge end, an arrow's crossing, or a multiplicity key
+        refs = [(c, k) for c, k in places if c[k] in _IDS] + [
+            (c, k) for c, k in places if isinstance(c, dict) and k in _IDS
+        ]
+        container, key = rng.choice(refs)
+        new = {"unknown-id": "Z9", "other-id": rng.choice(_IDS[:5]), "affine-id": rng.choice(_IDS[5:])}[kind]
+        if key in _IDS:
+            container[new] = container.pop(key)
+        else:
+            container[key] = new
+    elif kind == "duplicate-edge":
+        a, b = rng.choice(raw["edges"])
+        raw["edges"].append(rng.choice([[a, b], [b, a]]))
+    else:
+        cid = rng.choice(_IDS[:5])
+        raw["edges"].append([cid, cid])
+
+
+# sha256 of the (exit code, stderr) list of the sweep below, recorded before
+# the set-up was rewritten on integers in one pass: each mutation must still
+# fail with the same error and message
+MUTATION_SWEEP_SHA256 = "180e88ffeef3c2696c5ce2f4c1ff6f8b8b9d3cee1f7f8e7847e7a5e11121d820"
+
+
+def test_which_error_wins_on_300_mutations(tmp_path, capsys):
+    rng = random.Random(20241019)
+    source = tmp_path / "mutant.json"
+    outcomes = []
+    for _ in range(300):
+        raw = json.loads(EXAMPLE_PATH.read_text())
+        _mutate(raw, rng)
+        source.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "mmi", "--input", str(source), "--lambda", "1/6,1")
+        assert "Traceback" not in err
+        assert (code, err) == (0, "") or (code == 2 and err.count("\n") == 1 and err.startswith("error: ")), err
+        outcomes.append((code, err.replace(str(source), "<input>")))
+    assert hashlib.sha256(json.dumps(outcomes).encode()).hexdigest() == MUTATION_SWEEP_SHA256
+
+
 def closure_count(monkeypatch, capsys, *argv) -> int:
     """Run one CLI call and count its antinef closures."""
     calls = count_closures(monkeypatch)
@@ -427,6 +499,23 @@ def closure_count(monkeypatch, capsys, *argv) -> int:
 def test_closures_per_point(monkeypatch, capsys, command, most, least):
     count = closure_count(monkeypatch, capsys, command, "--input", INPUT, "--lambda", "1/6,1")
     assert least <= count <= most
+
+
+@pytest.mark.parametrize("command,contexts", [("mmi", 1), ("region", 1), ("min-jumping-divisor", 1), ("verify", 4)])
+def test_one_point_context_per_point_command(monkeypatch, capsys, command, contexts):
+    # the handler asks for its point once; each verifier enters `at` once
+    # and reads gmin from that context
+    original = mmideals.regions.RegionEngine.at
+    calls = []
+
+    def counted(engine, lam):
+        calls.append(lam)
+        return original(engine, lam)
+
+    monkeypatch.setattr(mmideals.regions.RegionEngine, "at", counted)
+    code, _, _ = run(capsys, command, "--input", INPUT, "--lambda", "1/6,1")
+    assert code == 0
+    assert len(calls) == contexts
 
 
 def test_one_tree_elimination_per_call(monkeypatch, capsys):

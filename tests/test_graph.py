@@ -16,6 +16,7 @@ import mmideals.divisors
 from mmideals.divisors import Divisor, antinef_closure, unload_once
 from mmideals.graph import Classification, DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
 from mmideals.io import build_ideals
+from mmideals.regions import RegionEngine
 from mmideals.errors import (
     DanglingReference,
     DuplicateId,
@@ -26,7 +27,7 @@ from mmideals.errors import (
     PreconditionViolated,
 )
 
-from conftest import DATA, GOLDEN, affine_crossings, intersection_matrix
+from conftest import DATA, GOLDEN, affine_crossings, intersection_matrix, reference_setup
 
 
 def test_example_graph_shape(graph):
@@ -275,6 +276,39 @@ def test_accepted_ideal_divisors_are_positive_on_every_exceptional_component(tre
     dented = Divisor(graph, closed.coeffs[:j] + (0,) + closed.coeffs[j + 1 :])
     with pytest.raises(PreconditionViolated, match="not antinef" if n > 1 else "zero divisor"):
         IdealDivisorSet(graph, ("a",), (dented,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_trees(), st.data())
+def test_set_up_matches_the_reference_definitions(tree, data):
+    # Inputs as the region-certificate property builds them: made definite
+    # where needed by lowering each E_i^2 to at most -(degree + 1), up to two
+    # affine arrows, one or two ideals closed from random nonzero starts
+    # (some with affine multiplicity); written as input JSON and read back
+    # through validate_graph and build_ideals, as a CLI call reads its file.
+    selfs, edges = tree
+    n = len(selfs)
+    arrows = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="arrows")
+    raw = {**_tree_raw(selfs, edges), "affine": [{"id": f"A{a}", "meets": [f"E{i}"]} for a, i in enumerate(arrows)]}
+    try:
+        graph = validate_graph(raw)
+    except NotNegativeDefinite:
+        degree = [sum(i in edge for edge in edges) for i in range(n)]
+        raw.update(_tree_raw([min(s, -d - 1) for s, d in zip(selfs, degree)], edges))
+        graph = validate_graph(raw)
+    start = st.lists(st.integers(0, 2), min_size=graph.n_total, max_size=graph.n_total).filter(any)
+    closed = [antinef_closure(Divisor(graph, data.draw(start))).coeffs for _ in range(data.draw(st.integers(1, 2)))]
+    raw["ideals"] = [
+        {"name": f"a{i}", "mult": {cid: c for cid, c in zip(graph.ids, coeffs) if c}} for i, coeffs in enumerate(closed)
+    ]
+    graph = validate_graph(raw)
+    ideals = build_ideals(graph, raw["ideals"])
+    engine = RegionEngine(ideals)
+    assert [d.coeffs for d in ideals.divisors] == closed
+    got = {name: getattr(engine, name) for name in ("scale", "_columns", "canonical")}
+    got.update((name, getattr(engine.classification, name)) for name in ("wall_relevant", "ends"))
+    got.update((name, getattr(ideals, name)) for name in ("excess", "support"))
+    assert got == reference_setup(graph, ideals)
 
 
 def test_chain_of_eighty_minus_two_curves():

@@ -265,6 +265,20 @@ def test_box_validation(engine):
         engine.enumerate_constancy_regions(("1", "3"), max_points=0)
 
 
+def test_a_string_is_not_a_sequence_of_coordinates(engine):
+    # "12" would be read as the point (1, 2), "26" as the box (2, 6) and "11"
+    # as the direction (1, 1), one coordinate per character
+    for ask, what in [
+        (lambda: engine.at("12"), "lambda"),
+        (lambda: engine.region_of("12"), "lambda"),
+        (lambda: engine.enumerate_constancy_regions("26"), "box"),
+        (lambda: engine.wall_ray_restriction("11", 1), "direction"),
+        (lambda: next_jumping_number(engine, "11", 0), "direction"),
+    ]:
+        with pytest.raises(PreconditionViolated, match=f"^{what}: expected a sequence of coordinates, got the string '"):
+            ask()
+
+
 def test_max_points_one(engine):
     result = engine.enumerate_constancy_regions(("1", "3"), max_points=1)
     assert len(result.records) == 1
