@@ -352,10 +352,9 @@ class RegionEngine:
     wall theorem needs no more for m-primary tuples (reports expose
     `m_primary` so callers can tell when that guarantee applies).
 
-    Set-up is one pass on integers: L (`scale`) and L * K come from the
-    graph's cached integer solve K = X / D, not from the Fractions of K;
-    `canonical` stays K as the tuple `relative_canonical` returns, whose
-    adjunction check still runs once per engine.
+    Set-up runs on integers: L (`scale`) and L * K come from the graph's
+    cached solve K = X / D.  `canonical` is K as the tuple
+    `relative_canonical` returns, a Fraction where k_j is not integral.
     """
 
     def __init__(self, ideals: IdealDivisorSet):

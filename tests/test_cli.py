@@ -464,8 +464,8 @@ def _mutate(raw: dict, rng) -> None:
 
 
 # sha256 of the (exit code, stderr) list of the sweep below, recorded before
-# the set-up was rewritten on integers in one pass: each mutation must still
-# fail with the same error and message
+# the one-pass integer set-up: each mutation must fail with the same error
+# and message, whichever check reads the input first
 MUTATION_SWEEP_SHA256 = "180e88ffeef3c2696c5ce2f4c1ff6f8b8b9d3cee1f7f8e7847e7a5e11121d820"
 
 

@@ -284,8 +284,8 @@ def test_set_up_matches_the_reference_definitions(tree, data):
     # Inputs as the region-certificate property builds them: made definite
     # where needed by lowering each E_i^2 to at most -(degree + 1), up to two
     # affine arrows, one or two ideals closed from random nonzero starts
-    # (some with affine multiplicity); written as input JSON and read back
-    # through validate_graph and build_ideals, as a CLI call reads its file.
+    # (some with affine multiplicity); given as parsed input JSON to
+    # validate_graph and build_ideals, as a CLI call reads its file.
     selfs, edges = tree
     n = len(selfs)
     arrows = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="arrows")
