@@ -31,14 +31,13 @@ from .errors import (
     NonTermination,
     PreconditionViolated,
 )
-from .graph import DualGraph, _coordinates
+from .graph import DualGraph
 
 __all__ = [
     "Divisor",
     "is_antinef",
     "unload_once",
     "antinef_closure",
-    "parse_point",
 ]
 
 MAX_UNLOAD_ITERS = 10**6  # rounds per closure before NonTermination
@@ -172,17 +171,3 @@ def antinef_closure(divisor: Divisor) -> Divisor:
         f"{g.exc_ids[raised[0]]} still rising after {rounds} rounds"
     )
 
-
-def parse_point(lam, r: int) -> tuple:
-    """Coerce a point of the parameter orthant to a tuple of Fractions.
-
-    Accepts a sequence of ints / Fractions / 'p/q' strings; floats and a
-    bare string are rejected.  Coordinates must be nonnegative and there
-    must be exactly one per ideal.
-    """
-    coords = tuple(_coordinates(lam, "lambda"))
-    if len(coords) != r:
-        raise DimensionMismatch(f"point has {len(coords)} coordinates, expected {r}")
-    if any(c.numerator < 0 for c in coords):
-        raise PreconditionViolated("lambda must lie in the nonnegative orthant")
-    return coords

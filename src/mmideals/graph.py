@@ -23,6 +23,7 @@ indices where some ideal divisor is positive.
 from __future__ import annotations
 
 import functools
+from collections import abc
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -70,12 +71,12 @@ def _as_fraction(value, what: str) -> Fraction:
     raise PreconditionViolated(f"{what}: unsupported value {value!r}")
 
 
-def _coordinates(values, what: str) -> list[Fraction]:
-    """Exact coordinates of a point, box or direction; a string is refused
-    rather than read one coordinate per character."""
-    if isinstance(values, str):
-        raise PreconditionViolated(f"{what}: expected a sequence of coordinates, got the string {values!r}")
-    return [_as_fraction(v, what) for v in values]
+def _refuse_non_sequence(values, what: str, items: str):
+    """Refuse a bare string (it would be read one item per character) and
+    anything else that is not a sequence."""
+    if isinstance(values, str) or not isinstance(values, abc.Sequence):
+        got = f"the string {values!r}" if isinstance(values, str) else f"{type(values).__name__} {values!r}"
+        raise PreconditionViolated(f"{what}: expected a sequence of {items}, got {got}")
 
 
 class DualGraph:

@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     ZeroPoint,
 )
-from .graph import IdealDivisorSet
+from .graph import IdealDivisorSet, _refuse_non_sequence
 
 if TYPE_CHECKING:
     from .regions import PointContext, RegionEngine
@@ -62,7 +62,7 @@ def is_jumping_point(engine: RegionEngine, lam) -> bool:
 
     Raises ZeroPoint at the origin, where there is no left limit."""
     context = engine.at(lam)
-    if not any(context.coords):
+    if not any(context.key[:-1]):
         raise ZeroPoint("the origin is not eligible as a jumping point")
     return context.left != context.divisor
 
@@ -173,6 +173,7 @@ class Contribution(enum.Enum):
 
 
 def _reduced_divisor(ideals: IdealDivisorSet, component_ids: Sequence[str]) -> list[int]:
+    _refuse_non_sequence(component_ids, "components", "component ids")
     graph = ideals.graph
     members: list[int] = []
     seen: set[str] = set()

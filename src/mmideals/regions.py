@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .divisors import Divisor, antinef_closure, parse_point
+from .divisors import Divisor, antinef_closure
 from .errors import (
     DanglingReference,
     DimensionMismatch,
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedGeometry,
     ZeroPoint,
 )
-from .graph import Classification, IdealDivisorSet, _as_fraction, _coordinates, relative_canonical
+from .graph import Classification, IdealDivisorSet, _as_fraction, _refuse_non_sequence, relative_canonical
 from .jumping import _minimal_jumping_divisor
 
 __all__ = [
@@ -61,9 +61,6 @@ __all__ = [
     "RegionEngine",
     "next_jumping_number",
 ]
-
-Point = tuple  # tuple[Fraction, ...]
-
 
 def _fmt_tuple(values) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
@@ -111,14 +108,12 @@ class RegionPolytope:
     def halfplanes(self) -> list[tuple[int, ...]]:
         return [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        """Strict membership (points on a wall are outside), tested as
-        L * (a . nums) < C * m on the point's numerators nums over m."""
-        if len(point) != len(self.key) - 1:
-            raise DimensionMismatch("point dimension does not match the region")
-        if any(z < 0 for z in point):
+    def contains(self, point) -> bool:
+        """Strict membership (points on a wall or off the orthant are
+        outside): L * (a . nums) < C * m on the point's key (*nums, m)."""
+        *nums, m = _point_key(point, len(self.key) - 1, "point")
+        if min(nums) < 0:
             return False
-        nums, m = _over_lcm(point)
         return all(
             self.scale * sum(map(operator.mul, ineq.coeffs, nums)) < ineq.numerator * m for ineq in self.inequalities
         )
@@ -215,11 +210,16 @@ class EnumerationResult:
         self.m_primary = m_primary
 
 
-def _over_lcm(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators;
-    (*nums, den) is a key with gcd 1, equal for equal values."""
-    den = math.lcm(*(q.denominator for q in values))
-    return [q.numerator * (den // q.denominator) for q in values], den
+def _point_key(values, r: int, what: str) -> tuple[int, ...]:
+    """The reduced key (n_1, .., n_r, den) of r coordinates from outside,
+    each read by `_as_fraction`: the one reader of a point, box or direction.
+    Each caller checks the signs it needs."""
+    _refuse_non_sequence(values, what, "coordinates")
+    coords = [_as_fraction(v, what) for v in values]
+    if len(coords) != r:
+        raise DimensionMismatch(f"{what} needs {r} coordinates")
+    den = math.lcm(*(q.denominator for q in coords))
+    return (*(q.numerator * (den // q.denominator) for q in coords), den)
 
 
 # -- exact line clipping ------------------------------------------------------
@@ -269,7 +269,7 @@ def _line_key(line, scale: int, t: int, k: int = 1) -> tuple[int, int, int]:
     return x // g, y // g, den // g
 
 
-def _key_point(key) -> Point:
+def _key_point(key) -> tuple[Fraction, ...]:
     """The point of a key (n_1, .., n_r, den), as Fractions."""
     den = key[-1]
     return tuple(Fraction(n, den) for n in key[:-1])
@@ -299,21 +299,19 @@ class PointContext:
     as which a walk seed comes.  Filled at once: lam . F - K as integer
     numerators `values` over `den`; `floor` = values // den and its antinef
     closure `divisor`, which encodes the mixed multiplier ideal at lam.
-    Computed on first use: lam's Fractions `coords` (a point query hands
-    over those it parsed), `left_floor`, its closure `left` (the ideal just
-    before lam along the ray) and the minimal jumping divisor `gmin`.  A
-    walk therefore pays one closure per point and makes no Fraction.
+    Computed on first use, from the key alone: lam's Fractions `coords`,
+    `left_floor`, its closure `left` (the ideal just before lam along the
+    ray) and the minimal jumping divisor `gmin`.  A walk therefore pays one
+    closure per point and makes no Fraction.
 
     It keeps what it uses, not the engine, so the two form no reference
     cycle.
     """
 
-    def __init__(self, engine: "RegionEngine", key: tuple[int, ...], coords: Point | None = None):
+    def __init__(self, engine: "RegionEngine", key: tuple[int, ...]):
         self.graph, self.ideals = engine.graph, engine.ideals
         self.canonical, self.classification = engine.canonical, engine.classification
         self.key = key
-        if coords is not None:
-            self.coords = coords
         self.values, self.den = engine._numerators(key[:-1], key[-1])
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
         self.divisor = antinef_closure(self.floor)
@@ -380,16 +378,17 @@ class RegionEngine:
     # -- pointwise data ---------------------------------------------------
 
     def at(self, lam) -> PointContext:
-        """The cached per-point context at lam, keyed by lam over the lcm of
-        its denominators (`_over_lcm`, computed once here)."""
-        coords = parse_point(lam, self.r)
-        nums, den = _over_lcm(coords)
-        return self._context((*nums, den), coords)
+        """The cached per-point context at lam, one coordinate per ideal,
+        none negative; it is looked up and built from lam's key alone."""
+        key = _point_key(lam, self.r, "lambda")
+        if min(key) < 0:  # the last entry, den, is positive
+            raise PreconditionViolated("lambda must lie in the nonnegative orthant")
+        return self._context(key)
 
-    def _context(self, key: tuple[int, ...], coords: Point | None = None) -> PointContext:
+    def _context(self, key: tuple[int, ...]) -> PointContext:
         context = self._points.get(key)
         if context is None:
-            context = self._points[key] = PointContext(self, key, coords)
+            context = self._points[key] = PointContext(self, key)
         return context
 
     def mmi(self, lam) -> Divisor:
@@ -439,16 +438,13 @@ class RegionEngine:
         have been emitted (the region count can be smaller, since points
         landing in a known region only join its representative list).
         """
-        nums, den = _over_lcm(_coordinates(box, "box"))
-        if len(nums) != self.r:
-            raise DimensionMismatch(f"box needs {self.r} coordinates")
-        if min(nums) <= 0:
+        box_key = _point_key(box, self.r, "box")
+        if min(box_key) <= 0:
             raise PreconditionViolated("box coordinates must be positive")
         if max_points is not None and max_points < 1:
             raise PreconditionViolated("max_points must be positive when given")
         if self.r > 2:
             raise UnsupportedGeometry("wall walking is exact for one or two ideals only")
-        box_key = (*nums, den)
 
         origin = (0,) * self.r + (1,)
         queue: list[PointContext] = [self._context(origin)]  # seeds, evaluated when queued
@@ -636,10 +632,7 @@ class _Ray:
     jumps of non-m-primary ideals."""
 
     def __init__(self, engine: RegionEngine, direction):
-        u = _coordinates(direction, "direction")
-        if len(u) != engine.r:
-            raise DimensionMismatch(f"direction needs {engine.r} coordinates")
-        nums, m = _over_lcm(u)
+        *nums, m = _point_key(direction, engine.r, "direction")
         if min(nums) < 0 or not any(nums):
             raise PreconditionViolated("direction must be nonzero and nonnegative")
         scale = engine.scale

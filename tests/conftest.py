@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,10 +28,9 @@ import pytest
 import mmideals.divisors
 import mmideals.regions
 from mmideals import RegionEngine, load_input
-from mmideals.divisors import parse_point
 from mmideals.graph import relative_canonical, validate_graph
 from mmideals.io import build_ideals
-from mmideals.regions import _over_lcm
+from mmideals.regions import _point_key
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE_PATH = DATA / "example_two_ideals.json"
@@ -215,7 +215,8 @@ def membership(engine, lam_prime, lam) -> bool:
     the closure boundary cases by the region theorem; an independent route
     to `RegionPolytope.contains`.
     """
-    values, den = engine._numerators(*_over_lcm(parse_point(lam_prime, engine.r)))
+    *nums, m = _point_key(lam_prime, engine.r, "lambda")
+    values, den = engine._numerators(nums, m)
     return all(v // den <= e for v, e in zip(values, engine.mmi(lam).coeffs))
 
 
@@ -234,7 +235,7 @@ def value_rows(context) -> list[tuple[Fraction, Fraction]]:
 def reference_setup(graph, ideals) -> dict:
     """What an engine's set-up computes, by the definitions its one integer
     pass replaced: K from the cached solve as Fractions, its adjunction
-    checked with `dot_exceptional`; L and L * K as `_over_lcm` of K; each
+    checked with `dot_exceptional`; L as the lcm of K's denominators, and L * K; each
     excess as -F . E_i per component; the support, and `Classification`'s
     predicates, rupture counting exceptional neighbours only.  Keys are the
     attribute names of the engine, `ideals` and `classification`."""
@@ -244,7 +245,8 @@ def reference_setup(graph, ideals) -> dict:
     for i in range(n):
         assert graph.dot_exceptional(nums, i) == det * (-2 - graph.self_int[i])
     canonical = tuple(x // det if x % det == 0 else Fraction(x, det) for x in nums)
-    scaled_k, scale = _over_lcm(canonical)
+    scale = math.lcm(*(Fraction(c).denominator for c in canonical))
+    scaled_k = [int(c * scale) for c in canonical]
     excess = tuple(tuple(-graph.dot_exceptional(d.coeffs, i) for i in range(n)) for d in ideals.divisors)
     support = frozenset(j for d in ideals.divisors for j, c in enumerate(d.coeffs) if c > 0)
     adj = graph.adjacency

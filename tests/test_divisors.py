@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals.divisors import Divisor, antinef_closure, is_antinef, parse_point, unload_once
+from mmideals.divisors import Divisor, antinef_closure, is_antinef, unload_once
 from mmideals.errors import (
     DimensionMismatch,
     GraphMismatch,
@@ -162,14 +162,16 @@ def test_closure_cap_from_environment(graph, monkeypatch):
 # -- points -------------------------------------------------------------------
 
 
-def test_parse_point():
-    assert parse_point(("1/6", 1), 2) == (Fraction(1, 6), Fraction(1))
+def test_parse_point(engine):
+    # a point is read by `engine.at`: exact coordinates, one per ideal, none
+    # negative, no float
+    assert engine.at(("1/6", 1)).coords == (Fraction(1, 6), Fraction(1))
     with pytest.raises(DimensionMismatch):
-        parse_point(("1/6",), 2)
+        engine.at(("1/6",))
     with pytest.raises(PreconditionViolated):
-        parse_point(("-1/6", 1), 2)
+        engine.at(("-1/6", 1))
     with pytest.raises(PreconditionViolated):
-        parse_point((0.5, 1), 2)
+        engine.at((0.5, 1))
 
 
 # -- mixed multiplier ideals --------------------------------------------------

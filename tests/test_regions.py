@@ -17,6 +17,7 @@ from mmideals.cli import _enumeration_text, main
 from mmideals.divisors import Divisor, antinef_closure
 from mmideals.graph import IdealDivisorSet, validate_graph
 from mmideals.io import build_ideals, dump_json, enumeration_json, key_json
+from mmideals.jumping import contributes
 from mmideals.errors import (
     DanglingReference,
     DimensionMismatch,
@@ -266,17 +267,30 @@ def test_box_validation(engine):
 
 
 def test_a_string_is_not_a_sequence_of_coordinates(engine):
-    # "12" would be read as the point (1, 2), "26" as the box (2, 6) and "11"
-    # as the direction (1, 1), one coordinate per character
-    for ask, what in [
-        (lambda: engine.at("12"), "lambda"),
-        (lambda: engine.region_of("12"), "lambda"),
-        (lambda: engine.enumerate_constancy_regions("26"), "box"),
-        (lambda: engine.wall_ray_restriction("11", 1), "direction"),
-        (lambda: next_jumping_number(engine, "11", 0), "direction"),
-    ]:
-        with pytest.raises(PreconditionViolated, match=f"^{what}: expected a sequence of coordinates, got the string '"):
-            ask()
+    # "12" would be read as the point (1, 2), "26" as the box (2, 6), "11" as
+    # the direction (1, 1) and "E2" as the components E and 2, one item per
+    # character; a number or None is no sequence at all.  Every entry point
+    # reads its coordinates through one parser and refuses each the same way.
+    lam = point(("1/6", "1"))
+    origin = engine.region_of((0, 0))
+    entry_points = [
+        (engine.at, "12", "lambda", "coordinates"),
+        (engine.region_of, "12", "lambda", "coordinates"),
+        (engine.enumerate_constancy_regions, "26", "box", "coordinates"),
+        (lambda u: engine.wall_ray_restriction(u, 1), "11", "direction", "coordinates"),
+        (lambda u: next_jumping_number(engine, u, 0), "11", "direction", "coordinates"),
+        (origin.contains, "12", "point", "coordinates"),
+        (lambda ids: contributes(engine, ids, lam), "E2", "components", "component ids"),
+    ]
+    for ask, string, what, items in entry_points:
+        for bad, got in [(string, f"the string '{string}'"), (5, "int 5"), (None, "NoneType None")]:
+            with pytest.raises(PreconditionViolated, match=f"^{what}: expected a sequence of {items}, got {got}$"):
+                ask(bad)
+    assert origin.contains(("1/10", "0"))
+    with pytest.raises(PreconditionViolated, match="^point: float 0.1 is inexact"):
+        origin.contains((0.1, 0))
+    with pytest.raises(DimensionMismatch, match="^point needs 2 coordinates$"):
+        origin.contains((Fraction(1, 10),))
 
 
 def test_max_points_one(engine):
@@ -1054,6 +1068,47 @@ def _uncertified(result, eng) -> set[int]:
         for ((a1, a2), scaled_k), e in zip(eng._columns, rec.divisor.coeffs)
         if scale * (x * a1 + y * a2) - den * scaled_k > den * scale * (e + 1)
     }
+
+
+COVERAGE_CASES = [
+    pytest.param("m-primary", ("1", "3"), id="m-primary-1,3"),
+    pytest.param("m-primary", ("2", "6"), id="m-primary-2,6"),
+    pytest.param("fractional-k", ("1", "1"), id="fractional-k-1,1"),
+    pytest.param(
+        "affine",
+        ("1", "3"),
+        id="affine-1,3",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 1: walls of a non-m-primary tuple miss the crossed and affine components",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("which,box", COVERAGE_CASES)
+def test_walk_coverage_against_closures(engine, affine_engine, fractional_engine, which, box):
+    # Each check compares the walk with closures, which the wall set does not
+    # decide.  Coverage: at each point of a grid of denominator 12 per box
+    # side, the first record in discovery order whose region holds it
+    # carries the divisor of that point.  Facet side: a facet midpoint in the
+    # box lies on its record's wall and outside every earlier closure, so
+    # just before it along its ray the ideal is the record's.  A clipper that
+    # keeps a piece an earlier closure covers moves facet ends, not records,
+    # and only the second check sees it.
+    eng = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which]
+    records = eng.enumerate_constancy_regions(box).records
+    width, height = map(Fraction, box)
+    for i in range(13):
+        for j in range(13):
+            p = (width * i / 12, height * j / 12)
+            first = next(rec for rec in records if rec.region.contains(p))
+            assert first.divisor == eng.at(p).divisor, (p, first.index)
+    for rec in records:
+        for facet in rec.cfacets:
+            mid = facet.midpoint
+            if mid[0] <= width and mid[1] <= height:
+                assert eng.at(mid).left == rec.divisor, (rec.index, facet)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
