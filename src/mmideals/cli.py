@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import traceback
 from fractions import Fraction
@@ -45,6 +46,11 @@ _FLAGS = {
     "--direction": ("ray direction, e.g. 1,1", False, False),
     "--upto": ("upper bound for jumping-number chains", True, False),
 }
+
+
+# flags that take a coordinate list: argparse would read `--box -1,1` as two
+# flags, so `main` passes it on as `--box=-1,1` for the coordinate parser
+_COORDINATE_FLAGS = ("--lambda", "--box", "--direction")
 
 
 class Command(NamedTuple):
@@ -91,7 +97,7 @@ def _cmd_canonical(engine, opts, fmt: str):
     k = engine.canonical[: engine.graph.n_exc]
     if fmt == "text":
         return "K = " + _fmt_tuple(k) + "\n"
-    return reportio.dump_json([reportio.rational_json(c) for c in k])
+    return reportio.dump_json([c.numerator if c.denominator == 1 else str(c) for c in k])
 
 
 def _cmd_mmi(engine, opts, fmt: str):
@@ -100,12 +106,12 @@ def _cmd_mmi(engine, opts, fmt: str):
     payload = {
         "command": "mmi",
         "lambda": lam,
-        "divisor": reportio.divisor_json(divisor),
+        "divisor": list(divisor.coeffs),
         "components": list(engine.graph.ids),
     }
     if any(context.key[:-1]):
         left = context.left
-        payload["left_limit"] = reportio.divisor_json(left)
+        payload["left_limit"] = list(left.coeffs)
         payload["jumping"] = left != divisor
     if fmt == "text":
         lines = [f"lambda = {_fmt_tuple(lam)}", f"divisor = {_fmt_tuple(divisor.coeffs)}"]
@@ -121,10 +127,14 @@ def _cmd_region(engine, opts, fmt: str):
     payload = {
         "command": "region",
         "lambda": reportio.key_json(region.key),
-        "divisor": reportio.divisor_json(region.divisor),
+        "divisor": list(region.divisor.coeffs),
         "m_primary": engine.ideals.is_m_primary(),
+        "inequalities": [
+            {"component": q.component, "coeffs": list(q.coeffs), "rhs": reportio.key_json((q.numerator, q.scale))[0]}
+            for q in region.inequalities
+        ],
+        "bounded": region.bounded,
     }
-    payload.update(reportio.region_json(region))
     if fmt == "text":
         lines = [f"region of {_fmt_tuple(payload['lambda'])}:"]
         lines += ["  " + _text_inequality(q) for q in region.inequalities]
@@ -156,9 +166,7 @@ def _cmd_walk(engine, opts, fmt: str):
         return render_walls(result)
     if fmt == "text":
         return _enumeration_text(result)
-    payload = reportio.enumeration_json(result)
-    payload["command"] = opts["command"]
-    return reportio.dump_json(payload)
+    return reportio.enumeration_json(result, opts["command"])
 
 
 def _cmd_jumping_numbers(engine, opts, fmt: str):
@@ -193,8 +201,8 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
             cid: {"coeffs": list(normal), "rhs": str(constant)}
             for cid, (normal, constant) in gmin.hyperplanes.items()
         },
-        "divisor_at": reportio.divisor_json(context.divisor),
-        "left_limit": reportio.divisor_json(context.left),
+        "divisor_at": list(context.divisor.coeffs),
+        "left_limit": list(context.left.coeffs),
     }
     return reportio.dump_json(payload)
 
@@ -264,7 +272,12 @@ def _fail(exc: MMIError) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    opts = vars(parser.parse_args(argv))
+    args: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if token[:1] == "-" and args and args[-1] in _COORDINATE_FLAGS and re.match(r"-[0-9./]", token):
+            token = args.pop() + "=" + token
+        args.append(token)
+    opts = vars(parser.parse_args(args))
     name = opts["command"]
     command = _COMMANDS[name]
     foreign = [f"{f} {opts[f[2:]]}" for f in _FLAGS if f not in command.flags and opts[f[2:]] is not None]

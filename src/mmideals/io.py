@@ -17,13 +17,14 @@ canonical divisor is a number where integral and a 'p/q' string elsewhere,
 and keys are sorted on serialization.  `key_json` writes every point and
 every wall constant from its integer key, with no Fraction made.
 
-`dump_json` is a small canonical writer: for payloads keyed by text, as
-every report is, its bytes are exactly `json.dumps(payload, sort_keys=True,
-indent=2)` and a newline, pure ASCII, but it never runs the stdlib's
-pure-Python encoder (the C encoder serves only `indent=None`).  Strings go through json's C `encode_basestring_ascii`
-and a list of strings or ints is written with one `str.join`.  The
-predecessor order of the `enumerate` report is read off one packed int per
-divisor (`packed_predecessors`), not off pairwise `Divisor.le` calls.
+Every report is exactly `json.dumps(payload, sort_keys=True, indent=2)` and
+a newline, pure ASCII, written without the stdlib's pure-Python encoder.
+`enumeration_json` writes the `enumerate` report straight from the records,
+one fixed template per record, facet and inequality, with the predecessor
+order read off one packed int per divisor (`packed_predecessors`); a
+property test holds it to the stdlib's bytes.  `dump_json`, a small
+canonical writer, writes every other report: strings go through json's C
+`encode_basestring_ascii`, and a list of strings or ints is one `str.join`.
 """
 
 from __future__ import annotations
@@ -31,22 +32,16 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
-from fractions import Fraction
 
 from .divisors import Divisor
 from .errors import PreconditionViolated
 from .graph import DualGraph, IdealDivisorSet, _list_of, validate_graph
-from .regions import CFacet, ConstancyRecord, EnumerationResult, RegionPolytope, WallInequality
+from .regions import EnumerationResult
 
 __all__ = [
     "load_input",
     "build_ideals",
-    "rational_json",
     "key_json",
-    "divisor_json",
-    "inequality_json",
-    "facet_json",
-    "record_json",
     "packed_predecessors",
     "enumeration_json",
     "dump_json",
@@ -88,60 +83,12 @@ def build_ideals(graph: DualGraph, raw_ideals) -> IdealDivisorSet:
 # -- JSON value conventions ---------------------------------------------------
 
 
-def rational_json(q: int | Fraction):
-    """Integers as JSON numbers, everything else as a 'p/q' string."""
-    return q.numerator if q.denominator == 1 else str(q)
-
-
 def key_json(key) -> list[str]:
     """A point key (n_1, .., n_r, den) as strings, integers included ('1',
     '1/6'): each n / den in lowest terms, as str(Fraction(n, den)) writes
     it, with no Fraction made.  A wall constant is the key (numerator, L)."""
     *nums, den = key
     return [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
-
-
-def divisor_json(divisor: Divisor) -> list[int]:
-    return list(divisor.coeffs)
-
-
-def inequality_json(ineq: WallInequality) -> dict:
-    return {
-        "component": ineq.component,
-        "coeffs": list(ineq.coeffs),
-        "rhs": key_json((ineq.numerator, ineq.scale))[0],
-    }
-
-
-def region_json(region: RegionPolytope) -> dict:
-    return {
-        "inequalities": [inequality_json(q) for q in region.inequalities],
-        "bounded": region.bounded,
-    }
-
-
-def facet_json(facet: CFacet) -> dict:
-    return {
-        "component": facet.wall.component,
-        "from": key_json(facet.keys[0]),
-        "to": key_json(facet.keys[1]),
-        "midpoint": key_json(facet.keys[2]),
-    }
-
-
-def record_json(record: ConstancyRecord, predecessors: list[int]) -> dict:
-    """One record; `predecessors` are the indices of the records found
-    before it whose divisor lies below its own (see `enumeration_json`)."""
-    return {
-        "index": record.index,
-        "representative": key_json(record.representative),
-        "representatives": [key_json(key) for key in record.representatives],
-        "divisor": divisor_json(record.divisor),
-        "inequalities": [inequality_json(q) for q in record.region.inequalities],
-        "cfacets": [facet_json(f) for f in record.cfacets],
-        "predecessors": predecessors,
-        "truncated": record.truncated,
-    }
 
 
 def packed_predecessors(rows) -> list[list[int]]:
@@ -167,24 +114,69 @@ def packed_predecessors(rows) -> list[list[int]]:
     ]
 
 
-def enumeration_json(result: EnumerationResult) -> dict:
-    records = result.records
-    predecessors = packed_predecessors([r.divisor.coeffs for r in records])
-    return {
-        "box": key_json(result.box),
-        "records": [record_json(r, below) for r, below in zip(records, predecessors)],
-        "representatives": [key_json(key) for key in result.representatives],
-        "queue": [key_json(key) for key in result.queue],
-        "distinct_ideals": len(records),
-        "m_primary": result.m_primary,
-        "warnings": list(result.warnings),
-    }
+# -- canonical writers ----------------------------------------------------------
 
-
-# -- canonical writer -----------------------------------------------------------
-
-_STR_LIST = frozenset((str,))
+_NEWLINE = ["\n" + "  " * depth for depth in range(7)]  # a newline and the indent of each depth
+_BOOL = ("false", "true")
+# a list of strings at each depth: its text up to the first string, between two, after the last
+_KEY = [("[" + inner + '"', '",' + inner + '"', '"' + newline + "]") for newline, inner in zip(_NEWLINE, _NEWLINE[1:])]
+# an object with these keys, in sorted order, at this depth, each value a %s slot
+_REPORT, _RECORD, _FACET, _INEQUALITY = (
+    "{" + ",".join(_NEWLINE[depth + 1] + '"' + name + '": %s' for name in names.split()) + _NEWLINE[depth] + "}"
+    for depth, names in [
+        (0, "box command distinct_ideals m_primary queue records representatives warnings"),
+        (2, "cfacets divisor index inequalities predecessors representative representatives truncated"),
+        (4, "component from midpoint to"),
+        (4, "coeffs component rhs"),
+    ]
+)
+_REPORT += "\n"
+_STR_LIST = frozenset((str,))  # the lists `_emit` writes with one join
 _INT_LIST = frozenset((int,))
+
+
+def _list_text(items, depth: int) -> str:
+    """The JSON texts `items` as a list at `depth`, as `dump_json` writes it.
+    No JSON text is empty, so an empty join is an empty list."""
+    inner = _NEWLINE[depth + 1]
+    text = ("," + inner).join(items)
+    return "[" + inner + text + _NEWLINE[depth] + "]" if text else "[]"
+
+
+def enumeration_json(result: EnumerationResult, command: str) -> str:
+    """The `enumerate` report, written straight from the records: the bytes
+    `dump_json` writes for its payload.  Each record, facet and inequality
+    fills a fixed template at its indent, a point key's coordinates are
+    written once, and a predecessor list is joined from the indices' texts."""
+    coordinates: dict = {}  # point key -> key_json(key)
+
+    def key_text(key, depth):
+        strs = coordinates.get(key) or coordinates.setdefault(key, key_json(key))
+        start, sep, end = _KEY[depth]
+        return start + sep.join(strs) + end
+
+    records = result.records
+    indices = list(map(str, range(len(records))))
+    texts = []
+    for rec, below in zip(records, packed_predecessors([r.divisor.coeffs for r in records])):
+        facets = [
+            _FACET % (_encode_str(f.wall.component), key_text(f.keys[0], 5), key_text(f.keys[2], 5), key_text(f.keys[1], 5))
+            for f in rec.cfacets
+        ]
+        walls = [
+            _INEQUALITY % (_list_text(map(str, q.coeffs), 5), _encode_str(q.component), '"%s"' % key_json((q.numerator, q.scale))[0])
+            for q in rec.region.inequalities
+        ]
+        texts.append(_RECORD % (
+            _list_text(facets, 3), _list_text(map(str, rec.divisor.coeffs), 3), rec.index, _list_text(walls, 3),
+            _list_text(map(indices.__getitem__, below), 3), key_text(rec.representative, 3),
+            _list_text([key_text(key, 4) for key in rec.representatives], 3), _BOOL[rec.truncated],
+        ))
+    return _REPORT % (
+        key_text(result.box, 1), _encode_str(command), len(records), _BOOL[result.m_primary],
+        _list_text([key_text(key, 2) for key in result.queue], 1), _list_text(texts, 1),
+        _list_text([key_text(key, 2) for key in result.representatives], 1), _list_text(map(_encode_str, result.warnings), 1),
+    )
 
 
 def _emit(value, newline: str, put) -> None:

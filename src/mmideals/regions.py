@@ -31,6 +31,7 @@ Fractions are made only for a caller that asks (`PointContext.coords`,
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from fractions import Fraction
@@ -451,7 +452,9 @@ class RegionEngine:
         seen = {origin}  # seed keys
         representatives: list[tuple[int, ...]] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
-        records = by_divisor.values()  # in discovery order
+        # per wall row, (C, region) of every record's region, sorted by its
+        # constant C on that wall (see _facets_r2)
+        priors: list[list[tuple]] = [[] for _ in self.classification.wall_relevant]
         warnings: list[str] = []
 
         steps = 0
@@ -473,16 +476,11 @@ class RegionEngine:
                 continue
 
             region = self._region(entry)
-            facets, seeds = self._facets(region, records, box_key)
-            record = ConstancyRecord(
-                index=len(records),
-                representative=key,
-                divisor=divisor,
-                region=region,
-                cfacets=facets,
-                truncated=self._truncated(region, box_key),
-            )
+            facets, seeds = self._facets(region, priors, box_key)
+            record = ConstancyRecord(len(by_divisor), key, divisor, region, facets, self._truncated(region, box_key))
             by_divisor[divisor] = record
+            for column, ineq in zip(priors, region.inequalities):
+                bisect.insort(column, (ineq.numerator, region), key=operator.itemgetter(0))
             if record.index == 0 and not seeds:
                 warnings.append(
                     "BoxTooSmall: the box misses the boundary of the first region; "
@@ -527,7 +525,7 @@ class RegionEngine:
                 return True
         return False
 
-    def _facets(self, region: RegionPolytope, priors: list[ConstancyRecord], box: tuple[int, ...]):
+    def _facets(self, region: RegionPolytope, priors: list[list[tuple]], box: tuple[int, ...]):
         if self.r == 1:
             return self._facets_r1(region, priors, box)
         return self._facets_r2(region, priors, box)
@@ -558,19 +556,16 @@ class RegionEngine:
         # A wall line's m is a multiple of a1 and a2, so the line lifted by
         # the box's denominator q clips to the box on integer bounds.
         # Every region of the engine has the same walls in the same order, so
-        # row `row` of a prior's half-planes is the prior's copy of this wall.
-        prior_planes = [prior.region.halfplanes for prior in priors]
+        # a prior's row `row` is its copy of this wall, and its closure can
+        # reach this wall's line only if that copy's constant is at least C:
+        # `priors[row]` is sorted by it, and bisect_left finds the first.
         facets: list[CFacet] = []
         seeds: list[tuple[int, int, int]] = []
         for row, ineq, line, lo, hi in region.edges:
             lifted = (*line[:3], line[3] * q)
-            cuts = []
-            for planes in prior_planes:
-                if planes[row][2] < ineq.numerator:
-                    continue  # prior closure cannot reach this wall line
-                cut = _clip_parameter(planes, line, lo, hi)
-                if cut is not None:
-                    cuts.append(cut)
+            column = priors[row]
+            reach = column[bisect.bisect_left(column, ineq.numerator, key=operator.itemgetter(0)) :]
+            cuts = [cut for _, prior in reach if (cut := _clip_parameter(prior.halfplanes, line, lo, hi)) is not None]
 
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
                 keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))

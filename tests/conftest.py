@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,7 @@ import mmideals.divisors
 import mmideals.regions
 from mmideals import RegionEngine, load_input
 from mmideals.graph import relative_canonical, validate_graph
-from mmideals.io import build_ideals
+from mmideals.io import build_ideals, dump_json, enumeration_json, key_json
 from mmideals.regions import _point_key
 
 DATA = Path(__file__).parent / "data"
@@ -263,6 +264,66 @@ def reference_setup(graph, ideals) -> dict:
         "excess": excess,
         "support": support,
     }
+
+
+# -- the `enumerate` report as a payload ------------------------------------------
+# The dict builders the report was made with before `io.enumeration_json`
+# wrote its text straight from the records: the reference that writer is held
+# to, through `dump_json` and the stdlib.  Predecessors come from a pairwise
+# componentwise scan, not from `io.packed_predecessors`.
+
+
+def facet_json(facet) -> dict:
+    return {
+        "component": facet.wall.component,
+        "from": key_json(facet.keys[0]),
+        "to": key_json(facet.keys[1]),
+        "midpoint": key_json(facet.keys[2]),
+    }
+
+
+def record_json(record, predecessors: list[int]) -> dict:
+    """One record; `predecessors` are the indices of the records found
+    before it whose divisor lies below its own."""
+    return {
+        "index": record.index,
+        "representative": key_json(record.representative),
+        "representatives": [key_json(key) for key in record.representatives],
+        "divisor": list(record.divisor.coeffs),
+        "inequalities": [
+            {"component": q.component, "coeffs": list(q.coeffs), "rhs": key_json((q.numerator, q.scale))[0]}
+            for q in record.region.inequalities
+        ],
+        "cfacets": [facet_json(f) for f in record.cfacets],
+        "predecessors": predecessors,
+        "truncated": record.truncated,
+    }
+
+
+def enumeration_payload(result, command: str) -> dict:
+    """The `enumerate` report of a walk as a dict, `command` naming it."""
+    rows = [r.divisor.coeffs for r in result.records]
+    return {
+        "box": key_json(result.box),
+        "command": command,
+        "records": [
+            record_json(r, [j for j in range(i) if all(map(operator.le, rows[j], rows[i]))])
+            for i, r in enumerate(result.records)
+        ],
+        "representatives": [key_json(key) for key in result.representatives],
+        "queue": [key_json(key) for key in result.queue],
+        "distinct_ideals": len(result.records),
+        "m_primary": result.m_primary,
+        "warnings": list(result.warnings),
+    }
+
+
+def assert_report_matches_its_payload(result, command: str = "enumerate") -> None:
+    """`io.enumeration_json` writes the bytes `dump_json` writes for the
+    reference payload, and those are the stdlib's for the report."""
+    out = enumeration_json(result, command)
+    assert out == dump_json(enumeration_payload(result, command))
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def count_closures(monkeypatch) -> list:

@@ -622,6 +622,40 @@ def test_float_lambda_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["mmi", "--lambda", "-1,0"], "PreconditionViolated: lambda must lie in the nonnegative orthant"),
+        (["enumerate", "--box", "-1,1"], "PreconditionViolated: box coordinates must be positive"),
+        (
+            ["jumping-numbers", "--direction", "-1,1", "--upto", "1"],
+            "PreconditionViolated: direction must be nonzero and nonnegative",
+        ),
+    ],
+    ids=["lambda", "box", "direction"],
+)
+def test_spaced_negative_coordinates_reach_the_coordinate_parser(capsys, argv, err):
+    # argparse reads `--box -1,1` as two flags; the value must reach the
+    # parser of points and give its one line, as `--box=-1,1` does
+    code, out, got = run(capsys, *argv, "--input", INPUT)
+    assert code == 2 and out == ""
+    assert got == f"error: {err}\n"
+    joined = [argv[0], f"{argv[1]}={argv[2]}", *argv[3:]]
+    assert run(capsys, *joined, "--input", INPUT) == (code, out, got)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mmi", "--lambda", "-x"], ["jumping-numbers", "--ideal", "a1", "--upto", "-1/2"], ["mmi", "--lambda"]],
+    ids=["not-a-number", "not-a-coordinate-flag", "no-value"],
+)
+def test_other_dashed_values_keep_the_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--input", INPUT])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_missing_required_flag(capsys):
     code, _, err = run(capsys, "mmi", "--input", INPUT)
     assert code == 2
@@ -704,6 +738,9 @@ WALK_DIGESTS = [
     (FRACTIONAL_K, "enumerate", "3,3", "bdf48033b1e26e28"),
     (FRACTIONAL_K, "walls", "1,3", "c789b530f2d98eee"),
     (FRACTIONAL_K, "walls", "3,3", "1b52d168b79a4fd2"),
+    (INPUT, "walls", "6,18", "df7a401eb38bc19e"),
+    (FRACTIONAL_K, "walls", "6,18", "01c7dd4da5b1506c"),
+    (FRACTIONAL_K, "enumerate", "6,18", "371129ee0861ffcd"),
 ]
 
 

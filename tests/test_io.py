@@ -1,7 +1,9 @@
-"""The canonical JSON writer and the packed predecessor order of `io`.
+"""The canonical JSON writers and the packed predecessor order of `io`.
 
 `dump_json` must write exactly the bytes of the stdlib's
-`json.dumps(payload, sort_keys=True, indent=2)` plus a newline, and
+`json.dumps(payload, sort_keys=True, indent=2)` plus a newline;
+`enumeration_json` must write exactly what `dump_json` writes for the
+report's payload, as the reference dict builders of conftest make it; and
 `packed_predecessors` must give exactly the componentwise order.
 """
 
@@ -17,7 +19,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals.io import dump_json, enumeration_json, packed_predecessors
+from mmideals import RegionEngine
+from mmideals.graph import validate_graph
+from mmideals.io import build_ideals, dump_json, enumeration_json, packed_predecessors
+
+from conftest import DATA, assert_report_matches_its_payload, enumeration_payload
 
 
 def stdlib(payload) -> str:
@@ -110,14 +116,79 @@ def test_writer_takes_only_text_keys():
 def test_writer_pins_the_example_walk_at_box_6_18(engine):
     """A large real payload: the `enumerate` report at box 6,18 (745
     records, 272,640 predecessor pairs), byte for byte."""
-    payload = enumeration_json(engine.enumerate_constancy_regions((Fraction(6), Fraction(18))))
-    payload["command"] = "enumerate"
-    out = dump_json(payload)
+    result = engine.enumerate_constancy_regions((Fraction(6), Fraction(18)))
+    payload = enumeration_payload(result, "enumerate")
+    out = enumeration_json(result, "enumerate")
     assert out == stdlib(payload)
     assert len(out) == 4_457_917
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f80800de505fd0badcf6e7f9bcf4936d699798419a8fde9db50dca175210c611"
     )
+
+
+# -- the `enumerate` report, written from the records -----------------------------
+
+
+def _wall_less(r: int) -> RegionEngine:
+    """One -1 curve with an arrow per ideal: no component is rupture or
+    dicritical, so no region has a wall, an inequality or a facet."""
+    arrows = [{"id": f"A{i + 1}", "meets": ["E1"]} for i in range(r)]
+    raw = {"exceptional": [{"id": "E1", "self": -1}], "affine": arrows}
+    ideals = [{"mult": {"E1": 1, f"A{i + 1}": 1}} for i in range(r)]
+    return RegionEngine(build_ideals(validate_graph(raw), ideals))
+
+
+# (engine, box, max_points): every list of the report is empty in some case
+# and not in another (test_report_cases_cover_every_empty_list)
+REPORT_CASES = {
+    "example-1,3": ("m-primary", ("1", "3"), None),
+    "example-2,6": ("m-primary", ("2", "6"), None),
+    "example-3/4,5/2": ("m-primary", ("3/4", "5/2"), None),
+    "example-1,3-first-9": ("m-primary", ("1", "3"), 9),
+    "example-1,3-first-1": ("m-primary", ("1", "3"), 1),
+    "example-too-small": ("m-primary", ("1/100", "1/100"), None),
+    "a1-variant-1,3": ("affine", ("1", "3"), None),
+    "fractional-k-1,1": ("fractional-k", ("1", "1"), None),
+    "fractional-k-3,3": ("fractional-k", ("3", "3"), None),
+    "example-a1-3": ("example-a1", ("3",), None),
+    "example-a2-10": ("example-a2", ("10",), None),
+    "fractional-k-a1-3/2": ("fractional-k-a1", ("3/2",), None),
+    "wall-less-1,1": ("wall-less-2", ("1", "1"), None),
+    "wall-less-1": ("wall-less-1", ("1",), None),
+}
+
+
+@pytest.fixture(scope="module")
+def report_engines(engine, affine_engine, fractional_engine, example_raw):
+    engines = {"m-primary": engine, "affine": affine_engine, "fractional-k": fractional_engine}
+    fractional_raw = json.loads((DATA / "fractional_k.json").read_text())
+    for name, raw in [("example", example_raw), ("fractional-k", fractional_raw)]:
+        for ideal in raw["ideals"]:
+            engines[f"{name}-{ideal['name']}"] = RegionEngine(build_ideals(validate_graph(raw), [ideal]))
+    engines.update({f"wall-less-{r}": _wall_less(r) for r in (1, 2)})
+    return engines
+
+
+@pytest.mark.parametrize("which,box,max_points", REPORT_CASES.values(), ids=REPORT_CASES)
+def test_report_writer_matches_the_reference_payload(report_engines, which, box, max_points):
+    result = report_engines[which].enumerate_constancy_regions(box, max_points=max_points)
+    assert_report_matches_its_payload(result)
+    assert_report_matches_its_payload(result, "walls")
+
+
+def test_report_cases_cover_every_empty_list(report_engines):
+    results = [report_engines[w].enumerate_constancy_regions(b, max_points=m) for w, b, m in REPORT_CASES.values()]
+    records = [rec for result in results for rec in result.records]
+    payloads = [enumeration_payload(result, "enumerate") for result in results]
+    lengths = {
+        "queue": [len(result.queue) for result in results],
+        "warnings": [len(result.warnings) for result in results],
+        "predecessors": [len(rec["predecessors"]) for payload in payloads for rec in payload["records"]],
+        "cfacets": [len(rec.cfacets) for rec in records],
+        "inequalities": [len(rec.region.inequalities) for rec in records],
+    }
+    for name, counts in lengths.items():
+        assert min(counts) == 0 < max(counts), name
 
 
 # -- packed predecessor order -------------------------------------------------

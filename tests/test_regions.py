@@ -16,7 +16,7 @@ from mmideals import RegionEngine, load_input, next_jumping_number, svg
 from mmideals.cli import _enumeration_text, main
 from mmideals.divisors import Divisor, antinef_closure
 from mmideals.graph import IdealDivisorSet, validate_graph
-from mmideals.io import build_ideals, dump_json, enumeration_json, key_json
+from mmideals.io import build_ideals, enumeration_json, key_json
 from mmideals.jumping import contributes
 from mmideals.errors import (
     DanglingReference,
@@ -39,7 +39,7 @@ from mmideals.regions import (
 )
 from mmideals.svg import render_walls
 
-from conftest import DATA, GOLDEN, count_closures, exc, membership, point, value_rows
+from conftest import DATA, GOLDEN, assert_report_matches_its_payload, count_closures, exc, membership, point, value_rows
 from test_graph import _tree_raw, random_trees
 
 
@@ -202,7 +202,8 @@ def test_walk_facets(golden_run):
 
 def test_walk_predecessors(golden_run):
     # the relation is derived only where the JSON report emits it
-    assert [rec["predecessors"] for rec in enumeration_json(golden_run)["records"]] == [
+    records = json.loads(enumeration_json(golden_run, "enumerate"))["records"]
+    assert [rec["predecessors"] for rec in records] == [
         [],
         [0],
         [0, 1],
@@ -215,7 +216,7 @@ def test_walk_predecessors(golden_run):
 def test_report_predecessors_match_a_direct_scan(affine_engine, fractional_engine, which, box):
     result = {"affine": affine_engine, "fractional-k": fractional_engine}[which].enumerate_constancy_regions(box)
     records = result.records
-    for i, got in enumerate(enumeration_json(result)["records"]):
+    for i, got in enumerate(json.loads(enumeration_json(result, "enumerate"))["records"]):
         # componentwise, without Divisor.le
         below = [j for j in range(i) if all(map(operator.le, records[j].divisor.coeffs, records[i].divisor.coeffs))]
         assert got["predecessors"] == below
@@ -520,8 +521,8 @@ def test_prioritize_matches_the_rescanning_oracle(
     fast = eng.enumerate_constancy_regions(box, max_points=max_points)
     monkeypatch.setattr(RegionEngine, "_prioritize", _prioritize_by_rescanning)
     slow = eng.enumerate_constancy_regions(box, max_points=max_points)
-    # the payload holds every record, the representatives and the queue
-    assert enumeration_json(fast) == enumeration_json(slow)
+    # the report holds every record, the representatives and the queue
+    assert enumeration_json(fast, "enumerate") == enumeration_json(slow, "enumerate")
 
 
 # -- integer geometry against the Fraction oracles -------------------------------
@@ -711,10 +712,10 @@ def _facets_r2_fractions(self, region, priors, box):
             continue
         cuts = []
         for prior in priors:
-            prior_c = _constant_for(prior.region, ineq.component)
+            prior_c = _constant_for(prior, ineq.component)
             if prior_c is not None and prior_c < c:
                 continue
-            cut = _clip_parameter_fractions(_fraction_halfplanes(prior.region), p0, direction, lo, hi)
+            cut = _clip_parameter_fractions(_fraction_halfplanes(prior), p0, direction, lo, hi)
             if cut is not None:
                 u0, u1 = cut
                 cuts.append((lo if u0 is None else u0, hi if u1 is None else u1))
@@ -750,7 +751,7 @@ def _facets_r1_fractions(self, region, priors, box):
         return (), []
     m, ineq = best
     for prior in priors:
-        ext = _extent(prior.region, 0)
+        ext = _extent(prior, 0)
         if ext is not None and m <= ext:
             return (), []
     point = (m,)
@@ -767,12 +768,18 @@ def _fraction_key(point):
     return (*(z.numerator * (den // z.denominator) for z in point), den)
 
 
+def _prior_regions(priors) -> list:
+    """The regions of a walk's prior index: one row per wall, each holding
+    (C, region) for every prior region, so row 0 holds them all."""
+    return [region for _, region in priors[0]] if priors else []
+
+
 def _keyed_seeds(facets_fractions):
-    """An oracle facet finder whose Fraction seeds come out as the walk's
-    point keys."""
+    """An oracle facet finder that reads the prior regions from the walk's
+    prior index and whose Fraction seeds come out as the walk's point keys."""
 
     def facets(self, region, priors, box):
-        found, seeds = facets_fractions(self, region, priors, box)
+        found, seeds = facets_fractions(self, region, _prior_regions(priors), box)
         return found, list(map(_fraction_key, seeds))
 
     return facets
@@ -949,7 +956,7 @@ def test_a_walk_and_its_reports_make_no_fraction(path, box):
     box = tuple(map(Fraction, box))
     with _fractions_made() as made:
         result = eng.enumerate_constancy_regions(box)
-        reports = dump_json(enumeration_json(result)), _enumeration_text(result), render_walls(result)
+        reports = enumeration_json(result, "enumerate"), _enumeration_text(result), render_walls(result)
     assert len(result.records) > 50 and all(reports)
     assert made == []
 
@@ -999,13 +1006,13 @@ def test_integer_geometry_matches_the_fraction_oracle(
     engines = dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine}, **single_engines)
     eng = engines[which]
     fast = eng.enumerate_constancy_regions(box)
-    fast_payload, fast_svg = enumeration_json(fast), render_walls(fast)
+    fast_report, fast_svg = enumeration_json(fast, "enumerate"), render_walls(fast)
     monkeypatch.setattr(RegionEngine, "_facets_r1", _keyed_seeds(_facets_r1_fractions))
     monkeypatch.setattr(RegionEngine, "_facets_r2", _keyed_seeds(_facets_r2_fractions))
     monkeypatch.setattr(RegionEngine, "_truncated", _truncated_fractions)
     monkeypatch.setattr(svg, "_region_outline", _region_outline_fractions)
     slow = eng.enumerate_constancy_regions(box)
-    assert fast_payload == enumeration_json(slow)
+    assert fast_report == enumeration_json(slow, "enumerate")
     assert fast_svg == render_walls(slow)
 
 
@@ -1111,12 +1118,10 @@ def test_walk_coverage_against_closures(engine, affine_engine, fractional_engine
                 assert eng.at(mid).left == rec.divisor, (rec.index, facet)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(random_trees(max_size=10), st.data())
-def test_every_region_of_a_random_m_primary_pair_certifies_its_wall_set(tree, data):
-    # Two ideals on a random tree of at most 10 components, made definite
-    # where it is not by lowering each E_i^2 to at most -(degree + 1); each
-    # the antinef closure of a random nonzero 0..3 vector, so m-primary.
+def _random_m_primary_pair(tree, data) -> RegionEngine:
+    """Two ideals on a random tree of at most 10 components, made definite
+    where it is not by lowering each E_i^2 to at most -(degree + 1); each
+    the antinef closure of a random nonzero 0..3 vector, so m-primary."""
     selfs, edges = tree
     try:
         graph = validate_graph(_tree_raw(selfs, edges))
@@ -1125,9 +1130,86 @@ def test_every_region_of_a_random_m_primary_pair_certifies_its_wall_set(tree, da
         graph = validate_graph(_tree_raw([min(s, -d - 1) for s, d in zip(selfs, degree)], edges))
     start = st.lists(st.integers(0, 3), min_size=len(selfs), max_size=len(selfs)).filter(any)
     divisors = [antinef_closure(Divisor(graph, data.draw(start))) for _ in range(2)]
-    eng = RegionEngine(IdealDivisorSet(graph, ("a1", "a2"), divisors))
+    return RegionEngine(IdealDivisorSet(graph, ("a1", "a2"), divisors))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_trees(max_size=10), st.data())
+def test_every_region_of_a_random_m_primary_pair_certifies_its_wall_set(tree, data):
+    eng = _random_m_primary_pair(tree, data)
     assert eng.ideals.is_m_primary()
     assert _uncertified(eng.enumerate_constancy_regions((1, 1), max_points=300), eng) == set()
+
+
+def _facets_r2_all_priors(self, region, priors, box):
+    """The integer facet clipper with no prior index: it scans every prior
+    region and skips those whose copy of the wall has a smaller constant.
+    Oracle for the indexed scan of `RegionEngine._facets_r2`."""
+    scale = self.scale
+    x, y, q = box
+    box_planes = [(q, 0, x * scale), (0, q, y * scale)]
+    prior_planes = [prior.halfplanes for prior in _prior_regions(priors)]
+    facets, seeds = [], []
+    for row, ineq, line, lo, hi in region.edges:
+        lifted = (*line[:3], line[3] * q)
+        cuts = []
+        for planes in prior_planes:
+            if planes[row][2] < ineq.numerator:
+                continue  # prior closure cannot reach this wall line
+            cut = _clip_parameter(planes, line, lo, hi)
+            if cut is not None:
+                cuts.append(cut)
+        for t0, t1 in _subtract_intervals(lo, hi, cuts):
+            keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))
+            facets.append(CFacet(ineq, keys))
+            boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
+            if boxed is None:
+                continue
+            b0, b1 = boxed
+            if b0 < b1:
+                seeds.append(_line_key(lifted, scale, b0 + b1, 2))
+            elif b0 == b1:
+                seeds.append(_line_key(lifted, scale, b0))
+    return tuple(facets), seeds
+
+
+def _checked_against_all_priors(eng: RegionEngine) -> list:
+    """Make `eng` clip each fresh region both ways and require the same facets
+    and seeds; returns the list of the regions it checks."""
+    indexed, checked = eng._facets_r2, []
+
+    def facets_r2(region, priors, box):
+        got, want = indexed(region, priors, box), _facets_r2_all_priors(eng, region, priors, box)
+        assert [(f.wall, f.keys) for f in got[0]] == [(f.wall, f.keys) for f in want[0]]
+        assert got[1] == want[1]
+        checked.append(region)
+        return got
+
+    eng._facets_r2 = facets_r2
+    return checked
+
+
+@pytest.mark.parametrize("which,box", TWO_IDEAL_CASES)
+def test_prior_index_clips_as_the_all_priors_scan(engine, affine_engine, fractional_engine, which, box):
+    eng = RegionEngine(dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which].ideals)
+    checked = _checked_against_all_priors(eng)
+    eng.enumerate_constancy_regions(box)
+    assert len(checked) > 5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_trees(max_size=10), st.data())
+def test_prior_index_clips_as_the_all_priors_scan_on_a_random_m_primary_pair(tree, data):
+    eng = _random_m_primary_pair(tree, data)
+    _checked_against_all_priors(eng)
+    eng.enumerate_constancy_regions((1, 1), max_points=300)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_trees(max_size=10), st.data())
+def test_report_of_a_random_m_primary_pair_is_its_payload_written_by_dump_json(tree, data):
+    result = _random_m_primary_pair(tree, data).enumerate_constancy_regions((1, 1), max_points=300)
+    assert_report_matches_its_payload(result)
 
 
 @pytest.mark.parametrize("which,box", SINGLE_IDEAL_CASES)
