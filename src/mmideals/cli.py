@@ -198,8 +198,8 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
         "components": list(gmin.components),
         "valences": {cid: v for cid, v in gmin.valences.items()},
         "hyperplanes": {
-            cid: {"coeffs": list(normal), "rhs": str(constant)}
-            for cid, (normal, constant) in gmin.hyperplanes.items()
+            cid: {"coeffs": list(w.coeffs), "rhs": reportio.key_json((w.numerator, w.scale))[0]}
+            for cid, w in gmin.hyperplanes.items()
         },
         "divisor_at": list(context.divisor.coeffs),
         "left_limit": list(context.left.coeffs),

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Iterator
 
 from .divisors import Divisor
 from .errors import PreconditionViolated
@@ -91,10 +92,11 @@ def key_json(key) -> list[str]:
     return [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
 
 
-def packed_predecessors(rows) -> list[list[int]]:
+def packed_predecessors(rows) -> Iterator[list[int]]:
     """For each row of integer coefficients, the indices of the earlier rows
     lying componentwise below it (the divisor order), read off one int per
-    row instead of pairwise `Divisor.le` calls.
+    row instead of pairwise `Divisor.le` calls; yielded one row at a time,
+    so a writer holds one list, not all of them.
 
     Each coefficient, less the least coefficient of all rows, fills a field
     one bit wider than the spread; that top bit is a guard.  Subtracting P
@@ -103,15 +105,15 @@ def packed_predecessors(rows) -> list[list[int]]:
     so D <= D' is ``((P' | H) - P) & H == H``, H holding the guard bits.
     """
     if not rows:
-        return []
+        return iter(())
     least = min(map(min, rows))
     width = (max(map(max, rows)) - least).bit_length() + 1
     guards = sum(1 << (width * i + width - 1) for i in range(len(rows[0])))
     packed = [sum((c - least) << (width * i) for i, c in enumerate(row)) for row in rows]
-    return [
+    return (
         [j for j, lower in enumerate(packed[:i]) if (upper - lower) & guards == guards]
         for i, upper in enumerate(p | guards for p in packed)
-    ]
+    )
 
 
 # -- canonical writers ----------------------------------------------------------

@@ -8,11 +8,13 @@ weighted multiplicity attains the critical value
 
     sum_i lam_i e_{i,j} = k_j + 1 + e_j(left limit),
 
-and it is the smallest reduced divisor one can subtract from the floor
-divisor so that the resulting ideal climbs all the way back to the left
-limit.  The verifiers below re-check the theorems behind that sentence on
-concrete points; they exist so that test suites (and the CLI) can confirm
-the algebraic and the combinatorial routes agree.  All three are exact:
+that is, whose wall for the ideal just before lam passes through lam (its
+hyperplane is that wall, `PointContext.wall`, the walk's formula), and it
+is the smallest reduced divisor one can subtract from the floor divisor so
+that the resulting ideal climbs all the way back to the left limit.  The
+verifiers below re-check the theorems behind that sentence on concrete
+points; they exist so that test suites (and the CLI) can confirm the
+algebraic and the combinatorial routes agree.  All three are exact:
 closure is monotone, so the dichotomy over all 2^n candidate subsets takes
 |G| + 2 closures, with no sampling.
 
@@ -74,8 +76,10 @@ class MinimalJumpingDivisor:
         point: the jumping point.
         components: ids of the members, in graph order.
         valences: id -> number of other members adjacent to it.
-        hyperplanes: id -> (normal, constant) of the supporting hyperplane
-            sum_i lam_i e_{i,j} = k_j + 1 + e_j(left).
+        hyperplanes: id -> `WallInequality` of the supporting hyperplane
+            sum_i lam_i e_{i,j} = k_j + 1 + e_j(left), the member's wall for
+            the ideal just before lam (`PointContext.wall`); its `constant`
+            is the right-hand side as a Fraction.
         divisor: the reduced divisor on the members (0/1 coefficients).
     """
 
@@ -129,15 +133,8 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     if left == context.divisor:
         raise NotAJumpingPoint(f"no jump at {tuple(str(c) for c in coords)}")
 
-    support, k = ideals.support, context.canonical
-    values, den = context.values, context.den
-    members: list[int] = []
-    hyperplanes: dict[str, tuple[tuple[int, ...], Fraction]] = {}
-    for j in range(graph.n_total):
-        if j in support and values[j] == (1 + left.coeffs[j]) * den:
-            members.append(j)
-            normal = tuple(d.coeffs[j] for d in ideals.divisors)
-            hyperplanes[graph.ids[j]] = (normal, Fraction(k[j] + 1 + left.coeffs[j]))
+    support, values, den = ideals.support, context.values, context.den
+    members = [j for j in range(graph.n_total) if j in support and values[j] == (1 + left.coeffs[j]) * den]
     if not members:
         raise InternalInvariant("jumping point without attaining components")
     for j in members:
@@ -161,7 +158,7 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
         point=coords,
         components=tuple(graph.ids[j] for j in members),
         valences=valences,
-        hyperplanes=hyperplanes,
+        hyperplanes={graph.ids[j]: context.wall(j, left) for j in members},
         divisor=_indicator_divisor(ideals, members),
     )
 

@@ -43,7 +43,6 @@ from .errors import (
     DanglingReference,
     DimensionMismatch,
     GeometryDegeneracy,
-    InternalInvariant,
     LimitReached,
     PreconditionViolated,
     UnsupportedGeometry,
@@ -303,15 +302,16 @@ class PointContext:
     Computed on first use, from the key alone: lam's Fractions `coords`,
     `left_floor`, its closure `left` (the ideal just before lam along the
     ray) and the minimal jumping divisor `gmin`.  A walk therefore pays one
-    closure per point and makes no Fraction.
+    closure per point and makes no Fraction.  `wall` is the one wall
+    formula, on the engine's integer `columns` (normal, L k_j) and `scale`.
 
     It keeps what it uses, not the engine, so the two form no reference
     cycle.
     """
 
     def __init__(self, engine: "RegionEngine", key: tuple[int, ...]):
-        self.graph, self.ideals = engine.graph, engine.ideals
-        self.canonical, self.classification = engine.canonical, engine.classification
+        self.graph, self.ideals, self.classification = engine.graph, engine.ideals, engine.classification
+        self.columns, self.scale = engine._columns, engine.scale
         self.key = key
         self.values, self.den = engine._numerators(key[:-1], key[-1])
         self.floor = Divisor._of_ints(engine.graph, [v // self.den for v in self.values])
@@ -341,6 +341,14 @@ class PointContext:
     def gmin(self):
         """The minimal jumping divisor (see :mod:`mmideals.jumping`)."""
         return _minimal_jumping_divisor(self)
+
+    def wall(self, j: int, divisor: Divisor) -> WallInequality:
+        """Component j's wall for the ideal of the antinef divisor `divisor`,
+        lam . F_j < k_j + 1 + d_j, as its normal and L k_j + L (1 + d_j)
+        over L.  At a jumping point, a member's wall at the left limit is its
+        hyperplane in G; the walk's walls are those at lam's own divisor."""
+        normal, k = self.columns[j]
+        return WallInequality(self.graph.ids[j], normal, k + self.scale * (1 + divisor.coeffs[j]), self.scale)
 
 
 class RegionEngine:
@@ -405,26 +413,16 @@ class RegionEngine:
         """Wall polytope of the constancy region holding lam.
 
         One strict inequality per wall-relevant (rupture or dicritical)
-        exceptional component; every constant k_j + 1 + e_j(lam) is positive,
-        so the origin always lies inside.
+        exceptional component.  The closure dominates its floor, so e_j(lam)
+        >= floor(lam . F_j - k_j) > lam . F_j - k_j - 1: every constant k_j +
+        1 + e_j(lam) exceeds lam . F_j >= 0, and lam and the origin lie inside.
         """
         return self._region(self.at(lam))
 
     def _region(self, context: PointContext) -> RegionPolytope:
         divisor = context.divisor
-        ineqs = tuple(self._wall(j, divisor) for j in self.classification.wall_relevant)
-        region = RegionPolytope(context.key, divisor, ineqs, self.scale)
-        for ineq in region.inequalities:
-            if ineq.numerator <= 0:
-                raise InternalInvariant(
-                    f"wall constant {ineq.constant} <= 0 at {ineq.component} at lambda {_fmt_tuple(context.coords)}"
-                )
-        return region
-
-    def _wall(self, j: int, divisor: Divisor) -> WallInequality:
-        normal, k = self._columns[j]
-        numerator = k + self.scale * (1 + divisor.coeffs[j])
-        return WallInequality(self.graph.exc_ids[j], normal, numerator, self.scale)
+        ineqs = tuple(context.wall(j, divisor) for j in self.classification.wall_relevant)
+        return RegionPolytope(context.key, divisor, ineqs, self.scale)
 
     # -- enumeration -------------------------------------------------------
 
@@ -641,7 +639,8 @@ class _Ray:
         """The least jump after t = p / q >= 0 as a reduced (num, den).  The
         floor never decreases along the ray, and closure is monotone and
         idempotent, so after a step at t' <= t the closure D' of t' starts
-        this one: closure(max(floor, D')) = closure(floor)."""
+        this one: closure(max(floor, D')) = closure(floor).  The closure
+        dominates its floor, so every candidate exceeds t (see `region_of`)."""
         den = q * self.den
         floor = [(p * e - q * k) // den for e, k in self.columns]
         if self.last is not None and self.last[0] * q <= p * self.last[1]:
@@ -653,8 +652,6 @@ class _Ray:
             num = base + self.den * current[j]
             if best_num is None or num * best_den < best_num * cand_den:
                 best_num, best_den = num, cand_den
-        if best_num * q <= p * best_den:
-            raise InternalInvariant("jumping-number candidate did not advance")
         g = math.gcd(best_num, best_den)
         return best_num // g, best_den // g
 

@@ -230,7 +230,7 @@ def value_rows(context) -> list[tuple[Fraction, Fraction]]:
         sum((lam * d.coeffs[j] for lam, d in zip(context.coords, divisors)), Fraction(0))
         for j in range(context.graph.n_total)
     ]
-    return [(form, form - k) for form, k in zip(forms, context.canonical)]
+    return [(form, form - k) for form, k in zip(forms, relative_canonical(context.graph))]
 
 
 def reference_setup(graph, ideals) -> dict:

@@ -265,9 +265,9 @@ def test_criterion_6_verifiers_and_facet_constancy(engine, golden_run):
             for probe in (third, two_thirds):
                 g = minimal_jumping_divisor(engine, probe)
                 assert g.components == g_mid.components
-            normal, constant = g_mid.hyperplanes[facet.wall.component]
-            assert normal == facet.wall.coeffs
-            assert constant == facet.wall.constant
+            hyperplane = g_mid.hyperplanes[facet.wall.component]
+            assert hyperplane.coeffs == facet.wall.coeffs
+            assert hyperplane.constant == facet.wall.constant
 
 
 # -- criterion 7: the full walk covers every value inside the box ----------------

@@ -811,6 +811,8 @@ POINT_DIGESTS = {
         "verify": "3d66e0411efbf0ed",
         "jumping-numbers": "f29d80759fe9ff80",
     },
+    # G = E2 + A1: an affine member, whose hyperplane has the normal [0, 1]
+    ("a1", "1/6,1"): {"min-jumping-divisor": "4bdee0f267694428", "verify": "1838f21a430608e1"},
 }
 
 

@@ -28,6 +28,7 @@ from mmideals.errors import (
 )
 
 from conftest import DATA, GOLDEN, affine_crossings, intersection_matrix, reference_setup
+from strategies import _tree_raw, random_trees
 
 
 def test_example_graph_shape(graph):
@@ -179,30 +180,6 @@ def _tree_solve_fractions(graph, rhs) -> list[Fraction]:
     for i, parent in graph.tree_order:
         x[i] = (reduced[i] - (x[parent] if parent >= 0 else 0)) / pivot[i]
     return x
-
-
-def _tree_raw(selfs, edges) -> dict:
-    return {
-        "exceptional": [{"id": f"E{i}", "self": s} for i, s in enumerate(selfs)],
-        "edges": [[f"E{i}", f"E{j}"] for i, j in edges],
-    }
-
-
-@st.composite
-def random_trees(draw, max_size=80):
-    """A random recursive tree on 1 to `max_size` components, relabelled so
-    component 0 is any vertex, with self-intersections in -7..-1: drawn
-    freely, or at or beyond -(degree) so that definite trees are common too."""
-    n = draw(st.integers(1, max_size))
-    label = draw(st.permutations(range(n)))
-    edges = [(label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n)]
-    if draw(st.booleans()):
-        selfs = draw(st.lists(st.integers(-7, -1), min_size=n, max_size=n))
-    else:
-        degree = [sum(i in edge for edge in edges) for i in range(n)]
-        shifts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-        selfs = [-min(7, max(1, d + t)) for d, t in zip(degree, shifts)]
-    return selfs, edges
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -218,7 +218,7 @@ row_lists = st.integers(min_value=1, max_value=7).flatmap(
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(row_lists)
 def test_packed_predecessors_match_a_componentwise_scan(rows):
-    assert packed_predecessors(rows) == componentwise(rows)
+    assert list(packed_predecessors(rows)) == componentwise(rows)
 
 
 @pytest.mark.parametrize(
@@ -231,4 +231,4 @@ def test_packed_predecessors_match_a_componentwise_scan(rows):
     ],
 )
 def test_packed_predecessors_small_cases(rows, expected):
-    assert packed_predecessors(rows) == expected == componentwise(rows)
+    assert list(packed_predecessors(rows)) == expected == componentwise(rows)

@@ -59,7 +59,8 @@ def test_minimal_jumping_divisor(engine, ideals, lam, want):
 
 def test_minimal_jumping_divisor_hyperplane(engine):
     g = minimal_jumping_divisor(engine, point(("1/6", "1")))
-    normal, constant = g.hyperplanes["E2"]
+    wall = g.hyperplanes["E2"]
+    normal, constant = wall.coeffs, wall.constant
     assert normal == GOLDEN["wall_normals"]["E2"]
     assert constant == 3
     # the jumping point satisfies its own hyperplane equation

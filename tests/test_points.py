@@ -23,12 +23,11 @@ import mmideals.regions
 from mmideals import RegionEngine, next_jumping_number
 from mmideals.cli import main
 from mmideals.divisors import Divisor, antinef_closure
-from mmideals.graph import IdealDivisorSet, validate_graph
+from mmideals.graph import validate_graph
 from mmideals.errors import (
     IntegralityViolated,
     InternalInvariant,
     MMIError,
-    NotNegativeDefinite,
     NonIntegralDivisor,
     NotAJumpingPoint,
     ZeroPoint,
@@ -44,9 +43,10 @@ from mmideals.jumping import (
     minimal_jumping_divisor,
     verify_numeric_conditions,
 )
+from mmideals.regions import WallInequality
 
 from conftest import EXAMPLE_PATH, key_point, value_rows
-from test_graph import _tree_raw, random_trees
+from strategies import _tree_engine
 
 
 def _left_floor_fractions(context) -> list:
@@ -72,7 +72,7 @@ def _minimal_jumping_divisor_fractions(context) -> MinimalJumpingDivisor:
         if q == 1 + left.coeffs[j]:
             members.append(j)
             normal = tuple(d.coeffs[j] for d in ideals.divisors)
-            hyperplanes[graph.ids[j]] = (normal, form)
+            hyperplanes[graph.ids[j]] = WallInequality(graph.ids[j], normal, form.numerator, form.denominator)
     if not members:
         raise InternalInvariant("jumping point without attaining components")
     for j in members:
@@ -220,7 +220,8 @@ def _outcome(fn, *args):
 def _gmin_fields(gmin):
     if isinstance(gmin, tuple):
         return gmin
-    return gmin.point, gmin.components, gmin.valences, gmin.hyperplanes, gmin.divisor
+    planes = {cid: (h.component, h.coeffs, h.constant) for cid, h in gmin.hyperplanes.items()}
+    return gmin.point, gmin.components, gmin.valences, planes, gmin.divisor
 
 
 def _report_fields(report):
@@ -251,7 +252,9 @@ def test_point_path_matches_the_fraction_oracles(engines, walk_points, data):
         want = _outcome(lambda: slow.at(lam).gmin)
     got = _outcome(lambda: context.gmin)
     assert _gmin_fields(got) == _gmin_fields(want)
-    assert type(got) is tuple or all(type(c) is Fraction for _, c in got.hyperplanes.values())
+    assert type(got) is tuple or all(
+        type(h.numerator) is int and h.scale == fast.scale for h in got.hyperplanes.values()
+    )
 
     got = _outcome(verify_numeric_conditions, fast, lam)
     assert _report_fields(got) == _report_fields(_outcome(_verify_numeric_conditions_fractions, fast, lam))
@@ -283,26 +286,6 @@ def test_next_jumping_number_matches_the_fraction_oracle(engines, which, directi
     assert next_jumping_number(eng, direction, got) == _next_jumping_number_fractions(
         eng.graph, combined, eng.canonical, got
     )
-
-
-def _tree_engine(data) -> RegionEngine:
-    """One or two ideals on a random tree (`test_graph.random_trees`), made
-    definite where it is not by lowering each E_i^2 to at most -(degree + 1),
-    with up to two affine arrows: each ideal the antinef closure of a random
-    nonzero start, so some carry affine multiplicity and are not m-primary."""
-    selfs, edges = data.draw(random_trees(), label="tree")
-    n = len(selfs)
-    arrows = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="arrows")
-    affine = [{"id": f"A{a}", "meets": [f"E{i}"]} for a, i in enumerate(arrows)]
-    try:
-        graph = validate_graph({**_tree_raw(selfs, edges), "affine": affine})
-    except NotNegativeDefinite:
-        degree = [sum(i in edge for edge in edges) for i in range(n)]
-        selfs = [min(s, -d - 1) for s, d in zip(selfs, degree)]
-        graph = validate_graph({**_tree_raw(selfs, edges), "affine": affine})
-    start = st.lists(st.integers(0, 2), min_size=graph.n_total, max_size=graph.n_total).filter(any)
-    divisors = [antinef_closure(Divisor(graph, data.draw(start))) for _ in range(data.draw(st.integers(1, 2)))]
-    return RegionEngine(IdealDivisorSet(graph, [f"a{i}" for i in range(len(divisors))], divisors))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

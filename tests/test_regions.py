@@ -23,7 +23,6 @@ from mmideals.errors import (
     DimensionMismatch,
     GeometryDegeneracy,
     LimitReached,
-    NotNegativeDefinite,
     PreconditionViolated,
     UnsupportedGeometry,
 )
@@ -31,6 +30,7 @@ from mmideals.regions import (
     CFacet,
     RegionPolytope,
     WallInequality,
+    _Ray,
     _clip_parameter,
     _key_point,
     _line_key,
@@ -40,7 +40,7 @@ from mmideals.regions import (
 from mmideals.svg import render_walls
 
 from conftest import DATA, GOLDEN, assert_report_matches_its_payload, count_closures, exc, membership, point, value_rows
-from test_graph import _tree_raw, random_trees
+from strategies import _definite_graph, _tree_engine, random_trees
 
 
 # -- wall polytopes -----------------------------------------------------------
@@ -433,11 +433,30 @@ def test_ray_restriction_validates_direction(engine):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.tuples(coords, coords))
-def test_every_region_has_positive_constants(engine, lam):
-    region = engine.region_of(lam)
+@given(st.data())
+def test_every_region_has_positive_constants(engine, affine_engine, fractional_engine, data):
+    # The closure dominates its floor, so e_j >= floor(lam . F_j - k_j) >
+    # lam . F_j - k_j - 1: every component's wall constant at lam's own
+    # divisor exceeds lam . F_j >= 0, affine ones included, and a ray step
+    # from t, the least (k_j + 1 + e_j(t)) / e_j along the ray, exceeds t.
+    which = data.draw(st.sampled_from(["tree", "m-primary", "affine", "fractional-k"]), label="which")
+    fixtures = {"m-primary": engine, "affine": affine_engine, "fractional-k": fractional_engine}
+    eng = _tree_engine(data) if which == "tree" else fixtures[which]
+    lam = data.draw(st.tuples(*[coords] * eng.r), label="lam")
+    region = eng.region_of(lam)
     assert all(q.constant > 0 for q in region.inequalities)
     assert region.contains(lam)
+    context = eng.at(lam)
+    *nums, m = context.key
+    for j, (normal, _) in enumerate(eng._columns):
+        assert eng.scale * sum(map(operator.mul, nums, normal)) < context.wall(j, context.divisor).numerator * m
+
+    direction = data.draw(st.lists(coords, min_size=eng.r, max_size=eng.r), label="direction")
+    if not any(direction):
+        direction[0] = Fraction(1)
+    t = data.draw(coords, label="t")
+    p, q = _Ray(eng, direction).step(t.numerator, t.denominator)
+    assert p * t.denominator > t.numerator * q
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1123,11 +1142,7 @@ def _random_m_primary_pair(tree, data) -> RegionEngine:
     where it is not by lowering each E_i^2 to at most -(degree + 1); each
     the antinef closure of a random nonzero 0..3 vector, so m-primary."""
     selfs, edges = tree
-    try:
-        graph = validate_graph(_tree_raw(selfs, edges))
-    except NotNegativeDefinite:
-        degree = [sum(i in edge for edge in edges) for i in range(len(selfs))]
-        graph = validate_graph(_tree_raw([min(s, -d - 1) for s, d in zip(selfs, degree)], edges))
+    graph = _definite_graph(selfs, edges)
     start = st.lists(st.integers(0, 3), min_size=len(selfs), max_size=len(selfs)).filter(any)
     divisors = [antinef_closure(Divisor(graph, data.draw(start))) for _ in range(2)]
     return RegionEngine(IdealDivisorSet(graph, ("a1", "a2"), divisors))
