@@ -3,7 +3,10 @@
     mmideals <command> --input data.json [options]
 
 Everything about a command (handler, help, flags, output formats) lives in
-`_COMMANDS`; `mmideals --help` lists the commands.
+`_COMMANDS`; `mmideals --help` lists the commands.  A plain command line (the
+command, then each flag spelled in full and given once with its value) is
+read straight from these tables; every other command line, help included, is
+read by argparse, with the same result.
 
 Exit codes: 0 success, 2 invalid input (an unreadable --input or unwritable
 --output included, and a text report stdout cannot encode), 3 unsupported
@@ -51,6 +54,9 @@ _FLAGS = {
 # flags that take a coordinate list: argparse would read `--box -1,1` as two
 # flags, so `main` passes it on as `--box=-1,1` for the coordinate parser
 _COORDINATE_FLAGS = ("--lambda", "--box", "--direction")
+
+# each long option `build_parser` declares, --help aside -> its key in `opts`
+_OPTIONS = {flag: flag[2:] for flag in ("--input", *_FLAGS, "--format", "--output")}
 
 
 class Command(NamedTuple):
@@ -265,6 +271,34 @@ _COMMANDS = {
 }
 
 
+def _long_option(token: str):
+    """The option argparse reads `token` as: itself, or the one long option
+    it abbreviates; None if it names none or several."""
+    if token in _OPTIONS:
+        return token
+    matches = [option for option in (*_OPTIONS, "--help") if option.startswith(token)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _read_plain(args: list[str]):
+    """`vars(build_parser().parse_args(args))` for a plain command line: a
+    command, then options spelled in full, each once, with a value that does
+    not start with `-`, `--input` among them and a format the command has.
+    None for any other command line, which argparse then reads."""
+    if len(args) % 2 == 0 or args[0] not in _COMMANDS:
+        return None
+    opts = dict.fromkeys(("command", *_OPTIONS.values()))
+    opts["command"] = args[0]
+    for i in range(1, len(args), 2):
+        key, value = _OPTIONS.get(args[i]), args[i + 1]
+        if key is None or opts[key] is not None or value[:1] == "-":
+            return None
+        opts[key] = value
+    if opts["input"] is None or opts["format"] not in (None, *_COMMANDS[args[0]].formats):
+        return None
+    return opts
+
+
 def _fail(exc: MMIError) -> int:
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return exc.exit_code
@@ -274,10 +308,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if token[:1] == "-" and args and args[-1] in _COORDINATE_FLAGS and re.match(r"-[0-9./]", token):
+        if token[:1] == "-" and args and re.match(r"-[0-9./]", token) and _long_option(args[-1]) in _COORDINATE_FLAGS:
             token = args.pop() + "=" + token
         args.append(token)
-    opts = vars(parser.parse_args(args))
+    opts = _read_plain(args) or vars(parser.parse_args(args))
     name = opts["command"]
     command = _COMMANDS[name]
     foreign = [f"{f} {opts[f[2:]]}" for f in _FLAGS if f not in command.flags and opts[f[2:]] is not None]

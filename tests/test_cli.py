@@ -13,11 +13,12 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmideals
 import mmideals.graph
 import mmideals.regions
-from mmideals.cli import build_parser, main
+from mmideals.cli import _COMMANDS, _read_plain, build_parser, main
 
 from conftest import DATA, EXAMPLE_PATH, GOLDEN, count_closures
 
@@ -631,12 +632,19 @@ def test_float_lambda_rejected(capsys):
             ["jumping-numbers", "--direction", "-1,1", "--upto", "1"],
             "PreconditionViolated: direction must be nonzero and nonnegative",
         ),
+        (["mmi", "--lam", "-1,0"], "PreconditionViolated: lambda must lie in the nonnegative orthant"),
+        (["enumerate", "--bo", "-1,1"], "PreconditionViolated: box coordinates must be positive"),
+        (
+            ["jumping-numbers", "--dir", "-1,1", "--upto", "1"],
+            "PreconditionViolated: direction must be nonzero and nonnegative",
+        ),
     ],
-    ids=["lambda", "box", "direction"],
+    ids=["lambda", "box", "direction", "lambda-abbreviated", "box-abbreviated", "direction-abbreviated"],
 )
 def test_spaced_negative_coordinates_reach_the_coordinate_parser(capsys, argv, err):
     # argparse reads `--box -1,1` as two flags; the value must reach the
-    # parser of points and give its one line, as `--box=-1,1` does
+    # parser of points and give its one line, as `--box=-1,1` does, also
+    # after a flag abbreviated as argparse abbreviates it
     code, out, got = run(capsys, *argv, "--input", INPUT)
     assert code == 2 and out == ""
     assert got == f"error: {err}\n"
@@ -654,6 +662,89 @@ def test_other_dashed_values_keep_the_usage_error(capsys, argv):
         main([*argv, "--input", INPUT])
     assert exit_info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+def test_an_ambiguous_abbreviation_before_a_negative_list_keeps_the_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["mmi", "--input", INPUT, "--i", "-1,0"])
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --i could match --input, --ideal" in capsys.readouterr().err
+
+
+# a value for each option on a plain command line, and others to repeat it with
+PLAIN_VALUES = {
+    "--input": INPUT,
+    "--lambda": "1/6,1",
+    "--box": "1,3",
+    "--ideal": "a1",
+    "--direction": "1,2",
+    "--upto": "1",
+    "--output": "out.txt",
+}
+OTHER_VALUES = ("2,2", "a2", "json", "text", "svg", "xml", "")
+
+
+def _perturb(draw, args: list[str]) -> None:
+    """Make a plain command line into one that only argparse may read: one
+    flag abbreviated, `=`-joined, repeated or dashed, the tokens in another
+    order, --input dropped, a format the command lacks, or `-h`, `--help`
+    or `--` put in."""
+    pairs = range(1, len(args) - 1, 2)  # after a join, a "pair" may be any two tokens
+    how = draw(st.sampled_from(
+        ["abbreviate", "join", "repeat", "dash"] * bool(pairs) + ["reorder", "drop-input", "format", "insert"]
+    ))
+    if how == "abbreviate":
+        i = draw(st.sampled_from(pairs))
+        args[i] = args[i][: draw(st.integers(2, max(2, len(args[i]) - 1)))]
+    elif how == "join":
+        i = draw(st.sampled_from(pairs))
+        args[i : i + 2] = [args[i] + "=" + args[i + 1]]
+    elif how == "repeat":
+        i = draw(st.sampled_from(pairs))
+        args += [args[i], draw(st.sampled_from((args[i + 1], *OTHER_VALUES)))]
+    elif how == "reorder":
+        args[:] = draw(st.permutations(args))
+    elif how == "dash":
+        i = draw(st.sampled_from(pairs))
+        args[i + 1] = draw(st.sampled_from(("-", "--", "-x", "-1,0", "-1"))) + args[i + 1]
+    elif how == "drop-input" and "--input" in args:
+        i = args.index("--input")
+        del args[i : i + 2]
+    elif how == "format":
+        args += ["--format", draw(st.sampled_from(("json", "svg", "text", "xml", "JSON")))]
+    elif how == "insert":
+        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(("-h", "--help", "--"))))
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a plain command line with --input and some other
+    options, any of them foreign to the command, in any order; in about half
+    the draws perturbed one to three times, and then not plain."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    others = draw(st.lists(st.sampled_from([flag for flag in PLAIN_VALUES if flag != "--input"]), unique=True))
+    args = [command]
+    for flag in draw(st.permutations(["--input", *others])):
+        args += [flag, PLAIN_VALUES[flag]]
+    if draw(st.booleans()):
+        args += ["--format", draw(st.sampled_from(_COMMANDS[command].formats))]
+    if draw(st.booleans()):
+        return args, True
+    for _ in range(draw(st.integers(1, 3))):
+        _perturb(draw, args)
+    return args, False
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(command_lines())
+def test_the_plain_reader_equals_argparse(case):
+    # `main` reads a command line with `_read_plain` when it can and with
+    # argparse otherwise; both must give the same options
+    args, plain = case
+    opts = _read_plain(args)
+    assert opts is not None or not plain
+    if opts is not None:
+        assert opts == vars(build_parser().parse_args(args))
 
 
 def test_missing_required_flag(capsys):
@@ -723,6 +814,7 @@ def test_exit_2_when_the_walk_reaches_its_cap(capsys, monkeypatch):
 
 
 FRACTIONAL_K = str(DATA / "fractional_k.json")
+TREE3 = str(DATA / "tree3.json")
 
 # stdout sha256[:16] of the walk commands, recorded with the Fraction geometry
 WALK_DIGESTS = [
@@ -741,6 +833,9 @@ WALK_DIGESTS = [
     (INPUT, "walls", "6,18", "df7a401eb38bc19e"),
     (FRACTIONAL_K, "walls", "6,18", "01c7dd4da5b1506c"),
     (FRACTIONAL_K, "enumerate", "6,18", "371129ee0861ffcd"),
+    # a 7-component tree, K over 13, 4 walls no two of them parallel: 199 ideals
+    (TREE3, "enumerate", "1/64,1/32", "dd8e4eb8fcfb3c24"),
+    (TREE3, "walls", "1/64,1/32", "293b55bbc972e629"),
 ]
 
 
