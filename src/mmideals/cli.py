@@ -21,7 +21,6 @@ import functools
 import re
 import sys
 import traceback
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import io as reportio
@@ -176,20 +175,19 @@ def _cmd_walk(engine, opts, fmt: str):
 
 
 def _cmd_jumping_numbers(engine, opts, fmt: str):
-    upto, ideal = opts["upto"], opts["ideal"]
+    ideal = opts["ideal"]
     if (ideal is None) == (opts["direction"] is None):
         raise PreconditionViolated("jumping-numbers needs exactly one of --ideal / --direction")
     if ideal is not None:
-        values = engine.jumping_numbers_of(ideal, upto)
-        source: dict = {"ideal": ideal}
+        direction = engine._ideal_direction(ideal)
     else:
         direction = _split_list(opts["direction"], "--direction")
-        values = engine.wall_ray_restriction(direction, upto)
-        source = {"direction": [str(Fraction(d)) for d in direction]}
+    key, upto, jumps = engine._chain(direction, opts["upto"])
+    values = [str(p) if q == 1 else f"{p}/{q}" for p, q in jumps]
     if fmt == "text":
-        return " ".join(str(v) for v in values) + "\n"
-    payload = {"command": "jumping-numbers", "upto": str(Fraction(upto)), "values": [str(v) for v in values]}
-    payload.update(source)
+        return " ".join(values) + "\n"
+    source = {"ideal": ideal} if ideal is not None else {"direction": reportio.key_json(key)}
+    payload = {"command": "jumping-numbers", "upto": reportio.key_json(upto)[0], "values": values, **source}
     return reportio.dump_json(payload)
 
 
@@ -220,33 +218,15 @@ def _cmd_verify(engine, opts, fmt: str):
         verify_numeric_conditions(engine, context.coords),
         verify_contribution_dichotomy(engine, context.coords),
     ]
-    all_passed = all(r.passed for r in reports)
-    if fmt == "text":
-        lines = []
-        for report in reports:
-            lines.append(f"{report.kind}: {'ok' if report.passed else 'FAIL'}")
-            for check in report.checks:
-                lines.append(f"  {'ok ' if check.passed else 'FAIL'} {check.name}")
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "command": "verify",
-            "lambda": reportio.key_json(context.key),
-            "passed": all_passed,
-            "reports": [
-                {
-                    "kind": r.kind,
-                    "passed": r.passed,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed, "details": c.details}
-                        for c in r.checks
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        text = reportio.dump_json(payload)
-    return text, 0 if all_passed else 4
+    code = 0 if all(r.passed for r in reports) else 4
+    if fmt != "text":
+        return reportio.verification_json(context.key, reports), code
+    lines = []
+    for report in reports:
+        lines.append(f"{report.kind}: {'ok' if report.passed else 'FAIL'}")
+        for check in report.checks:
+            lines.append(f"  {'ok ' if check.passed else 'FAIL'} {check.name}")
+    return "\n".join(lines) + "\n", code
 
 
 _COMMANDS = {

@@ -129,8 +129,19 @@ class DualGraph:
     @functools.cached_property
     def canonical_numerators(self) -> tuple[list[int], int]:
         """(X, D) with M X = D * b, b_i = -2 - E_i^2: the relative canonical
-        divisor as X / D.  Solved once per graph; raises NotNegativeDefinite."""
-        return _tree_solve(self, [-2 - s for s in self.self_int])
+        divisor as X / D, solved and checked on integers once per graph,
+        when it is validated; raises NotNegativeDefinite."""
+        rhs = [-2 - s for s in self.self_int]
+        nums, det = _tree_solve(self, rhs)
+        for x, s, b, row in zip(nums, self.self_int, rhs, self.adjacency):
+            dot = s * x  # (M X)_i: rows list exceptional neighbours first
+            for j in row:
+                if j >= self.n_exc:
+                    break
+                dot += nums[j]
+            if dot != det * b:
+                raise InternalInvariant("adjunction check failed for the relative canonical divisor")
+        return nums, det
 
     # -- identity -----------------------------------------------------------
 
@@ -313,25 +324,14 @@ def relative_canonical(graph: DualGraph) -> tuple:
     (K + E_i) . E_i = -2 on every exceptional component.
 
     Coefficients solve M k = b with b_i = -2 - E_i^2 by the integer tree
-    elimination, as k = X / det(-M); affine components carry coefficient 0.
-    K is the one rational vector the algorithm reads, so it is a plain tuple
-    over the global index: an int where k_i is integral (everywhere on a
-    smooth surface), a Fraction elsewhere.
+    elimination, as k = X / det(-M), checked when the graph was validated;
+    affine components carry coefficient 0.  K is the one rational vector the
+    algorithm reads, so it is a plain tuple over the global index: an int
+    where k_i is integral (everywhere on a smooth surface), a Fraction
+    elsewhere.
     """
     nums, det = graph.canonical_numerators
-    n = graph.n_exc
-    k = []
-    for x, s, row in zip(nums, graph.self_int, graph.adjacency):
-        dot = s * x  # (M X)_i: rows list exceptional neighbours first
-        for j in row:
-            if j >= n:
-                break
-            dot += nums[j]
-        if dot != det * (-2 - s):
-            raise InternalInvariant("adjunction check failed for the relative canonical divisor")
-        q, rem = divmod(x, det)
-        k.append(Fraction(x, det) if rem else q)
-    return tuple(k) + (0,) * graph.n_aff
+    return tuple(Fraction(x, det) if x % det else x // det for x in nums) + (0,) * graph.n_aff
 
 
 class IdealDivisorSet:

@@ -17,14 +17,19 @@ canonical divisor is a number where integral and a 'p/q' string elsewhere,
 and keys are sorted on serialization.  `key_json` writes every point and
 every wall constant from its integer key, with no Fraction made.
 
+`load_input` reads the bytes once and decodes them as UTF-8, mapping `\r\n`
+and `\r` to `\n` as a text-mode read did, with the same errors.
+
 Every report is exactly `json.dumps(payload, sort_keys=True, indent=2)` and
 a newline, pure ASCII, written without the stdlib's pure-Python encoder.
 `enumeration_json` writes the `enumerate` report straight from the records,
 one fixed template per record, facet and inequality, with the predecessor
-order read off one packed int per divisor (`packed_predecessors`); a
-property test holds it to the stdlib's bytes.  `dump_json`, a small
-canonical writer, writes every other report: strings go through json's C
-`encode_basestring_ascii`, and a list of strings or ints is one `str.join`.
+order read off one packed int per divisor (`packed_predecessors`);
+`verification_json` writes the `verify` report from its verification
+reports the same way; property tests hold both to the stdlib's bytes.
+`dump_json`, a small canonical writer, writes every other report and each
+check's details: strings go through json's C `encode_basestring_ascii`, and
+a list of strings or ints is one `str.join`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "key_json",
     "packed_predecessors",
     "enumeration_json",
+    "verification_json",
     "dump_json",
 ]
 
@@ -52,10 +58,14 @@ __all__ = [
 def load_input(path) -> tuple[DualGraph, IdealDivisorSet]:
     """Read and validate an input file; returns the graph and ideal tuple."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionViolated(f"{path}: cannot read ({exc})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        raw = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the interpreter's digit limit
         raise PreconditionViolated(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -123,16 +133,20 @@ _BOOL = ("false", "true")
 # a list of strings at each depth: its text up to the first string, between two, after the last
 _KEY = [("[" + inner + '"', '",' + inner + '"', '"' + newline + "]") for newline, inner in zip(_NEWLINE, _NEWLINE[1:])]
 # an object with these keys, in sorted order, at this depth, each value a %s slot
-_REPORT, _RECORD, _FACET, _INEQUALITY = (
+_REPORT, _RECORD, _FACET, _INEQUALITY, _VERIFICATION, _VERIFIER, _CHECK = (
     "{" + ",".join(_NEWLINE[depth + 1] + '"' + name + '": %s' for name in names.split()) + _NEWLINE[depth] + "}"
     for depth, names in [
         (0, "box command distinct_ideals m_primary queue records representatives warnings"),
         (2, "cfacets divisor index inequalities predecessors representative representatives truncated"),
         (4, "component from midpoint to"),
         (4, "coeffs component rhs"),
+        (0, "command lambda passed reports"),
+        (2, "checks kind passed"),
+        (4, "details name passed"),
     ]
 )
 _REPORT += "\n"
+_VERIFICATION += "\n"
 _STR_LIST = frozenset((str,))  # the lists `_emit` writes with one join
 _INT_LIST = frozenset((int,))
 
@@ -145,6 +159,12 @@ def _list_text(items, depth: int) -> str:
     return "[" + inner + text + _NEWLINE[depth] + "]" if text else "[]"
 
 
+def _key_text(strs, depth: int) -> str:
+    """The strings `strs` of a point key as a list at `depth`."""
+    start, sep, end = _KEY[depth]
+    return start + sep.join(strs) + end
+
+
 def enumeration_json(result: EnumerationResult, command: str) -> str:
     """The `enumerate` report, written straight from the records: the bytes
     `dump_json` writes for its payload.  Each record, facet and inequality
@@ -153,9 +173,7 @@ def enumeration_json(result: EnumerationResult, command: str) -> str:
     coordinates: dict = {}  # point key -> key_json(key)
 
     def key_text(key, depth):
-        strs = coordinates.get(key) or coordinates.setdefault(key, key_json(key))
-        start, sep, end = _KEY[depth]
-        return start + sep.join(strs) + end
+        return _key_text(coordinates.get(key) or coordinates.setdefault(key, key_json(key)), depth)
 
     records = result.records
     indices = list(map(str, range(len(records))))
@@ -179,6 +197,22 @@ def enumeration_json(result: EnumerationResult, command: str) -> str:
         _list_text([key_text(key, 2) for key in result.queue], 1), _list_text(texts, 1),
         _list_text([key_text(key, 2) for key in result.representatives], 1), _list_text(map(_encode_str, result.warnings), 1),
     )
+
+
+def verification_json(key, reports) -> str:
+    """The `verify` report at the point of `key` from its
+    `VerificationReport`s, one template per report and check, each check's
+    `details` written by `_emit`: the bytes `dump_json` writes for it."""
+    texts = []
+    for report in reports:
+        checks = []
+        for check in report.checks:
+            details: list[str] = []
+            _emit(check.details, _NEWLINE[5], details.append)
+            checks.append(_CHECK % ("".join(details), _encode_str(check.name), _BOOL[check.passed]))
+        texts.append(_VERIFIER % (_list_text(checks, 3), _encode_str(report.kind), _BOOL[report.passed]))
+    passed = all(report.passed for report in reports)
+    return _VERIFICATION % ('"verify"', _key_text(key_json(key), 1), _BOOL[passed], _list_text(texts, 1))
 
 
 def _emit(value, newline: str, put) -> None:

@@ -210,16 +210,34 @@ class EnumerationResult:
         self.m_primary = m_primary
 
 
+def _coordinate(value, what: str) -> tuple[int, int]:
+    """One coordinate from outside as a reduced (num, den): a plain ASCII 'n'
+    or 'n/d' read straight into ints, anything else (digits over the int()
+    limit too) by `_as_fraction`, whose messages it keeps."""
+    if type(value) is str and value.isascii():
+        n, slash, d = value.partition("/")
+        if n.isdigit() and (d.isdigit() or not slash):
+            try:
+                num, den = int(n), int(d or 1)
+            except ValueError:  # over the interpreter's digit limit
+                den = 0
+            if den:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    q = _as_fraction(value, what)
+    return q.numerator, q.denominator
+
+
 def _point_key(values, r: int, what: str) -> tuple[int, ...]:
     """The reduced key (n_1, .., n_r, den) of r coordinates from outside,
-    each read by `_as_fraction`: the one reader of a point, box or direction.
+    each read by `_coordinate`: the one reader of a point, box or direction.
     Each caller checks the signs it needs."""
     _refuse_non_sequence(values, what, "coordinates")
-    coords = [_as_fraction(v, what) for v in values]
+    coords = [_coordinate(v, what) for v in values]
     if len(coords) != r:
         raise DimensionMismatch(f"{what} needs {r} coordinates")
-    den = math.lcm(*(q.denominator for q in coords))
-    return (*(q.numerator * (den // q.denominator) for q in coords), den)
+    den = math.lcm(*(d for _, d in coords))
+    return (*(n * (den // d) for n, d in coords), den)
 
 
 # -- exact line clipping ------------------------------------------------------
@@ -361,13 +379,13 @@ class RegionEngine:
 
     Set-up runs on integers: L (`scale`) and L * K come from the graph's
     cached solve K = X / D.  `canonical` is K as the tuple
-    `relative_canonical` returns, a Fraction where k_j is not integral.
+    `relative_canonical` returns, a Fraction where k_j is not integral,
+    computed on first access.
     """
 
     def __init__(self, ideals: IdealDivisorSet):
         self.ideals = ideals
         self.graph = ideals.graph
-        self.canonical = relative_canonical(self.graph)
         self.classification = Classification(self.graph, ideals)
         # L = `scale`, the lcm of the denominators of K = X / D: each k_j
         # has denominator D / gcd(D, X_j), so with g = gcd(D, X_1, ..) L is
@@ -379,6 +397,8 @@ class RegionEngine:
         scaled_k = [x // g for x in nums] + [0] * self.graph.n_aff
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
         self._points: dict[tuple[int, ...], PointContext] = {}
+
+    canonical = cached_property(lambda self: relative_canonical(self.graph))
 
     @property
     def r(self) -> int:
@@ -589,29 +609,35 @@ class RegionEngine:
     def jumping_numbers_of(self, name: str, upto) -> list[Fraction]:
         """Jumping numbers of one ideal of the tuple: the ray along its unit
         direction."""
-        if name not in self.ideals.names:
-            raise DanglingReference(f"unknown ideal name {name!r}")
-        direction = [int(n == name) for n in self.ideals.names]
-        return self.wall_ray_restriction(direction, upto)
+        return [Fraction(p, q) for p, q in self._chain(self._ideal_direction(name), upto)[2]]
 
     def wall_ray_restriction(self, direction, t_max) -> list[Fraction]:
         """Jumping values of t for the family along the ray t * direction.
 
         The restriction is the single-ideal chain of sum_i u_i F_i, so walls
-        crossed by the ray appear exactly at these parameters.  One `_Ray`
-        walks the chain, each closure warm from the one before; jumps are
-        compared with `t_max` on integers and made Fractions when kept.
-        """
+        crossed by the ray appear exactly at these parameters."""
+        return [Fraction(p, q) for p, q in self._chain(direction, t_max)[2]]
+
+    def _ideal_direction(self, name: str) -> list[int]:
+        if name not in self.ideals.names:
+            raise DanglingReference(f"unknown ideal name {name!r}")
+        return [int(n == name) for n in self.ideals.names]
+
+    def _chain(self, direction, t_max):
+        """The one ray chain: the direction's key, `t_max` as a reduced (num,
+        den) and each jump t <= t_max as a reduced (p, q), from one `_Ray`
+        whose closures start warm from the one before."""
         ray = _Ray(self, direction)  # checks the direction before --upto is read
-        limit = _as_fraction(t_max, "upto")
-        values: list[Fraction] = []
+        num, den = _coordinate(t_max, "upto")
+        jumps: list[tuple[int, int]] = []
         p, q = ray.step(0, 1)
-        while p * limit.denominator <= limit.numerator * q:
-            if len(values) == CHAIN_GUARD:
+        while p * den <= num * q:
+            if len(jumps) == CHAIN_GUARD:
+                limit = Fraction(num, den)  # made only for the message
                 raise LimitReached(f"ray passed CHAIN_GUARD = {CHAIN_GUARD} jumping numbers below {limit}; lower --upto")
-            values.append(Fraction(p, q))
+            jumps.append((p, q))
             p, q = ray.step(p, q)
-        return values
+        return ray.key, (num, den), jumps
 
 
 class _Ray:
@@ -625,7 +651,8 @@ class _Ray:
     jumps of non-m-primary ideals."""
 
     def __init__(self, engine: RegionEngine, direction):
-        *nums, m = _point_key(direction, engine.r, "direction")
+        self.key = _point_key(direction, engine.r, "direction")  # U + (m,), as the report writes it
+        *nums, m = self.key
         if min(nums) < 0 or not any(nums):
             raise PreconditionViolated("direction must be nonzero and nonnegative")
         scale = engine.scale

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import mmideals
 import mmideals.graph
 import mmideals.regions
+from mmideals import RegionEngine, load_input
 from mmideals.cli import _COMMANDS, _read_plain, build_parser, main
 
 from conftest import DATA, EXAMPLE_PATH, GOLDEN, count_closures
@@ -534,6 +536,40 @@ def test_one_tree_elimination_per_call(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_a_wrong_solve_fails_validation_before_any_engine(monkeypatch, capsys):
+    # the adjunction check of K = X / D runs when the graph is validated
+    original = mmideals.graph._tree_solve
+
+    def wrong(graph, rhs):
+        nums, det = original(graph, rhs)
+        return [nums[0] + 1] + nums[1:], det
+
+    monkeypatch.setattr(mmideals.graph, "_tree_solve", wrong)
+    with pytest.raises(mmideals.errors.InternalInvariant, match="^adjunction check failed"):
+        mmideals.graph.validate_graph(json.loads(EXAMPLE_PATH.read_text()))
+    engines = []
+    monkeypatch.setattr(mmideals.regions.RegionEngine, "__init__", lambda engine, ideals: engines.append(ideals))
+    code, out, err = run(capsys, "mmi", "--input", INPUT, "--lambda", "1/6,1")
+    assert (code, out, engines) == (4, "", [])
+    assert err == "error: InternalInvariant: adjunction check failed for the relative canonical divisor\n"
+
+
+@pytest.mark.parametrize("command,made", [("mmi", 0), ("region", 0), ("verify", 0), ("jumping-numbers", 0), ("canonical", 1)])
+def test_k_is_made_only_for_canonical(monkeypatch, capsys, command, made):
+    original = mmideals.regions.relative_canonical
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(mmideals.regions, "relative_canonical", counted)
+    flags = {"canonical": [], "jumping-numbers": ["--direction", "1,2", "--upto", "1"]}
+    code, _, _ = run(capsys, command, "--input", INPUT, *flags.get(command, ["--lambda", "1/6,1"]))
+    assert code == 0
+    assert len(calls) == made
+
+
 @pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8", "output-dir-missing"])
 def test_exit_2_on_unusable_paths(tmp_path, capsys, case):
     source, target = str(tmp_path / "missing.json"), None
@@ -575,6 +611,57 @@ def test_exit_2_on_an_integer_over_the_digit_limit(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"error: PreconditionViolated: {source}: not valid JSON (")
+
+
+def test_exit_2_on_a_coordinate_over_the_digit_limit(capsys):
+    # int() refuses a digit string over the interpreter's limit; the
+    # coordinate reader falls back to the rational parser, which says so
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no integer digit limit")
+    digits = "1" * 5000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "mmi", "--input", INPUT, "--lambda", "1," + digits)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err == f"error: PreconditionViolated: lambda: cannot parse {digits!r} as a rational\n"
+
+
+def _jumping_numbers_via_fractions(source: dict, upto: str, fmt: str) -> str:
+    """The `jumping-numbers` report built from the engine's Fractions, each
+    value, direction coordinate and bound written by `str(Fraction)`."""
+    engine = RegionEngine(load_input(INPUT)[1])
+    if "ideal" in source:
+        values = engine.jumping_numbers_of(source["ideal"], upto)
+    else:
+        direction = source["direction"].split(",")
+        values = engine.wall_ray_restriction(direction, upto)
+        source = {"direction": [str(Fraction(d)) for d in direction]}
+    if fmt == "text":
+        return " ".join(map(str, values)) + "\n"
+    payload = {"command": "jumping-numbers", "upto": str(Fraction(upto)), "values": list(map(str, values)), **source}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("upto", ["2/4", "1.0", "0", "7/3"])
+@pytest.mark.parametrize(
+    "source", [{"direction": "2/4,1"}, {"direction": "1.5,1"}, {"direction": "0,1"}, {"direction": "01,2"}, {"ideal": "a1"}]
+)
+def test_jumping_numbers_report_equals_the_fraction_route(capsys, source, upto, fmt):
+    flag, value = next(iter(source.items()))
+    code, out, err = run(capsys, "jumping-numbers", "--input", INPUT, f"--{flag}", value, "--upto", upto, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _jumping_numbers_via_fractions(source, upto, fmt)
+
+
+def test_the_chain_cap_names_upto_in_lowest_terms(capsys, monkeypatch):
+    monkeypatch.setattr(mmideals.regions, "CHAIN_GUARD", 1)
+    code, out, err = run(capsys, "jumping-numbers", "--input", INPUT, "--ideal", "a2", "--upto", "4/2")
+    assert (code, out) == (2, "")
+    assert err == "error: LimitReached: ray passed CHAIN_GUARD = 1 jumping numbers below 2; lower --upto\n"
 
 
 @pytest.mark.parametrize(

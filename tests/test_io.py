@@ -1,10 +1,13 @@
-"""The canonical JSON writers and the packed predecessor order of `io`.
+"""The input reader, the canonical JSON writers and the packed predecessor
+order of `io`.
 
-`dump_json` must write exactly the bytes of the stdlib's
-`json.dumps(payload, sort_keys=True, indent=2)` plus a newline;
-`enumeration_json` must write exactly what `dump_json` writes for the
-report's payload, as the reference dict builders of conftest make it; and
-`packed_predecessors` must give exactly the componentwise order.
+`load_input` reads bytes and must return what a text-mode read returned, or
+raise the same error; `dump_json` must write exactly the bytes of the
+stdlib's `json.dumps(payload, sort_keys=True, indent=2)` plus a newline;
+`enumeration_json` and `verification_json` must write exactly what
+`dump_json` writes for the report's payload, as the reference dict builders
+make it; and `packed_predecessors` must give exactly the componentwise
+order.
 """
 
 from __future__ import annotations
@@ -19,15 +22,90 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmideals import RegionEngine
+from mmideals import RegionEngine, load_input, next_jumping_number
+from mmideals.errors import PreconditionViolated
 from mmideals.graph import validate_graph
-from mmideals.io import build_ideals, dump_json, enumeration_json, packed_predecessors
+from mmideals.io import build_ideals, dump_json, enumeration_json, key_json, packed_predecessors, verification_json
+from mmideals.jumping import Check, verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
 
-from conftest import DATA, assert_report_matches_its_payload, enumeration_payload
+from conftest import DATA, EXAMPLE_PATH, assert_report_matches_its_payload, enumeration_payload
+from strategies import _tree_engine
 
 
 def stdlib(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# -- reader -------------------------------------------------------------------
+
+
+def text_mode_load_input(path):
+    """`load_input` as a text-mode read with universal newlines: the oracle
+    for the byte reader."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionViolated(f"{path}: cannot read ({exc})") from exc
+    except ValueError as exc:
+        raise PreconditionViolated(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise PreconditionViolated(f"{path}: top level must be an object")
+    graph = validate_graph(raw)
+    return graph, build_ideals(graph, raw.get("ideals"))
+
+
+def _loaded(read, path):
+    """The graph and ideals `read` gives, or the class and message it raises."""
+    try:
+        graph, ideals = read(path)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return graph, ideals.names, [d.coeffs for d in ideals.divisors]
+
+
+def _padded(data: bytes) -> bytes:
+    """The example with a 10 KB string appended, so its end lies past the
+    first 8,192-byte chunk a buffered text read decodes."""
+    return data.rstrip()[:-1] + b', "pad": "' + b"x" * 10_000 + b'"}\n'
+
+
+EXAMPLE_BYTES = EXAMPLE_PATH.read_bytes()
+# name -> (file bytes, None where the example's graph and ideals come back,
+# else a piece of the error message)
+READER_CASES = {
+    "lf": (EXAMPLE_BYTES, None),
+    "crlf": (EXAMPLE_BYTES.replace(b"\n", b"\r\n"), None),
+    "cr": (EXAMPLE_BYTES.replace(b"\n", b"\r"), None),
+    "crlf-past-8192": (_padded(EXAMPLE_BYTES).replace(b"\n", b"\r\n"), None),
+    "utf-8-bom": (b"\xef\xbb\xbf" + EXAMPLE_BYTES, "not valid JSON (Unexpected UTF-8 BOM"),
+    "utf-16": (EXAMPLE_BYTES.decode().encode("utf-16"), "cannot read ('utf-8' codec can't decode byte 0xff in position 0"),
+    "invalid-byte-past-8192": (
+        _padded(EXAMPLE_BYTES)[:10_007] + b"\xff" + _padded(EXAMPLE_BYTES)[10_008:],
+        "cannot read ('utf-8' codec can't decode byte 0xff in position 10007",
+    ),
+    "truncated-utf-8": (EXAMPLE_BYTES + b"\xe2\x82", "unexpected end of data"),
+    "cr-in-a-string": (EXAMPLE_BYTES.replace(b'"a1"', b'"a\r1"', 1), "Invalid control character"),
+    "crlf-in-a-string": (EXAMPLE_BYTES.replace(b'"a1"', b'"a\r\n1"', 1), "Invalid control character"),
+    "cr-then-bad-json": (
+        EXAMPLE_BYTES.replace(b"\n", b"\r").replace(b'"self": -4', b'"self": -4,,', 1),
+        "not valid JSON (Expecting property name",
+    ),
+    "empty": (b"", "not valid JSON (Expecting value"),
+    "not-an-object": (b"[1,\r2]", "top level must be an object"),
+}
+
+
+@pytest.mark.parametrize("data,want", READER_CASES.values(), ids=READER_CASES)
+def test_the_byte_reader_equals_a_text_mode_read(tmp_path, data, want):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    got = _loaded(load_input, path)
+    assert got == _loaded(text_mode_load_input, path)
+    if want is None:
+        assert got == _loaded(load_input, EXAMPLE_PATH)
+    else:
+        assert got[0] is PreconditionViolated and want in got[1]
 
 
 # -- writer -------------------------------------------------------------------
@@ -189,6 +267,65 @@ def test_report_cases_cover_every_empty_list(report_engines):
     }
     for name, counts in lengths.items():
         assert min(counts) == 0 < max(counts), name
+
+
+# -- the `verify` report, written from its verification reports -------------------
+
+
+def verify_payload(key, reports) -> dict:
+    """The `verify` report's payload, as a dict for `dump_json`."""
+    return {
+        "command": "verify",
+        "lambda": key_json(key),
+        "passed": all(r.passed for r in reports),
+        "reports": [
+            {
+                "kind": r.kind,
+                "passed": r.passed,
+                "checks": [{"name": c.name, "passed": c.passed, "details": c.details} for c in r.checks],
+            }
+            for r in reports
+        ],
+    }
+
+
+def _relabelled(engine: RegionEngine, suffix: str) -> RegionEngine:
+    """The same graph and ideals with `suffix` appended to every component id."""
+    graph = engine.graph
+    ids = [cid + suffix for cid in graph.ids]
+    raw = {
+        "exceptional": [{"id": ids[i], "self": s} for i, s in enumerate(graph.self_int)],
+        "edges": [[ids[i], ids[j]] for i, j in graph.edges],
+        "affine": [{"id": ids[graph.n_exc + a], "meets": [ids[i] for i in row]} for a, row in enumerate(graph.aff_meets)],
+    }
+    mults = [{"name": name, "mult": dict(zip(ids, d.coeffs))} for name, d in zip(engine.ideals.names, engine.ideals.divisors)]
+    return RegionEngine(build_ideals(validate_graph(raw), mults))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_verify_writer_matches_the_stdlib(data):
+    """At a jumping point of a random tree (a jump of a ray), with non-ASCII
+    component ids, the `verify` report and the same report with one check
+    failed are the stdlib's bytes for their payloads."""
+    suffix = data.draw(st.sampled_from(["\u00e9", "\u2603 \"q\"", "\U0001f600\\"]), label="id suffix")
+    engine = _relabelled(_tree_engine(data), suffix)
+    direction = data.draw(st.lists(st.integers(0, 2), min_size=engine.r, max_size=engine.r).filter(any))
+    t = next_jumping_number(engine, direction, 0)
+    for _ in range(data.draw(st.integers(0, 2), label="later jumps")):
+        t = next_jumping_number(engine, direction, t)
+    lam = [t * u for u in direction]
+    key = engine.at(lam).key
+    reports = [verify(engine, lam) for verify in (verify_jump_identity, verify_numeric_conditions, verify_contribution_dichotomy)]
+    assert verification_json(key, reports) == stdlib(verify_payload(key, reports))
+
+    report = data.draw(st.sampled_from([r for r in reports if r.checks]), label="failing report")
+    i = data.draw(st.integers(0, len(report.checks) - 1), label="failing check")
+    check = report.checks[i]
+    report.checks[i] = Check(check.name, False, check.details)
+    out = verification_json(key, reports)
+    assert out == stdlib(verify_payload(key, reports))
+    assert '"passed": false' in out and out.isascii()
 
 
 # -- packed predecessor order -------------------------------------------------

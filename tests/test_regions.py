@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ import mmideals.regions
 from mmideals import RegionEngine, load_input, next_jumping_number, svg
 from mmideals.cli import _enumeration_text, main
 from mmideals.divisors import Divisor, antinef_closure
-from mmideals.graph import IdealDivisorSet, validate_graph
+from mmideals.graph import IdealDivisorSet, _as_fraction, _refuse_non_sequence, validate_graph
 from mmideals.io import build_ideals, enumeration_json, key_json
 from mmideals.jumping import contributes
 from mmideals.errors import (
@@ -34,6 +35,7 @@ from mmideals.regions import (
     _clip_parameter,
     _key_point,
     _line_key,
+    _point_key,
     _subtract_intervals,
     _wall_line,
 )
@@ -292,6 +294,48 @@ def test_a_string_is_not_a_sequence_of_coordinates(engine):
         origin.contains((0.1, 0))
     with pytest.raises(DimensionMismatch, match="^point needs 2 coordinates$"):
         origin.contains((Fraction(1, 10),))
+
+
+def _key_via_fractions(values, r: int, what: str) -> tuple[int, ...]:
+    """The key every coordinate once made through `_as_fraction`: oracle for
+    the integer reader of plain digit strings in `_point_key`."""
+    _refuse_non_sequence(values, what, "coordinates")
+    coords = [_as_fraction(v, what) for v in values]
+    if len(coords) != r:
+        raise DimensionMismatch(f"{what} needs {r} coordinates")
+    den = math.lcm(*(q.denominator for q in coords))
+    return (*(q.numerator * (den // q.denominator) for q in coords), den)
+
+
+def _key_or_error(read, values, r):
+    try:
+        return read(values, r, "lambda")
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+# coordinate strings: plain digits with a slash or not, and what the
+# Fraction parser also reads or refuses (sign, point, underscore, exponent,
+# spaces, a zero denominator, non-ASCII digits, nothing); beside them
+# digit strings at and past the interpreter's 4,300-digit limit for int()
+coordinate_strings = st.one_of(
+    st.text(alphabet="0123456789/.+-_e \u0661\u00b2", max_size=8),
+    st.sampled_from(["", "0", "01", "2/4", "0/0", "1/0", "1/-2", "1_0", "\u0661", "\u00b2", " 1", "1.5"]),
+    st.sampled_from(["1" * 4300, "1" * 4301, "1" * 5000, "1/" + "1" * 5000, "1" * 5000 + "/3"]),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(coordinate_strings, min_size=1, max_size=3), st.integers(1, 2))
+def test_the_integer_coordinate_reader_equals_the_fraction_route(values, r):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        assert _key_or_error(_point_key, values, r) == _key_or_error(_key_via_fractions, values, r)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_max_points_one(engine):
