@@ -26,10 +26,14 @@ from typing import Callable, NamedTuple
 from . import io as reportio
 from .errors import MMIError, PreconditionViolated
 from .jumping import verify_contribution_dichotomy, verify_jump_identity, verify_numeric_conditions
-from .regions import RegionEngine, _fmt_tuple
+from .regions import RegionEngine
 from .svg import render_walls
 
 __all__ = ["main"]
+
+
+def _fmt_tuple(values) -> str:
+    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 def _split_list(raw: str, what: str) -> list[str]:

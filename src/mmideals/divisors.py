@@ -14,9 +14,8 @@ negative definite trees the fixed point does not depend on their order
 
 The ideal at a point lam of the orthant is encoded by the antinef closure of
 floor(sum_i lam_i F_i - K), and the ideal just before lam (the "left limit")
-by floors nudged down at integer values.  Both live on the per-point context
-`RegionEngine.at(lam)` in :mod:`mmideals.regions`, which keeps lam . F - K as
-integer numerators over one denominator; divisors there are built from ints.
+by floors nudged down at integer values: both on the per-point context
+`RegionEngine.at(lam)` in :mod:`mmideals.regions`, built from ints.
 """
 
 from __future__ import annotations

@@ -21,15 +21,11 @@ every wall constant from its integer key, with no Fraction made.
 and `\r` to `\n` as a text-mode read did, with the same errors.
 
 Every report is exactly `json.dumps(payload, sort_keys=True, indent=2)` and
-a newline, pure ASCII, written without the stdlib's pure-Python encoder.
-`enumeration_json` writes the `enumerate` report straight from the records,
-one fixed template per record, facet and inequality, with the predecessor
-order read off one packed int per divisor (`packed_predecessors`);
-`verification_json` writes the `verify` report from its verification
-reports the same way; property tests hold both to the stdlib's bytes.
-`dump_json`, a small canonical writer, writes every other report and each
-check's details: strings go through json's C `encode_basestring_ascii`, and
-a list of strings or ints is one `str.join`.
+a newline, pure ASCII, written without the stdlib's pure-Python encoder:
+`enumeration_json` and `verification_json` fill fixed templates straight
+from the records and the verification reports (property tests hold both to
+the stdlib's bytes), and `dump_json`, a small canonical writer, writes
+every other report and each check's details.
 """
 
 from __future__ import annotations
@@ -166,14 +162,21 @@ def _key_text(strs, depth: int) -> str:
 
 
 def enumeration_json(result: EnumerationResult, command: str) -> str:
-    """The `enumerate` report, written straight from the records: the bytes
-    `dump_json` writes for its payload.  Each record, facet and inequality
-    fills a fixed template at its indent, a point key's coordinates are
-    written once, and a predecessor list is joined from the indices' texts."""
+    """The `enumerate` report, the bytes `dump_json` writes for its payload:
+    each record, facet and inequality fills a fixed template at its indent,
+    a point key's coordinates and an inequality (component and constant)
+    are written once, and the predecessors come from `packed_predecessors`."""
     coordinates: dict = {}  # point key -> key_json(key)
+    walls: dict = {}  # (component, numerator) -> the inequality's text
 
     def key_text(key, depth):
         return _key_text(coordinates.get(key) or coordinates.setdefault(key, key_json(key)), depth)
+
+    def wall_text(q):
+        name = q.component, q.numerator
+        return walls.get(name) or walls.setdefault(name, _INEQUALITY % (
+            _list_text(map(str, q.coeffs), 5), _encode_str(q.component), '"%s"' % key_json((q.numerator, q.scale))[0],
+        ))
 
     records = result.records
     indices = list(map(str, range(len(records))))
@@ -183,12 +186,9 @@ def enumeration_json(result: EnumerationResult, command: str) -> str:
             _FACET % (_encode_str(f.wall.component), key_text(f.keys[0], 5), key_text(f.keys[2], 5), key_text(f.keys[1], 5))
             for f in rec.cfacets
         ]
-        walls = [
-            _INEQUALITY % (_list_text(map(str, q.coeffs), 5), _encode_str(q.component), '"%s"' % key_json((q.numerator, q.scale))[0])
-            for q in rec.region.inequalities
-        ]
         texts.append(_RECORD % (
-            _list_text(facets, 3), _list_text(map(str, rec.divisor.coeffs), 3), rec.index, _list_text(walls, 3),
+            _list_text(facets, 3), _list_text(map(str, rec.divisor.coeffs), 3), rec.index,
+            _list_text(map(wall_text, rec.region.inequalities), 3),
             _list_text(map(indices.__getitem__, below), 3), key_text(rec.representative, 3),
             _list_text([key_text(key, 4) for key in rec.representatives], 3), _BOOL[rec.truncated],
         ))

@@ -19,10 +19,8 @@ closure is monotone, so the dichotomy over all 2^n candidate subsets takes
 |G| + 2 closures, with no sampling.
 
 Every function takes a :class:`~mmideals.regions.RegionEngine` and a point,
-and reads the floors, closures and left limits from the engine's cached
-per-point context `engine.at(lam)`, so each is computed once per point.
-Each verifier enters `engine.at` once and reads the minimal jumping divisor
-as `gmin` from that context, so it parses its point once.
+enters `engine.at(lam)` once and reads the floors, closures, left limit
+and `gmin` from that cached per-point context: each is computed once.
 """
 
 from __future__ import annotations

@@ -18,15 +18,15 @@ meaning a . z < C / L, and floors come from integer numerators.  Every
 ideal divisor is at least 1 on every exceptional component (a nonzero
 effective antinef divisor on a connected negative definite tree is), so
 every normal is strictly positive: a wall crosses both axes, and a region
-with a wall is bounded.  Membership, boundedness, facets and vertices are
-all answered from these walls: each wall's segment between its axis
-intercepts is clipped by the other walls once (`RegionPolytope.edges`), and
-the walk's facets and the closure's vertices, which the SVG outline draws,
-all read those edges.  The walk makes no Fraction: the box, seeds, cache
-keys, representatives, facet points and vertices are integer keys (n_1, ..,
-n_r, den) with gcd 1, and a wall constant is its numerator over L.  A key's
-Fractions are made only for a caller that asks (`PointContext.coords`,
-`CFacet.start`, `RegionPolytope.vertices()`, `WallInequality.constant`).
+with a wall is bounded.  The regions of an engine share their normals, so
+for two ideals one wall table per engine clips each wall between the axes
+by the other walls (`RegionPolytope.edges`, kept by the region) and by the
+priors; the walk's facets and the SVG outline read those edges.  The walk
+makes no Fraction: the box, seeds, representatives, facet points and
+vertices are integer keys (n_1, .., n_r, den) with gcd 1, a wall constant
+is its numerator over L, and Fractions are made only for a caller that asks
+(`PointContext.coords`, `CFacet.start`, `RegionPolytope.vertices()`,
+`WallInequality.constant`).
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ __all__ = [
     "next_jumping_number",
 ]
 
-def _fmt_tuple(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
-
-
 # Size caps a request can reach; hitting one raises LimitReached (exit 2).
 ENUMERATION_GUARD = 200_000  # walk steps
 CHAIN_GUARD = 100_000  # jumping numbers computed along one ray
@@ -93,20 +89,19 @@ class WallInequality:
 class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
     {z >= 0, coeffs . z < constant for every wall}, every coeffs > 0.
+    `halfplanes` lists its walls as rows (a, C) meaning a . z <= C / L, in
+    the order of `inequalities`, `constants` their C; `scale` is L.  `key`
+    is lam's."""
 
-    `halfplanes` lists its walls as integer rows (a, C) meaning a . z <=
-    C / L, in the order of `inequalities`; `scale` is L.  `key` is lam's.
-    """
-
-    def __init__(self, key: tuple[int, ...], divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int):
+    def __init__(self, key: tuple[int, ...], divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int, engine=None):
         self.key = key
         self.divisor = divisor
         self.inequalities = inequalities
         self.scale = scale
+        self.engine = engine
+        self.constants = [ineq.numerator for ineq in inequalities]
 
-    @cached_property
-    def halfplanes(self) -> list[tuple[int, ...]]:
-        return [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities]
+    halfplanes = cached_property(lambda self: [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities])
 
     def contains(self, point) -> bool:
         """Strict membership (points on a wall or off the orthant are
@@ -139,18 +134,17 @@ class RegionPolytope:
 
     @cached_property
     def edges(self) -> list[tuple]:
-        """Each wall of a two-ideal region clipped to the closure once: its
-        segment between the axes (see _clip_parameter) cut by the other
-        walls; (row, wall, line, lo, hi) per wall keeping a piece lo < hi,
-        `row` the wall's index in `halfplanes`."""
-        planes = self.halfplanes
+        """(row, wall, (a1, a2, C, m), lo, hi) per wall of a two-ideal region
+        keeping a piece lo < hi of -(m // a2) C <= T <= 0 clipped by the
+        other walls on the engine's wall table (or its own)."""
+        table = self.engine._table if self.engine else _wall_table([ineq.coeffs for ineq in self.inequalities])
         edges = []
         for row, wall in enumerate(self.inequalities):
-            line = _wall_line(wall.coeffs, wall.numerator, planes)
-            _, a2, c, m = line
-            span = _clip_parameter(planes, line, -(m // a2) * c, 0)
+            a1, a2, m, _ = table[row]
+            c = wall.numerator
+            span = _clip_row(table[row], c, self.constants, -(m // a2) * c, 0)
             if span is not None and span[0] < span[1]:
-                edges.append((row, wall, line, *span))
+                edges.append((row, wall, (a1, a2, c, m), *span))
         return edges
 
     def __repr__(self):
@@ -243,12 +237,33 @@ def _point_key(values, r: int, what: str) -> tuple[int, ...]:
 # -- exact line clipping ------------------------------------------------------
 
 
-def _wall_line(coeffs: tuple[int, int], numerator: int, planes) -> tuple[int, ...]:
-    """The line of a wall, as _clip_parameter takes it, for half-planes
-    with the normals (b1, b2) of `planes`."""
-    a1, a2 = coeffs
-    m = math.lcm(a1, a2, *(alpha for b1, b2, *_ in planes if (alpha := b1 * a2 - b2 * a1)))
-    return a1, a2, numerator, m
+def _wall_table(normals) -> list[tuple]:
+    """Per normal (a1, a2) the row (a1, a2, m, clips) of its wall's line
+    (see _clip_parameter): m = lcm(a1, a2, every nonzero alpha = b1 a2 - b2
+    a1), and `clips` holds (b1, alpha, m // alpha or 0) per normal (b1, b2)."""
+    table = []
+    for a1, a2 in normals:
+        alphas = [b1 * a2 - b2 * a1 for b1, b2 in normals]
+        m = math.lcm(a1, a2, *filter(None, alphas))
+        table.append((a1, a2, m, [(b1, alpha, alpha and m // alpha) for (b1, _), alpha in zip(normals, alphas)]))
+    return table
+
+
+def _clip_row(row, c: int, constants, lo: int, hi: int):
+    """_clip_parameter on the line a . z = c / L of a wall table `row`, the
+    half-planes' D in `constants`."""
+    a1, _, _, clips = row
+    for (b1, alpha, step), d in zip(clips, constants):
+        beta = d * a1 - b1 * c
+        if not alpha:
+            if beta < 0:
+                return None
+        elif alpha > 0:
+            if beta * step < hi:
+                hi = beta * step
+        elif beta * step > lo:
+            lo = beta * step
+    return (lo, hi) if lo <= hi else None
 
 
 def _clip_parameter(halfplanes, line, lo, hi):
@@ -314,17 +329,15 @@ class PointContext:
     """Everything asked at one point lam of the orthant.
 
     Cached by :meth:`RegionEngine.at` under lam's `key` (n_1, .., n_r, den),
-    as which a walk seed comes.  Filled at once: lam . F - K as integer
-    numerators `values` over `den`; `floor` = values // den and its antinef
-    closure `divisor`, which encodes the mixed multiplier ideal at lam.
-    Computed on first use, from the key alone: lam's Fractions `coords`,
-    `left_floor`, its closure `left` (the ideal just before lam along the
-    ray) and the minimal jumping divisor `gmin`.  A walk therefore pays one
-    closure per point and makes no Fraction.  `wall` is the one wall
-    formula, on the engine's integer `columns` (normal, L k_j) and `scale`.
-
-    It keeps what it uses, not the engine, so the two form no reference
-    cycle.
+    a walk seed's form.  Filled at once: lam . F - K as integer numerators
+    `values` over `den`, `floor` = values // den and its antinef closure
+    `divisor`, encoding the mixed multiplier ideal at lam.  Computed on
+    first use, from the key alone: lam's Fractions `coords`, `left_floor`,
+    its closure `left` (the ideal just before lam along the ray) and the
+    minimal jumping divisor `gmin`; so a walk pays one closure per point.
+    `wall` is the one wall formula, on the engine's integer `columns`
+    (normal, L k_j) and `scale`.  It keeps what it uses, not the engine, so
+    the two form no reference cycle.
     """
 
     def __init__(self, engine: "RegionEngine", key: tuple[int, ...]):
@@ -378,19 +391,17 @@ class RegionEngine:
     `m_primary` so callers can tell when that guarantee applies).
 
     Set-up runs on integers: L (`scale`) and L * K come from the graph's
-    cached solve K = X / D.  `canonical` is K as the tuple
-    `relative_canonical` returns, a Fraction where k_j is not integral,
-    computed on first access.
+    cached solve K = X / D.  `canonical`, computed on first access, is K as
+    `relative_canonical` returns it.
     """
 
     def __init__(self, ideals: IdealDivisorSet):
         self.ideals = ideals
         self.graph = ideals.graph
         self.classification = Classification(self.graph, ideals)
-        # L = `scale`, the lcm of the denominators of K = X / D: each k_j
-        # has denominator D / gcd(D, X_j), so with g = gcd(D, X_1, ..) L is
-        # D / g and L * k_j is X_j / g.  Per component j the normal
-        # (e_{1,j}, ..., e_{r,j}) and L * k_j (0 on affine components).
+        # L = `scale`, the lcm of the denominators of K = X / D, is D / g
+        # for g = gcd(D, X_1, ..), and L k_j is X_j / g.  Per component j
+        # the normal (e_{1,j}, .., e_{r,j}) and L k_j (0 on affine ones).
         nums, det = self.graph.canonical_numerators
         g = math.gcd(det, *nums)
         self.scale = det // g
@@ -399,6 +410,7 @@ class RegionEngine:
         self._points: dict[tuple[int, ...], PointContext] = {}
 
     canonical = cached_property(lambda self: relative_canonical(self.graph))
+    _table = cached_property(lambda self: _wall_table([self._columns[j][0] for j in self.classification.wall_relevant]))
 
     @property
     def r(self) -> int:
@@ -425,8 +437,13 @@ class RegionEngine:
 
     def _numerators(self, nums: Sequence[int], m: int) -> tuple[list[int], int]:
         """lam . F - K per component as integer numerators v_j over den =
-        m * L, for lam = nums / m: returns (v, den)."""
-        values = [self.scale * sum(map(operator.mul, nums, normal)) - m * k for normal, k in self._columns]
+        m * L, for lam = nums / m: returns (v, den).  L scales nums once."""
+        nums = [self.scale * n for n in nums]
+        if len(nums) == 2:
+            x, y = nums
+            values = [x * u + y * v - m * k for (u, v), k in self._columns]
+        else:
+            values = [sum(map(operator.mul, nums, normal)) - m * k for normal, k in self._columns]
         return values, m * self.scale
 
     def region_of(self, lam) -> RegionPolytope:
@@ -442,7 +459,7 @@ class RegionEngine:
     def _region(self, context: PointContext) -> RegionPolytope:
         divisor = context.divisor
         ineqs = tuple(context.wall(j, divisor) for j in self.classification.wall_relevant)
-        return RegionPolytope(context.key, divisor, ineqs, self.scale)
+        return RegionPolytope(context.key, divisor, ineqs, self.scale, self)
 
     # -- enumeration -------------------------------------------------------
 
@@ -450,12 +467,11 @@ class RegionEngine:
         """Walk the constancy regions outward from the origin.
 
         `box` is the closed search window [0, box_1] x ... ; the result holds
-        it, the representatives and the queue as keys.  Seeds outside it are
-        kept on the queue but never processed, so with `max_points=None` the
-        run terminates exactly when every region meeting the box has a
-        record.  `max_points` stops the walk once that many representatives
-        have been emitted (the region count can be smaller, since points
-        landing in a known region only join its representative list).
+        it, the representatives and the queue as keys.  Seeds outside it stay
+        on the queue unprocessed, so with `max_points=None` the walk ends
+        exactly when every region meeting the box has a record.
+        `max_points` stops it after that many representatives (a point in a
+        known region only joins its representative list).
         """
         box_key = _point_key(box, self.r, "box")
         if min(box_key) <= 0:
@@ -470,8 +486,7 @@ class RegionEngine:
         seen = {origin}  # seed keys
         representatives: list[tuple[int, ...]] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
-        # per wall row, (C, region) of every record's region, sorted by its
-        # constant C on that wall (see _facets_r2)
+        # per wall row, (C, region) per record, sorted by C
         priors: list[list[tuple]] = [[] for _ in self.classification.wall_relevant]
         warnings: list[str] = []
 
@@ -519,15 +534,15 @@ class RegionEngine:
         )
 
     def _prioritize(self, queue: list[PointContext]):
-        # Repeatedly moving the first point strictly below the head to the
-        # front, in one scan: after picks x_1..x_k the queue is [x_k, ...,
-        # x_1, head, rest], and no point before x_k is strictly below x_k (it
-        # would be below x_{k-1} and picked first), so x_{k+1} follows x_k.
-        current = queue[0].divisor
+        # Move the first point strictly below the head to the front, again
+        # and again, in one scan: after picks x_1..x_k the queue is [x_k, ..,
+        # x_1, head, rest], and a point before x_k below it would have been
+        # picked first, so x_{k+1} follows x_k.
+        current = queue[0].divisor.coeffs
         picked, rest = [queue[0]], []
         for entry in queue[1:]:
-            cand = entry.divisor
-            if cand != current and cand.le(current):
+            cand = entry.divisor.coeffs
+            if cand != current and all(map(operator.le, cand, current)):
                 picked.append(entry)
                 current = cand
             else:
@@ -549,11 +564,10 @@ class RegionEngine:
         return self._facets_r2(region, priors, box)
 
     def _facets_r1(self, region: RegionPolytope, priors, box):
-        # The ray meets the wall a * z < C / L at z = C / (L * a); the first
-        # wall it meets has the least C / a, found by cross-multiplication.
-        # No prior closure reaches that point: the walk holds one seed at a
-        # time and each region strictly contains its representative, so the
-        # wall points strictly increase and `priors` is not read.
+        # The first wall a * z < C / L the ray meets has the least C / a.  No
+        # prior closure reaches it: the walk holds one seed at a time and
+        # each region strictly contains its representative, so the wall
+        # points strictly increase and `priors` is not read.
         best: WallInequality | None = None
         for ineq in region.inequalities:
             if best is None or ineq.numerator * best.coeffs[0] < best.numerator * ineq.coeffs[0]:
@@ -571,19 +585,20 @@ class RegionEngine:
         scale = self.scale
         x, y, q = box
         box_planes = [(q, 0, x * scale), (0, q, y * scale)]
-        # A wall line's m is a multiple of a1 and a2, so the line lifted by
-        # the box's denominator q clips to the box on integer bounds.
-        # Every region of the engine has the same walls in the same order, so
-        # a prior's row `row` is its copy of this wall, and its closure can
-        # reach this wall's line only if that copy's constant is at least C:
-        # `priors[row]` is sorted by it, and bisect_left finds the first.
+        table = self._table
+        # m is a multiple of a1 and a2, so the line lifted by the box's
+        # denominator q clips to the box on integer bounds.  A prior's row
+        # `row` is its copy of this wall, and its closure reaches this line
+        # only if that copy's constant is at least C: `priors[row]` is
+        # sorted by it, and bisect_left finds the first.
         facets: list[CFacet] = []
         seeds: list[tuple[int, int, int]] = []
         for row, ineq, line, lo, hi in region.edges:
+            c = line[2]
             lifted = (*line[:3], line[3] * q)
             column = priors[row]
-            reach = column[bisect.bisect_left(column, ineq.numerator, key=operator.itemgetter(0)) :]
-            cuts = [cut for _, prior in reach if (cut := _clip_parameter(prior.halfplanes, line, lo, hi)) is not None]
+            reach = column[bisect.bisect_left(column, c, key=operator.itemgetter(0)) :]
+            cuts = [cut for _, prior in reach if (cut := _clip_row(table[row], c, prior.constants, lo, hi)) is not None]
 
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
                 keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))
@@ -595,12 +610,12 @@ class RegionEngine:
                 if b0 < b1:
                     seeds.append(_line_key(lifted, scale, b0 + b1, 2))
                 elif b0 == b1:
-                    # The facet touches the box in a single point (a corner or
-                    # a grazing endpoint); it still seeds the region above.
+                    # a facet touching the box in one point (a corner or a
+                    # grazing end) still seeds the region above
                     seeds.append(_line_key(lifted, scale, b0))
         if region.inequalities and not facets:
             raise GeometryDegeneracy(
-                f"a fresh region produced no outer facet at lambda {_fmt_tuple(_key_point(region.key))}"
+                f"a fresh region produced no outer facet at lambda ({', '.join(map(str, _key_point(region.key)))})"
             )
         return tuple(facets), seeds
 
@@ -642,13 +657,12 @@ class RegionEngine:
 
 class _Ray:
     """The ray t * u as the single-ideal chain of sum_i u_i F_i, its
-    direction checked once (one coordinate per ideal, none negative, not all
-    zero).  With u = U / m, E = U . F and K = K' / L, a column (L E_j, m
-    K'_j) gives t e_j - k_j = (p L E_j - q m K'_j) / (q m L) at t = p / q,
-    and a term (j, m (K'_j + L), L E_j) for each E_j > 0 gives the candidate
-    (k_j + 1 + e_j(t)) / e_j = (m (K'_j + L) + m L e_j(t)) / (L E_j);
-    affine components compete too (K' is 0 there), which is what picks up
-    jumps of non-m-primary ideals."""
+    direction checked once (nonnegative, not zero).  With u = U / m, E = U .
+    F and K = K' / L, a column (L E_j, m K'_j) gives t e_j - k_j = (p L E_j
+    - q m K'_j) / (q m L) at t = p / q, and a term (j, m (K'_j + L), L E_j)
+    per E_j > 0 the candidate jump (k_j + 1 + e_j(t)) / e_j = (m (K'_j + L)
+    + m L e_j(t)) / (L E_j); affine components compete too (K' is 0 there),
+    which picks up jumps of non-m-primary ideals."""
 
     def __init__(self, engine: RegionEngine, direction):
         self.key = _point_key(direction, engine.r, "direction")  # U + (m,), as the report writes it
@@ -684,13 +698,9 @@ class _Ray:
 
 
 def next_jumping_number(engine: RegionEngine, direction, t_prev) -> Fraction:
-    """Smallest jumping number strictly after t_prev along the ray t * u.
-
-    The ideals on the ray form the single-ideal chain of sum_i u_i F_i: with
-    e = u . F and e(t) the antinef divisor at t, the next jump is the
-    minimum over components with e_j > 0 of (k_j + 1 + e_j(t)) / e_j: one
-    cold step of a fresh `_Ray`, closing the floor at t_prev from scratch.
-    """
+    """Smallest jumping number strictly after t_prev along the ray t * u:
+    one cold step of a fresh `_Ray`, closing the floor at t_prev from
+    scratch."""
     ray = _Ray(engine, direction)
     t0 = _as_fraction(t_prev, "t_prev")
     if t0 < 0:

@@ -5,14 +5,16 @@ discovered region with a hatch pattern and draws every C-facet as one solid
 `<polyline>` (exactly one per facet, so diagrams stay checkable against the
 JSON report), labelled with its wall equation.  For a single ideal the facets
 are points and are drawn as vertical ticks.  A region's shading is the path
-through `RegionPolytope.vertex_keys()`, read off the wall edges the walk
-already clipped; no geometry is computed here.  Every point, the box
+through `RegionPolytope.vertex_keys()`, read off the edges each region kept
+when the walk clipped it; no geometry is computed here.  Every point, the box
 included, is a key (n_1, .., n_r, den) and maps through n / den, which is
 float(Fraction(n, den)); `io.key_json` writes the wall constants.  Component
 ids in labels are XML-escaped, and non-ASCII characters become character
 references (`&#233;`), so the SVG is pure ASCII.
 
-Everything is plain string assembly; output is deterministic.
+Everything is plain string assembly; output is deterministic.  Each facet is
+one `%` template, and a render writes each wall's label once per (component,
+constant), however many facets repeat it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
     """Closed path through the vertices of the region closure, for shading."""
     if not region.bounded:
         return None
-    path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in map(m.point, region.vertex_keys())) + " Z"
+    path = "M " + " L ".join(map("%.2f %.2f".__mod__, map(m.point, region.vertex_keys()))) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
@@ -96,9 +98,17 @@ def _equation_label(wall) -> str:
     return label.encode("ascii", "xmlcharrefreplace").decode("ascii")
 
 
+# one facet: its polyline and its label, each %.2f as _fmt writes it
+FACET = (
+    '<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="#1a3d6d" stroke-width="2"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="10" fill="#1a3d6d">%s</text>'
+)
+
+
 def render_walls(result: EnumerationResult) -> str:
     """Full diagram for an enumeration run: hatched regions, solid facet
-    polylines, equation labels."""
+    polylines, equation labels.  The walls of one walk differ only in their
+    constants, so each label is made once per (component, constant)."""
     box = result.box
     two = len(box) == 3
     m = _Mapper(box if two else (box[0], box[1], box[1]))  # one ideal: height 1
@@ -108,8 +118,8 @@ def render_walls(result: EnumerationResult) -> str:
             outline = _region_outline(rec.region, m)
             if outline:
                 parts.append(outline)
-    for part in _axes(m):
-        parts.append(part)
+    parts += _axes(m)
+    labels: dict = {}  # (component, numerator) -> the label of that wall
     for rec in result.records:
         for facet in rec.cfacets:
             if not two:
@@ -118,14 +128,9 @@ def render_walls(result: EnumerationResult) -> str:
                 x2, y2 = x1, m.y(m.by)
             else:
                 (x1, y1), (x2, y2) = map(m.point, facet.keys[:2])
-            parts.append(
-                f'<polyline points="{_fmt(x1)},{_fmt(y1)} {_fmt(x2)},{_fmt(y2)}" '
-                'fill="none" stroke="#1a3d6d" stroke-width="2"/>'
-            )
-            lx, ly = (x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5
-            parts.append(
-                f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="10" fill="#1a3d6d">'
-                f"{_equation_label(facet.wall)}</text>"
-            )
+            wall = facet.wall
+            name = wall.component, wall.numerator
+            label = labels.get(name) or labels.setdefault(name, _equation_label(wall))
+            parts.append(FACET % (x1, y1, x2, y2, (x1 + x2) / 2 + 5, (y1 + y2) / 2 - 5, label))
     parts.append("</svg>\n")
     return "\n".join(parts)

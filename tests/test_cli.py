@@ -923,12 +923,41 @@ WALK_DIGESTS = [
     # a 7-component tree, K over 13, 4 walls no two of them parallel: 199 ideals
     (TREE3, "enumerate", "1/64,1/32", "dd8e4eb8fcfb3c24"),
     (TREE3, "walls", "1/64,1/32", "293b55bbc972e629"),
+    # 766 ideals
+    (TREE3, "enumerate", "1/32,1/16", "8ec582ac6a45551b"),
+    (TREE3, "walls", "1/32,1/16", "7719e3552f2c1a88"),
 ]
 
 
 @pytest.mark.parametrize("source,command,box,digest", WALK_DIGESTS)
 def test_walk_output_digests(capsys, source, command, box, digest):
     code, out, _ = run(capsys, command, "--input", source, "--box", box)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+# stdout sha256[:16] of walks on variants of the example, recorded with the
+# per-region wall clip: the A1 variant (see POINT_DIGESTS), not m-primary,
+# and the single ideal a1, whose facets are drawn as ticks
+VARIANT_WALK_DIGESTS = [
+    ("a1", "enumerate", "1,3", "9c2116793296a6aa"),
+    ("a1", "enumerate", "3/4,5/2", "184bb9886f10f8e6"),
+    ("a1", "walls", "1,3", "71af0b7cf58bce3f"),
+    ("a1", "walls", "3/4,5/2", "c32bbbcc8ae2c194"),
+    ("example-a1", "walls", "3", "b7a8d3f8a2b62b8a"),
+]
+
+
+@pytest.mark.parametrize("source,command,box,digest", VARIANT_WALK_DIGESTS)
+def test_variant_walk_output_digests(tmp_path, capsys, source, command, box, digest):
+    raw = json.loads(EXAMPLE_PATH.read_text())
+    if source == "a1":
+        raw["ideals"][1]["mult"]["A1"] = 1
+    else:
+        raw["ideals"] = raw["ideals"][:1]
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, command, "--input", str(path), "--box", box)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 

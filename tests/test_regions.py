@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -33,11 +34,12 @@ from mmideals.regions import (
     WallInequality,
     _Ray,
     _clip_parameter,
+    _clip_row,
     _key_point,
     _line_key,
     _point_key,
     _subtract_intervals,
-    _wall_line,
+    _wall_table,
 )
 from mmideals.svg import render_walls
 
@@ -898,6 +900,30 @@ def _region_outline_fractions(region, m):
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
+def _wall_line(coeffs: tuple[int, int], numerator: int, planes) -> tuple[int, ...]:
+    """The line of a wall, as _clip_parameter takes it, for half-planes
+    with the normals (b1, b2) of `planes`: its m computed per region, as the
+    walk first did.  Oracle for the rows of `regions._wall_table`."""
+    a1, a2 = coeffs
+    m = math.lcm(a1, a2, *(alpha for b1, b2, *_ in planes if (alpha := b1 * a2 - b2 * a1)))
+    return a1, a2, numerator, m
+
+
+def _edges_by_planes(region) -> list[tuple]:
+    """A two-ideal region's edges as the walk first clipped them: each wall's
+    line from `_wall_line`, clipped by `_clip_parameter` over `halfplanes`.
+    Oracle for `RegionPolytope.edges` on the wall table."""
+    planes = region.halfplanes
+    edges = []
+    for row, wall in enumerate(region.inequalities):
+        line = _wall_line(wall.coeffs, wall.numerator, planes)
+        _, a2, c, m = line
+        span = _clip_parameter(planes, line, -(m // a2) * c, 0)
+        if span is not None and span[0] < span[1]:
+            edges.append((row, wall, line, *span))
+    return edges
+
+
 # wall normals are positive (every ideal divisor is >= 1 on every exceptional
 # component), so a wall line is drawn with a1, a2 >= 1
 positive_walls = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(-300, 300))
@@ -923,6 +949,23 @@ def test_integer_clip_matches_the_fraction_oracle(wall, planes, bounds, scale):
     for t in got or ():  # a bound is a point of the wall line
         x, y = _key_point(_line_key(line, scale, t))
         assert a1 * x + a2 * y == Fraction(c, scale)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    normals=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_wall_table_rows_clip_as_the_plane_clip(normals, data):
+    # small positive normals, so parallel walls (alpha = 0) are common
+    constants = data.draw(st.lists(st.integers(1, 60), min_size=len(normals), max_size=len(normals)))
+    planes = [(*normal, c) for normal, c in zip(normals, constants)]
+    for row, (normal, c) in zip(_wall_table(normals), zip(normals, constants)):
+        line = _wall_line(normal, c, planes)
+        assert row[:3] == (*normal, line[3])
+        lo = data.draw(st.integers(-(10**4), 0))
+        hi = data.draw(st.integers(lo, 10**4))
+        assert _clip_row(row, c, constants, lo, hi) == _clip_parameter(planes, line, lo, hi)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1201,15 +1244,16 @@ def test_every_region_of_a_random_m_primary_pair_certifies_its_wall_set(tree, da
 
 
 def _facets_r2_all_priors(self, region, priors, box):
-    """The integer facet clipper with no prior index: it scans every prior
-    region and skips those whose copy of the wall has a smaller constant.
-    Oracle for the indexed scan of `RegionEngine._facets_r2`."""
+    """The integer facet clipper with no prior index and no wall table: it
+    clips the edges of `_edges_by_planes`, scans every prior region and skips
+    those whose copy of the wall has a smaller constant.  Oracle for the
+    indexed scan of `RegionEngine._facets_r2`."""
     scale = self.scale
     x, y, q = box
     box_planes = [(q, 0, x * scale), (0, q, y * scale)]
     prior_planes = [prior.halfplanes for prior in _prior_regions(priors)]
     facets, seeds = [], []
-    for row, ineq, line, lo, hi in region.edges:
+    for row, ineq, line, lo, hi in _edges_by_planes(region):
         lifted = (*line[:3], line[3] * q)
         cuts = []
         for planes in prior_planes:
@@ -1262,6 +1306,50 @@ def test_prior_index_clips_as_the_all_priors_scan_on_a_random_m_primary_pair(tre
     eng = _random_m_primary_pair(tree, data)
     _checked_against_all_priors(eng)
     eng.enumerate_constancy_regions((1, 1), max_points=300)
+
+
+def _assert_edges_and_labels_by_planes(result):
+    """Every record's edges, clipped on the engine's wall table, are those of
+    `_edges_by_planes`, and `render_walls` labels each facet with its own
+    wall's equation, however it shares the label text between facets."""
+    for rec in result.records:
+        assert rec.region.edges == _edges_by_planes(rec.region), rec.index
+    labels = re.findall(r'<text [^>]*fill="#1a3d6d">([^<]*)</text>', render_walls(result))
+    assert labels == [svg._equation_label(f.wall) for rec in result.records for f in rec.cfacets]
+
+
+def _doubled_engine(example_raw) -> RegionEngine:
+    """The example's F1 + F2 taken twice: every wall is parallel to every
+    other, so each region keeps one edge and the others fall to the
+    alpha = 0 test of the clip."""
+    ideals = example_raw["ideals"]
+    mult = {cid: sum(ideal["mult"].get(cid, 0) for ideal in ideals) for cid in ideals[0]["mult"]}
+    doubled = [{"name": name, "mult": mult} for name in ("a1", "a2")]
+    return RegionEngine(build_ideals(validate_graph(example_raw), doubled))
+
+
+EDGE_CASES = TWO_IDEAL_CASES + [
+    pytest.param("doubled", ("1", "1"), id="doubled"),
+    pytest.param("tree3", ("1/64", "1/32"), id="tree3"),
+]
+
+
+@pytest.mark.parametrize("which,box", EDGE_CASES)
+def test_edges_on_the_wall_table_are_the_plane_clip(engine, affine_engine, fractional_engine, example_raw, which, box):
+    if which == "doubled":
+        eng = _doubled_engine(example_raw)
+        assert len({tuple(q.coeffs) for q in eng.region_of((0, 0)).inequalities}) == 2  # two parallel walls
+    elif which == "tree3":
+        eng = RegionEngine(load_input(DATA / "tree3.json")[1])
+    else:
+        eng = RegionEngine(dict(_engines(engine, affine_engine), **{"fractional-k": fractional_engine})[which].ideals)
+    _assert_edges_and_labels_by_planes(eng.enumerate_constancy_regions(box))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_trees(max_size=10), st.data())
+def test_edges_on_the_wall_table_are_the_plane_clip_on_a_random_m_primary_pair(tree, data):
+    _assert_edges_and_labels_by_planes(_random_m_primary_pair(tree, data).enumerate_constancy_regions((1, 1), max_points=300))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
