@@ -21,7 +21,8 @@ every normal is strictly positive: a wall crosses both axes, and a region
 with a wall is bounded.  The regions of an engine share their normals, so
 for two ideals one wall table per engine clips each wall between the axes
 by the other walls (`RegionPolytope.edges`, kept by the region) and by the
-priors; the walk's facets and the SVG outline read those edges.  The walk
+priors, and two integer bounds on its line clip a facet to the box; the
+walk's facets and the SVG outline read those edges.  The walk
 makes no Fraction: the box, seeds, representatives, facet points and
 vertices are integer keys (n_1, .., n_r, den) with gcd 1, a wall constant
 is its numerator over L, and Fractions are made only for a caller that asks
@@ -89,19 +90,16 @@ class WallInequality:
 class RegionPolytope:
     """Constancy region of the ideal at `lam`: open convex polytope
     {z >= 0, coeffs . z < constant for every wall}, every coeffs > 0.
-    `halfplanes` lists its walls as rows (a, C) meaning a . z <= C / L, in
-    the order of `inequalities`, `constants` their C; `scale` is L.  `key`
-    is lam's."""
+    `constants` are the walls' C, in the order of `inequalities`; `scale`
+    is L.  `key` is lam's; `engine` holds the wall table."""
 
-    def __init__(self, key: tuple[int, ...], divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int, engine=None):
+    def __init__(self, key: tuple[int, ...], divisor: Divisor, inequalities: tuple[WallInequality, ...], scale: int, engine):
         self.key = key
         self.divisor = divisor
         self.inequalities = inequalities
         self.scale = scale
         self.engine = engine
         self.constants = [ineq.numerator for ineq in inequalities]
-
-    halfplanes = cached_property(lambda self: [(*ineq.coeffs, ineq.numerator) for ineq in self.inequalities])
 
     def contains(self, point) -> bool:
         """Strict membership (points on a wall or off the orthant are
@@ -136,8 +134,8 @@ class RegionPolytope:
     def edges(self) -> list[tuple]:
         """(row, wall, (a1, a2, C, m), lo, hi) per wall of a two-ideal region
         keeping a piece lo < hi of -(m // a2) C <= T <= 0 clipped by the
-        other walls on the engine's wall table (or its own)."""
-        table = self.engine._table if self.engine else _wall_table([ineq.coeffs for ineq in self.inequalities])
+        other walls on the engine's wall table."""
+        table = self.engine._table
         edges = []
         for row, wall in enumerate(self.inequalities):
             a1, a2, m, _ = table[row]
@@ -239,7 +237,7 @@ def _point_key(values, r: int, what: str) -> tuple[int, ...]:
 
 def _wall_table(normals) -> list[tuple]:
     """Per normal (a1, a2) the row (a1, a2, m, clips) of its wall's line
-    (see _clip_parameter): m = lcm(a1, a2, every nonzero alpha = b1 a2 - b2
+    (see _clip_row): m = lcm(a1, a2, every nonzero alpha = b1 a2 - b2
     a1), and `clips` holds (b1, alpha, m // alpha or 0) per normal (b1, b2)."""
     table = []
     for a1, a2 in normals:
@@ -250,8 +248,15 @@ def _wall_table(normals) -> list[tuple]:
 
 
 def _clip_row(row, c: int, constants, lo: int, hi: int):
-    """_clip_parameter on the line a . z = c / L of a wall table `row`, the
-    half-planes' D in `constants`."""
+    """Clip the segment lo <= T <= hi of the line a . z = c / L of a wall
+    table `row` by half-planes b . z <= D / L, the D in `constants`;
+    returns (lo, hi), or None if nothing is left.
+
+    The line is z(T) = (m c + T a2, -T a1) / (L a1 m), meeting the z1-axis
+    at T = 0 and the z2-axis at T = -m c / a2.  A half-plane reads alpha T
+    <= m (D a1 - b1 c), and m is a multiple of a1, a2 and every alpha = b1
+    a2 - b2 a1, so every bound on T is an integer.
+    """
     a1, _, _, clips = row
     for (b1, alpha, step), d in zip(clips, constants):
         beta = d * a1 - b1 * c
@@ -266,35 +271,8 @@ def _clip_row(row, c: int, constants, lo: int, hi: int):
     return (lo, hi) if lo <= hi else None
 
 
-def _clip_parameter(halfplanes, line, lo, hi):
-    """Clip the segment lo <= T <= hi of a wall line by half-planes (b1, b2,
-    D) meaning b . z <= D / L; returns (lo, hi), or None if nothing is left.
-
-    `line` = (a1, a2, C, m) is the wall a . z = C / L (a > 0) as z(T) =
-    (m C + T a2, -T a1) / (L a1 m), meeting the z1-axis at T = 0 and the
-    z2-axis at T = -m C / a2.  A half-plane reads (b1 a2 - b2 a1) T <=
-    m (D a1 - b1 C), and m is a multiple of a1, a2 and every b1 a2 - b2 a1,
-    so every bound on T is an integer.
-    """
-    a1, a2, c, m = line
-    for b1, b2, d in halfplanes:
-        alpha = b1 * a2 - b2 * a1
-        beta = d * a1 - b1 * c
-        if alpha == 0:
-            if beta < 0:
-                return None
-            continue
-        bound = beta * (m // alpha)
-        if alpha > 0:
-            if bound < hi:
-                hi = bound
-        elif bound > lo:
-            lo = bound
-    return (lo, hi) if lo <= hi else None
-
-
 def _line_key(line, scale: int, t: int, k: int = 1) -> tuple[int, int, int]:
-    """The point z(t / k) of a wall line (see _clip_parameter) as a reduced
+    """The point z(t / k) of a wall line (see _clip_row) as a reduced
     key (x, y, den)."""
     a1, a2, c, m = line
     x, y, den = k * m * c + t * a2, -t * a1, k * scale * a1 * m
@@ -584,35 +562,32 @@ class RegionEngine:
     def _facets_r2(self, region: RegionPolytope, priors, box):
         scale = self.scale
         x, y, q = box
-        box_planes = [(q, 0, x * scale), (0, q, y * scale)]
         table = self._table
-        # m is a multiple of a1 and a2, so the line lifted by the box's
-        # denominator q clips to the box on integer bounds.  A prior's row
-        # `row` is its copy of this wall, and its closure reaches this line
-        # only if that copy's constant is at least C: `priors[row]` is
-        # sorted by it, and bisect_left finds the first.
+        # On the box's denominator q, z1 <= x / q is q T <= (x L a1 - q C)
+        # (m // a2) and z2 <= y / q is q T >= -y L m, on integers as m is a
+        # multiple of a1 and a2.  A prior's row `row` is its copy of this
+        # wall, and its closure reaches this line only if that copy's
+        # constant is at least C: `priors[row]` is sorted by it, and
+        # bisect_left finds the first.
         facets: list[CFacet] = []
         seeds: list[tuple[int, int, int]] = []
         for row, ineq, line, lo, hi in region.edges:
-            c = line[2]
-            lifted = (*line[:3], line[3] * q)
+            a1, a2, c, m = line
             column = priors[row]
             reach = column[bisect.bisect_left(column, c, key=operator.itemgetter(0)) :]
             cuts = [cut for _, prior in reach if (cut := _clip_row(table[row], c, prior.constants, lo, hi)) is not None]
+            top, bottom = (x * scale * a1 - q * c) * (m // a2), -y * scale * m
 
             for t0, t1 in _subtract_intervals(lo, hi, cuts):
                 keys = (_line_key(line, scale, t0), _line_key(line, scale, t1), _line_key(line, scale, t0 + t1, 2))
                 facets.append(CFacet(ineq, keys))
-                boxed = _clip_parameter(box_planes, lifted, t0 * q, t1 * q)
-                if boxed is None:
-                    continue
-                b0, b1 = boxed
+                b0, b1 = max(t0 * q, bottom), min(t1 * q, top)
                 if b0 < b1:
-                    seeds.append(_line_key(lifted, scale, b0 + b1, 2))
+                    seeds.append(_line_key(line, scale, b0 + b1, 2 * q))
                 elif b0 == b1:
                     # a facet touching the box in one point (a corner or a
                     # grazing end) still seeds the region above
-                    seeds.append(_line_key(lifted, scale, b0))
+                    seeds.append(_line_key(line, scale, b0, q))
         if region.inequalities and not facets:
             raise GeometryDegeneracy(
                 f"a fresh region produced no outer facet at lambda ({', '.join(map(str, _key_point(region.key)))})"

@@ -41,10 +41,6 @@ PREAMBLE = """<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %(w).0f %(h).
 """
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 class _Mapper:
     def __init__(self, box):
         # int true division is correctly rounded: n / den is float(Fraction(n, den))
@@ -67,16 +63,16 @@ class _Mapper:
 
 
 def _axes(m: _Mapper) -> list[str]:
-    parts = [
-        f'<line x1="{_fmt(m.x(0))}" y1="{_fmt(m.y(0))}" x2="{_fmt(m.x(m.bx))}" y2="{_fmt(m.y(0))}" stroke="black" stroke-width="1.5"/>',
-        f'<line x1="{_fmt(m.x(0))}" y1="{_fmt(m.y(0))}" x2="{_fmt(m.x(0))}" y2="{_fmt(m.y(m.by))}" stroke="black" stroke-width="1.5"/>',
-        f'<text x="{_fmt(m.x(m.bx) + 8)}" y="{_fmt(m.y(0) + 4)}" font-size="14">z1</text>',
-        f'<text x="{_fmt(m.x(0) - 6)}" y="{_fmt(m.y(m.by) - 8)}" font-size="14" text-anchor="end">z2</text>',
-        f'<text x="{_fmt(m.x(0) - 6)}" y="{_fmt(m.y(0) + 16)}" font-size="12" text-anchor="end">0</text>',
-        f'<text x="{_fmt(m.x(m.bx))}" y="{_fmt(m.y(0) + 16)}" font-size="12" text-anchor="middle">{m.bx:g}</text>',
-        f'<text x="{_fmt(m.x(0) - 6)}" y="{_fmt(m.y(m.by) + 4)}" font-size="12" text-anchor="end">{m.by:g}</text>',
+    x0, y0, x1, y1 = m.x(0), m.y(0), m.x(m.bx), m.y(m.by)
+    return [
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1.5"/>' % (x0, y0, x1, y0),
+        '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1.5"/>' % (x0, y0, x0, y1),
+        '<text x="%.2f" y="%.2f" font-size="14">z1</text>' % (x1 + 8, y0 + 4),
+        '<text x="%.2f" y="%.2f" font-size="14" text-anchor="end">z2</text>' % (x0 - 6, y1 - 8),
+        '<text x="%.2f" y="%.2f" font-size="12" text-anchor="end">0</text>' % (x0 - 6, y0 + 16),
+        '<text x="%.2f" y="%.2f" font-size="12" text-anchor="middle">%g</text>' % (x1, y0 + 16, m.bx),
+        '<text x="%.2f" y="%.2f" font-size="12" text-anchor="end">%g</text>' % (x0 - 6, y1 + 4, m.by),
     ]
-    return parts
 
 
 def _region_outline(region: RegionPolytope, m: _Mapper) -> str | None:
@@ -98,7 +94,7 @@ def _equation_label(wall) -> str:
     return label.encode("ascii", "xmlcharrefreplace").decode("ascii")
 
 
-# one facet: its polyline and its label, each %.2f as _fmt writes it
+# one facet: its polyline and its label, coordinates written %.2f
 FACET = (
     '<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="#1a3d6d" stroke-width="2"/>\n'
     '<text x="%.2f" y="%.2f" font-size="10" fill="#1a3d6d">%s</text>'

@@ -125,6 +125,96 @@ MUTANTS = [
         ("tests/test_cli.py::test_the_plain_reader_equals_argparse",),
         "`cli.main` reads a plain command line from the command table",
     ),
+    Mutant(
+        "region-without-its-first-wall",
+        "src/mmideals/regions.py",
+        "for j in self.classification.wall_relevant)\n        return RegionPolytope(",
+        "for j in self.classification.wall_relevant[1:])\n        return RegionPolytope(",
+        ("tests/test_regions.py::test_region_constants",),
+        "one parser from outside coordinates to integer keys",
+    ),
+    Mutant(
+        "plain-reader-accepts-a-dashed-value",
+        "src/mmideals/cli.py",
+        'if key is None or opts[key] is not None or value[:1] == "-":',
+        "if key is None or opts[key] is not None:",
+        (
+            "tests/test_cli.py::test_other_dashed_values_keep_the_usage_error",
+            "tests/test_cli.py::test_the_plain_reader_equals_argparse",
+        ),
+        "`cli.main` reads a plain command line from the command table",
+    ),
+    Mutant(
+        "empty-list-written-with-a-space",
+        "src/mmideals/io.py",
+        'if text else "[]"',
+        'if text else "[ ]"',
+        ("tests/test_io.py::test_report_writer_matches_the_reference_payload",),
+        "walk calls at the cost of their regions",
+    ),
+    Mutant(
+        "box-top-bound-divides-m-by-a1",
+        "src/mmideals/regions.py",
+        "q * c) * (m // a2)",
+        "q * c) * (m // a1)",
+        (
+            "tests/test_regions.py::test_fractional_k_input",
+            "tests/test_regions.py::test_wall_table_rows_clip_as_the_plane_clip",
+        ),
+        "one clip routine in `src/`",
+    ),
+    Mutant(
+        "box-bottom-bound-reads-x",
+        "src/mmideals/regions.py",
+        "-y * scale * m",
+        "-x * scale * m",
+        (
+            "tests/test_regions.py::test_walk_representative_order",
+            "tests/test_regions.py::test_wall_table_rows_clip_as_the_plane_clip",
+        ),
+        "one clip routine in `src/`",
+    ),
+    Mutant(
+        "box-touching-facet-seeds-nothing",
+        "src/mmideals/regions.py",
+        "                elif b0 == b1:\n",
+        "                elif False:\n",
+        (
+            "tests/test_regions.py::test_full_run_terminates_and_covers",
+            "tests/test_regions.py::test_wall_table_rows_clip_as_the_plane_clip",
+        ),
+        "one clip routine in `src/`",
+    ),
+    Mutant(
+        "box-seed-k-without-q",
+        "src/mmideals/regions.py",
+        "_line_key(line, scale, b0 + b1, 2 * q)",
+        "_line_key(line, scale, b0 + b1, 2)",
+        (
+            "tests/test_regions.py::test_walks_of_random_boxes_cover_their_corners",
+            "tests/test_regions.py::test_wall_table_rows_clip_as_the_plane_clip",
+        ),
+        "one clip routine in `src/`",
+    ),
+    Mutant(
+        "box-touch-seed-k-without-q",
+        "src/mmideals/regions.py",
+        "_line_key(line, scale, b0, q)",
+        "_line_key(line, scale, b0)",
+        (
+            "tests/test_regions.py::test_walks_of_random_boxes_cover_their_corners",
+            "tests/test_regions.py::test_wall_table_rows_clip_as_the_plane_clip",
+        ),
+        "one clip routine in `src/`",
+    ),
+    Mutant(
+        "svg-outline-reclips-the-walls",
+        "src/mmideals/regions.py",
+        "for *_, line, lo, hi in self.edges for t in (lo, hi)",
+        "for *_, line, lo, hi in RegionPolytope.edges.func(self) for t in (lo, hi)",
+        ("tests/test_regions.py::test_drawing_a_walk_clips_no_wall",),
+        "one clip routine in `src/`",
+    ),
 ]
 
 EQUIVALENT = [

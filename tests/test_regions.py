@@ -9,6 +9,7 @@ import operator
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +34,6 @@ from mmideals.regions import (
     RegionPolytope,
     WallInequality,
     _Ray,
-    _clip_parameter,
     _clip_row,
     _key_point,
     _line_key,
@@ -660,7 +660,7 @@ def test_contains_matches_the_fraction_oracle(
 def _clip_parameter_fractions(constraints, p0, direction, lo, hi):
     """The line clipper as first written, on Fractions: intersect the line
     p0 + t * direction with half-planes (a1, a2, b) meaning a . z <= b.
-    Oracle for the integer `regions._clip_parameter`."""
+    Oracle for the integer `_clip_parameter`."""
     for a1, a2, b in constraints:
         alpha = a1 * direction[0] + a2 * direction[1]
         beta = b - (a1 * p0[0] + a2 * p0[1])
@@ -678,6 +678,41 @@ def _clip_parameter_fractions(constraints, p0, direction, lo, hi):
     if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
+
+
+def _clip_parameter(halfplanes, line, lo, hi):
+    """Clip the segment lo <= T <= hi of a wall line by half-planes (b1, b2,
+    D) meaning b . z <= D / L; returns (lo, hi), or None if nothing is left.
+
+    `line` = (a1, a2, C, m) is the wall a . z = C / L (a > 0) as z(T) =
+    (m C + T a2, -T a1) / (L a1 m), meeting the z1-axis at T = 0 and the
+    z2-axis at T = -m C / a2.  A half-plane reads (b1 a2 - b2 a1) T <=
+    m (D a1 - b1 C), and m is a multiple of a1, a2 and every b1 a2 - b2 a1,
+    so every bound on T is an integer.  The plane clipper the walk first
+    ran: oracle for `regions._clip_row` and for the box bounds of
+    `RegionEngine._facets_r2`.
+    """
+    a1, a2, c, m = line
+    for b1, b2, d in halfplanes:
+        alpha = b1 * a2 - b2 * a1
+        beta = d * a1 - b1 * c
+        if alpha == 0:
+            if beta < 0:
+                return None
+            continue
+        bound = beta * (m // alpha)
+        if alpha > 0:
+            if bound < hi:
+                hi = bound
+        elif bound > lo:
+            lo = bound
+    return (lo, hi) if lo <= hi else None
+
+
+def _halfplanes(region) -> list[tuple]:
+    """A region's walls as rows (a1, a2, C) meaning a . z <= C / L, in the
+    order of its inequalities: `_clip_parameter`'s half-planes."""
+    return [(*ineq.coeffs, ineq.numerator) for ineq in region.inequalities]
 
 
 def _fraction_halfplanes(region):
@@ -740,13 +775,13 @@ def test_drawing_a_walk_clips_no_wall(engine, monkeypatch):
     # each wall is clipped once per region, in the walk; the SVG outline
     # reads the region's edges
     calls = []
-    clip = mmideals.regions._clip_parameter
+    clip = mmideals.regions._clip_row
 
     def counted(*args):
         calls.append(args)
         return clip(*args)
 
-    monkeypatch.setattr(mmideals.regions, "_clip_parameter", counted)
+    monkeypatch.setattr(mmideals.regions, "_clip_row", counted)
     result = engine.enumerate_constancy_regions(("2", "6"))
     walked = len(calls)
     picture = render_walls(result)
@@ -896,7 +931,7 @@ def _region_outline_fractions(region, m):
     points = _region_vertices_fractions(region)
     if points is None:
         return None
-    path = "M " + " L ".join(f"{svg._fmt(m.x(px))} {svg._fmt(m.y(py))}" for px, py in points) + " Z"
+    path = "M " + " L ".join("%.2f %.2f" % (m.x(px), m.y(py)) for px, py in points) + " Z"
     return f'<path d="{path}" fill="url(#hatch)" fill-opacity="0.35" stroke="none"/>'
 
 
@@ -911,9 +946,9 @@ def _wall_line(coeffs: tuple[int, int], numerator: int, planes) -> tuple[int, ..
 
 def _edges_by_planes(region) -> list[tuple]:
     """A two-ideal region's edges as the walk first clipped them: each wall's
-    line from `_wall_line`, clipped by `_clip_parameter` over `halfplanes`.
+    line from `_wall_line`, clipped by `_clip_parameter` over `_halfplanes`.
     Oracle for `RegionPolytope.edges` on the wall table."""
-    planes = region.halfplanes
+    planes = _halfplanes(region)
     edges = []
     for row, wall in enumerate(region.inequalities):
         line = _wall_line(wall.coeffs, wall.numerator, planes)
@@ -960,12 +995,41 @@ def test_wall_table_rows_clip_as_the_plane_clip(normals, data):
     # small positive normals, so parallel walls (alpha = 0) are common
     constants = data.draw(st.lists(st.integers(1, 60), min_size=len(normals), max_size=len(normals)))
     planes = [(*normal, c) for normal, c in zip(normals, constants)]
-    for row, (normal, c) in zip(_wall_table(normals), zip(normals, constants)):
+    table = _wall_table(normals)
+    for row, (normal, c) in zip(table, zip(normals, constants)):
         line = _wall_line(normal, c, planes)
         assert row[:3] == (*normal, line[3])
         lo = data.draw(st.integers(-(10**4), 0))
         hi = data.draw(st.integers(lo, 10**4))
         assert _clip_row(row, c, constants, lo, hi) == _clip_parameter(planes, line, lo, hi)
+    # the box bounds of `_facets_r2` on a piece of the last row's line, with
+    # no prior, against the plane clip of the line lifted by the box's q
+    scale = data.draw(st.sampled_from([1, 2, 7, 60]))
+    q, x, y = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    kind = data.draw(st.sampled_from(["cross", "miss", "touch"]))
+    if kind == "touch":  # then q T reaches both box bounds at integer T
+        x, y = x * q, y * q
+    box_planes, lifted = [(q, 0, x * scale), (0, q, y * scale)], (*line[:3], line[3] * q)
+    reach = _clip_parameter(box_planes, lifted, -math.inf, math.inf)
+    width = data.draw(st.integers(1, 50))
+    if kind == "miss" and reach is not None:
+        b0, b1 = reach
+        lo = data.draw(st.sampled_from([(b0 - 1) // q - width, b1 // q + 1]))
+    elif kind == "touch" and reach is not None:
+        lo = data.draw(st.sampled_from([reach[0] // q - width, reach[1] // q]))
+    else:
+        lo = data.draw(st.integers(-(10**4), 10**4))
+    hi = lo + width
+    boxed = _clip_parameter(box_planes, lifted, lo * q, hi * q)
+    if kind != "cross":
+        assert boxed is None if kind == "miss" or reach is None else boxed[0] == boxed[1]
+    want = []
+    if boxed is not None:
+        b0, b1 = boxed
+        want = [_line_key(lifted, scale, b0 + b1, 2) if b0 < b1 else _line_key(lifted, scale, b0)]
+    engine = SimpleNamespace(scale=scale, _table=table)
+    region = SimpleNamespace(edges=[(len(table) - 1, None, line, lo, hi)], inequalities=[None])
+    assert RegionEngine._facets_r2(engine, region, [[] for _ in table], (x, y, q))[1] == want
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1251,7 +1315,7 @@ def _facets_r2_all_priors(self, region, priors, box):
     scale = self.scale
     x, y, q = box
     box_planes = [(q, 0, x * scale), (0, q, y * scale)]
-    prior_planes = [prior.halfplanes for prior in _prior_regions(priors)]
+    prior_planes = [_halfplanes(prior) for prior in _prior_regions(priors)]
     facets, seeds = [], []
     for row, ineq, line, lo, hi in _edges_by_planes(region):
         lifted = (*line[:3], line[3] * q)
@@ -1375,9 +1439,9 @@ def test_single_ideal_facet_points_strictly_increase(single_engines, which, box)
 
 def test_halfplanes_have_one_row_per_wall(engine, single_engines):
     # E2 and E5 at the origin: normals (6, 2) and (21, 6), L * (k + 1) = 3, 10
-    assert engine.region_of((0, 0)).halfplanes == [(6, 2, 3), (21, 6, 10)]
+    assert _halfplanes(engine.region_of((0, 0))) == [(6, 2, 3), (21, 6, 10)]
     region = single_engines["example-a2"].region_of((0,))
-    assert region.halfplanes == [(2, 3)]  # F2 alone is dicritical at E2 only
+    assert _halfplanes(region) == [(2, 3)]  # F2 alone is dicritical at E2 only
     with pytest.raises(UnsupportedGeometry):
         region.vertices()
 
@@ -1388,7 +1452,9 @@ def test_vertices_of_a_hand_built_region(engine):
         WallInequality("E2", (1, 1), 7, 7),
         WallInequality("E3", (1, 2), 5, 7),
     )
-    region = RegionPolytope((0, 0, 1), engine.mmi((0, 0)), walls, 7)
+    # a stand-in engine: the region reads only its wall table
+    stand_in = SimpleNamespace(_table=_wall_table([wall.coeffs for wall in walls]))
+    region = RegionPolytope((0, 0, 1), engine.mmi((0, 0)), walls, 7, stand_in)
     # E2 (z1 + z2 < 1) misses the closure, so it gives no edge
     assert [wall.component for _, wall, *_ in region.edges] == ["E1", "E3"]
     want = [(0, 0), (0, Fraction(5, 14)), (Fraction(1, 21), Fraction(1, 3)), (Fraction(3, 14), 0)]
