@@ -217,11 +217,8 @@ def _cmd_min_jumping_divisor(engine, opts, fmt: str):
 
 def _cmd_verify(engine, opts, fmt: str):
     context = engine.at(opts["lambda"])
-    reports = [
-        verify_jump_identity(engine, context.coords),
-        verify_numeric_conditions(engine, context.coords),
-        verify_contribution_dichotomy(engine, context.coords),
-    ]
+    verifiers = (verify_jump_identity, verify_numeric_conditions, verify_contribution_dichotomy)
+    reports = [verify(engine, opts["lambda"]) for verify in verifiers]
     code = 0 if all(r.passed for r in reports) else 4
     if fmt != "text":
         return reportio.verification_json(context.key, reports), code

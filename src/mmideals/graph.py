@@ -15,9 +15,9 @@ into one); affine arrows never receive corrections but they do contribute to
 intersection products through the components they cross.  K is the one
 rational vector: a tuple over the same index, an int where it is integral.
 `DualGraph.adjacency` lists per component every component it meets
-(exceptional neighbours and affine crossings alike); products, the tree order
-and the classification read it.  `IdealDivisorSet.support` holds the global
-indices where some ideal divisor is positive.
+(exceptional neighbours and affine crossings alike); products and the tree
+order read it.  `IdealDivisorSet.support` holds the global indices where
+some ideal divisor is positive.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "IdealDivisorSet",
     "validate_graph",
     "relative_canonical",
-    "Classification",
 ]
 
 
@@ -384,23 +383,3 @@ class IdealDivisorSet:
         holds no affine index (those follow the exceptional ones)."""
         return max(self.support) < self.graph.n_exc
 
-
-class Classification:
-    """Tag exceptional components: `wall_relevant` holds those that are
-    rupture (three or more exceptional neighbors) or dicritical (positive
-    excess for some ideal), which is where region walls can live.  Affine
-    arrows never make a component rupture.  `ends` adds the components met
-    by an affine component in the support of the ideals: when the tuple is
-    not m-primary that strict transform carries multiplicity and plays the
-    dicritical role, so the minimal jumping divisor may end there as well."""
-
-    def __init__(self, graph: DualGraph, ideals: IdealDivisorSet):
-        n, adj = graph.n_exc, graph.adjacency
-        # Excesses are nonnegative, so a column with a nonzero entry is
-        # dicritical; a row lists exceptional neighbours first, so E_j is
-        # rupture when its third neighbour is exceptional.
-        self.wall_relevant = tuple(
-            j for j, column in enumerate(zip(*ideals.excess)) if any(column) or len(adj[j]) > 2 and adj[j][2] < n
-        )
-        crossed = [j for a in ideals.support if a >= n for j in adj[a]]
-        self.ends = frozenset(self.wall_relevant).union(crossed)

@@ -113,7 +113,7 @@ def minimal_jumping_divisor(engine: RegionEngine, lam) -> MinimalJumpingDivisor:
 
     Membership is the value equation against the left-limit divisor; the
     structural invariants (values in Z_{>0}; every exceptional end, a member
-    with at most one member neighbour, in `Classification.ends`) are
+    with at most one member neighbour, in `RegionEngine.ends`) are
     validated before returning.  Affine members are legitimate: they carry
     the jumps of the affine coordinates and count as valuation-carrying ends.
     """
@@ -143,9 +143,8 @@ def _minimal_jumping_divisor(context: PointContext) -> MinimalJumpingDivisor:
     member_set = set(members)
     valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
 
-    ends = context.classification.ends
     for j in members:
-        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in ends:
+        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in context.ends:
             raise InternalInvariant(
                 f"end component {graph.ids[j]} of the jumping divisor is neither "
                 "rupture nor dicritical nor crossed by an affine component "
@@ -290,7 +289,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     neighbors included, with k = 0).  Both routes must agree on a nonnegative
     integer, zero unless E_i is rupture or dicritical; a component crossed by
     an affine component with multiplicity counts as dicritical, as it does
-    for G (`Classification.ends`).  That every exceptional end of G is one is
+    for G (`RegionEngine.ends`).  That every exceptional end of G is one is
     not checked here: the constructor of G raises first, and a member outside
     the ends with at most one member neighbour has a negative expansion.
     """
@@ -301,7 +300,6 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
     # ceil(K - lam.F) is exactly -floor(lam.F - K)
     ceil_part = Divisor._of_ints(graph, [-c for c in context.floor.coeffs])
     with_g = ceil_part + gmin.divisor
-    ends = engine.classification.ends
 
     member_idx = [graph.index[cid] for cid in gmin.components]
     checks: list[Check] = []
@@ -321,7 +319,7 @@ def verify_numeric_conditions(engine: RegionEngine, lam) -> VerificationReport:
         checks.append(Check(f"{cid}: direct == expansion", direct * den == expansion, details))
         checks.append(Check(f"{cid}: integer", expansion % den == 0, details))
         checks.append(Check(f"{cid}: nonnegative", direct >= 0, details))
-        if i not in ends:
+        if i not in engine.ends:
             checks.append(Check(f"{cid}: zero off rupture/dicritical", direct == 0, details))
     return VerificationReport("numeric_conditions", coords, checks)
 

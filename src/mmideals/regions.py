@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedGeometry,
     ZeroPoint,
 )
-from .graph import Classification, IdealDivisorSet, _as_fraction, _refuse_non_sequence, relative_canonical
+from .graph import IdealDivisorSet, _as_fraction, _refuse_non_sequence, relative_canonical
 from .jumping import _minimal_jumping_divisor
 
 __all__ = [
@@ -197,7 +197,7 @@ class EnumerationResult:
         self.by_divisor = by_divisor  # divisor -> its record, in discovery order
         self.records = list(by_divisor.values())
         self.representatives = representatives  # keys of the processed points, in order (D)
-        self.queue = queue  # keys of the unprocessed seeds left over (N)
+        self.queue = queue  # keys of the seeds `max_points` left unprocessed (N)
         self.warnings = warnings
         self.m_primary = m_primary
 
@@ -319,7 +319,7 @@ class PointContext:
     """
 
     def __init__(self, engine: "RegionEngine", key: tuple[int, ...]):
-        self.graph, self.ideals, self.classification = engine.graph, engine.ideals, engine.classification
+        self.graph, self.ideals, self.ends = engine.graph, engine.ideals, engine.ends
         self.columns, self.scale = engine._columns, engine.scale
         self.key = key
         self.values, self.den = engine._numerators(key[:-1], key[-1])
@@ -334,9 +334,10 @@ class PointContext:
         form sum_i lam_i e_{i,j} is positive (q - 1 at integers, floor(q)
         elsewhere), v // den otherwise.  This is the exact eps -> 0+ limit of
         floor((1 - eps) * form - k): coordinates with form = 0 never move.
-        The form is positive exactly where some lam_i > 0 has e_{i,j} > 0."""
-        moving = {j for n, d in zip(self.key[:-1], self.ideals.divisors) if n for j, e in enumerate(d.coeffs) if e > 0}
-        return Divisor._of_ints(self.graph, [(v - (j in moving)) // self.den for j, v in enumerate(self.values)])
+        With m = key[-1], v_j + m L k_j is L times the form's numerator."""
+        m = self.key[-1]
+        floor = [(v - (v + m * k > 0)) // self.den for v, (_, k) in zip(self.values, self.columns)]
+        return Divisor._of_ints(self.graph, floor)
 
     @cached_property
     def left(self) -> Divisor:
@@ -376,7 +377,6 @@ class RegionEngine:
     def __init__(self, ideals: IdealDivisorSet):
         self.ideals = ideals
         self.graph = ideals.graph
-        self.classification = Classification(self.graph, ideals)
         # L = `scale`, the lcm of the denominators of K = X / D, is D / g
         # for g = gcd(D, X_1, ..), and L k_j is X_j / g.  Per component j
         # the normal (e_{1,j}, .., e_{r,j}) and L k_j (0 on affine ones).
@@ -385,10 +385,21 @@ class RegionEngine:
         self.scale = det // g
         scaled_k = [x // g for x in nums] + [0] * self.graph.n_aff
         self._columns = list(zip(zip(*(d.coeffs for d in ideals.divisors)), scaled_k))
+        # Walls live on `wall_relevant`: rupture components (a third
+        # exceptional neighbour; rows list those first, so affine arrows never
+        # make one) and dicritical ones (positive excess for some ideal, i.e.
+        # a nonzero column).  `ends` adds those an affine member of the
+        # support crosses: its strict transform carries multiplicity there and
+        # plays the dicritical role, so the jumping divisor may end there too.
+        n, adj = self.graph.n_exc, self.graph.adjacency
+        self.wall_relevant = tuple(
+            j for j, column in enumerate(zip(*ideals.excess)) if any(column) or len(adj[j]) > 2 and adj[j][2] < n
+        )
+        self.ends = frozenset(self.wall_relevant).union(j for a in ideals.support if a >= n for j in adj[a])
         self._points: dict[tuple[int, ...], PointContext] = {}
 
     canonical = cached_property(lambda self: relative_canonical(self.graph))
-    _table = cached_property(lambda self: _wall_table([self._columns[j][0] for j in self.classification.wall_relevant]))
+    _table = cached_property(lambda self: _wall_table([self._columns[j][0] for j in self.wall_relevant]))
 
     @property
     def r(self) -> int:
@@ -436,7 +447,7 @@ class RegionEngine:
 
     def _region(self, context: PointContext) -> RegionPolytope:
         divisor = context.divisor
-        ineqs = tuple(context.wall(j, divisor) for j in self.classification.wall_relevant)
+        ineqs = tuple(context.wall(j, divisor) for j in self.wall_relevant)
         return RegionPolytope(context.key, divisor, ineqs, self.scale, self)
 
     # -- enumeration -------------------------------------------------------
@@ -445,11 +456,11 @@ class RegionEngine:
         """Walk the constancy regions outward from the origin.
 
         `box` is the closed search window [0, box_1] x ... ; the result holds
-        it, the representatives and the queue as keys.  Seeds outside it stay
-        on the queue unprocessed, so with `max_points=None` the walk ends
-        exactly when every region meeting the box has a record.
-        `max_points` stops it after that many representatives (a point in a
-        known region only joins its representative list).
+        it, the representatives and the queue as keys.  Only seeds inside it
+        are queued, and the walk ends on an empty queue, when every region
+        meeting the box has a record, unless `max_points` stops it after that
+        many representatives (a point in a known region only joins its
+        representative list); the queue holds the seeds left then.
         """
         box_key = _point_key(box, self.r, "box")
         if min(box_key) <= 0:
@@ -465,7 +476,7 @@ class RegionEngine:
         representatives: list[tuple[int, ...]] = []
         by_divisor: dict[Divisor, ConstancyRecord] = {}
         # per wall row, (C, region) per record, sorted by C
-        priors: list[list[tuple]] = [[] for _ in self.classification.wall_relevant]
+        priors: list[list[tuple]] = [[] for _ in self.wall_relevant]
         warnings: list[str] = []
 
         steps = 0

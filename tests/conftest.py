@@ -237,9 +237,9 @@ def reference_setup(graph, ideals) -> dict:
     """What an engine's set-up computes, by the definitions its one integer
     pass replaced: K from the cached solve as Fractions, its adjunction
     checked with `dot_exceptional`; L as the lcm of K's denominators, and L * K; each
-    excess as -F . E_i per component; the support, and `Classification`'s
-    predicates, rupture counting exceptional neighbours only.  Keys are the
-    attribute names of the engine, `ideals` and `classification`."""
+    excess as -F . E_i per component; the support, and the engine's
+    `wall_relevant` and `ends`, rupture counting exceptional neighbours only.
+    Keys are the attribute names of the engine and `ideals`."""
     n = graph.n_exc
     nums, det = graph.canonical_numerators
     nums = nums + [0] * graph.n_aff

@@ -128,8 +128,8 @@ MUTANTS = [
     Mutant(
         "region-without-its-first-wall",
         "src/mmideals/regions.py",
-        "for j in self.classification.wall_relevant)\n        return RegionPolytope(",
-        "for j in self.classification.wall_relevant[1:])\n        return RegionPolytope(",
+        "for j in self.wall_relevant)\n        return RegionPolytope(",
+        "for j in self.wall_relevant[1:])\n        return RegionPolytope(",
         ("tests/test_regions.py::test_region_constants",),
         "one parser from outside coordinates to integer keys",
     ),
@@ -214,6 +214,73 @@ MUTANTS = [
         "for *_, line, lo, hi in RegionPolytope.edges.func(self) for t in (lo, hi)",
         ("tests/test_regions.py::test_drawing_a_walk_clips_no_wall",),
         "one clip routine in `src/`",
+    ),
+    Mutant(
+        "closure-raises-at-zero-excess",
+        "src/mmideals/divisors.py",
+        "if dot > 0:  # rise",
+        "if dot >= 0:  # rise",
+        ("tests/test_divisors.py::test_antinef_closure_golden",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "closure-requeues-only-the-raised",
+        "src/mmideals/divisors.py",
+        "queue = {j for i in raised for j in adjacency[i] if j < n}",
+        "queue = set(raised)",
+        ("tests/test_divisors.py::test_antinef_closure_golden",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "closure-returns-its-input",
+        "src/mmideals/divisors.py",
+        "return divisor if rounds == 1 else Divisor._of_ints(g, coeffs)",
+        "return divisor",
+        ("tests/test_divisors.py::test_antinef_closure_golden",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "closure-first-round-skips-component-0",
+        "src/mmideals/divisors.py",
+        "queue = range(n)",
+        "queue = range(1, n)",
+        ("tests/test_divisors.py::test_antinef_closure_golden",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "closure-raises-by-one",
+        "src/mmideals/divisors.py",
+        "coeffs[i] -= dot // self_int[i]",
+        "coeffs[i] += 1",
+        (
+            "tests/test_divisors.py::test_closure_dominates_and_is_antinef",
+            "tests/test_divisors.py::test_closure_monotone",
+        ),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "closure-drops-affine-coefficients",
+        "src/mmideals/divisors.py",
+        "            for j in adjacency[i]:\n                dot += coeffs[j]\n",
+        "            for j in adjacency[i]:\n                dot += coeffs[j] if j < n else 0\n",
+        ("tests/test_cli.py::test_variant_walk_output_digests",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "rupture-counts-affine-arrows",
+        "src/mmideals/regions.py",
+        "or len(adj[j]) > 2 and adj[j][2] < n",
+        "or len(adj[j]) > 2",
+        ("tests/test_graph.py::test_set_up_matches_the_reference_definitions",),
+        "one module decides the walls",
+    ),
+    Mutant(
+        "ends-without-the-crossed-components",
+        "src/mmideals/regions.py",
+        "self.ends = frozenset(self.wall_relevant).union(j for a in ideals.support if a >= n for j in adj[a])",
+        "self.ends = frozenset(self.wall_relevant)",
+        ("tests/test_jumping.py::test_crossed_components_are_classified_once",),
+        "one module decides the walls",
     ),
 ]
 

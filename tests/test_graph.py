@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import mmideals.divisors
 from mmideals.divisors import Divisor, antinef_closure, unload_once
-from mmideals.graph import Classification, DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
+from mmideals.graph import DualGraph, IdealDivisorSet, _tree_solve, relative_canonical, validate_graph
 from mmideals.io import build_ideals
 from mmideals.regions import RegionEngine
 from mmideals.errors import (
@@ -282,8 +282,7 @@ def test_set_up_matches_the_reference_definitions(tree, data):
     ideals = build_ideals(graph, raw["ideals"])
     engine = RegionEngine(ideals)
     assert [d.coeffs for d in ideals.divisors] == closed
-    got = {name: getattr(engine, name) for name in ("scale", "_columns", "canonical")}
-    got.update((name, getattr(engine.classification, name)) for name in ("wall_relevant", "ends"))
+    got = {name: getattr(engine, name) for name in ("scale", "_columns", "canonical", "wall_relevant", "ends")}
     got.update((name, getattr(ideals, name)) for name in ("excess", "support"))
     assert got == reference_setup(graph, ideals)
 
@@ -322,9 +321,9 @@ def test_excess_table(graph, ideals):
 
 
 def test_classification(graph, ideals):
-    cls = Classification(graph, ideals)
+    engine = RegionEngine(ideals)
     # walls live on rupture and dicritical components; the example has no rupture
-    wall_ids = tuple(graph.exc_ids[j] for j in cls.wall_relevant)
+    wall_ids = tuple(graph.exc_ids[j] for j in engine.wall_relevant)
     assert wall_ids == tuple(sorted(GOLDEN["rupture_ids"] + GOLDEN["dicritical_ids"]))
 
 
@@ -340,7 +339,7 @@ def test_rupture_needs_three_exceptional_neighbors():
         graph = validate_graph(raw)
         ideals = build_ideals(graph, raw["ideals"])
         assert ideals.excess[0] == (0,) + (1,) * len(names)
-        wall_ids = tuple(graph.exc_ids[j] for j in Classification(graph, ideals).wall_relevant)
+        wall_ids = tuple(graph.exc_ids[j] for j in RegionEngine(ideals).wall_relevant)
         assert wall_ids == (("C",) if len(names) == 3 else ()) + tuple(names)
 
 

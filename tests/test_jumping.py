@@ -92,14 +92,14 @@ def test_affine_member_when_arrow_carries_multiplicity():
 def test_crossed_components_are_classified_once(engine, affine_engine, monkeypatch):
     index = engine.graph.index
     # m-primary: the ends are exactly the dicritical E2 and E5
-    assert engine.classification.ends == {index["E2"], index["E5"]}
+    assert engine.ends == {index["E2"], index["E5"]}
     # the arrow A1 meets E2 and carries multiplicity in the A1 variant only;
     # there E2 has no excess left, so it is an end through the crossing alone
-    assert [affine_engine.graph.exc_ids[j] for j in affine_engine.classification.wall_relevant] == ["E5"]
-    assert affine_engine.classification.ends == {index["E2"], index["E5"]}
+    assert [affine_engine.graph.exc_ids[j] for j in affine_engine.wall_relevant] == ["E5"]
+    assert affine_engine.ends == {index["E2"], index["E5"]}
     assert affine_engine.at(point(("1/6", "1"))).gmin.components == ("E2", "A1")
     fresh = RegionEngine(affine_engine.ideals)
-    monkeypatch.setattr(fresh.classification, "ends", frozenset({index["E5"]}))
+    monkeypatch.setattr(fresh, "ends", frozenset({index["E5"]}))
     with pytest.raises(InternalInvariant, match="neither rupture nor dicritical"):
         fresh.at(point(("1/6", "1"))).gmin
 

@@ -227,14 +227,14 @@ def test_monomial_verifiers(monomial_pairs):
 
 def test_zero_off_rupture_dicritical_fails_a_missed_dicritical(monomial_pairs):
     # On this pair G is a chain through the dicritical E3_1, a member with two
-    # member neighbours, so the constructor accepts a classification that
-    # misses it; the check then sees its nonzero product.  The three example
-    # inputs never put a member outside the ends, so only inputs like this
-    # one exercise the check.
+    # member neighbours, so the constructor accepts ends that miss it; the
+    # check then sees its nonzero product.  The three example inputs never
+    # put a member outside the ends, so only inputs like this one exercise
+    # the check.
     ideals, _, engine = monomial_pairs[2]
     fresh, lam = RegionEngine(engine.ideals), (Fraction(0), Fraction(1))
     assert fresh.at(lam).gmin.components == ("E3_1", "E2_1", "E1_1", "A1_0", "A0_1")
     e31 = fresh.graph.index["E3_1"]
-    fresh.classification.ends = fresh.classification.ends - {e31}
+    fresh.ends = fresh.ends - {e31}
     report = verify_numeric_conditions(fresh, lam)
     assert [check.name for check in report.failures()] == ["E3_1: zero off rupture/dicritical"], ideals

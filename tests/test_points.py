@@ -53,6 +53,20 @@ def _left_floor_fractions(context) -> list:
     return [q - 1 if q.denominator == 1 and form > 0 else math.floor(q) for form, q in value_rows(context)]
 
 
+def _ends_of_the_graph(graph, divisors) -> set[int]:
+    """The exceptional components G may end on, from the graph alone:
+    rupture (a third exceptional neighbour), dicritical (-F . E_j > 0 for
+    some ideal F) or crossed by an affine component where some F is positive."""
+    n, adj = graph.n_exc, graph.adjacency
+    return {
+        j
+        for j in range(n)
+        if sum(nb < n for nb in adj[j]) >= 3
+        or any(graph.dot_exceptional(d.coeffs, j) < 0 for d in divisors)
+        or any(nb >= n and any(d.coeffs[nb] for d in divisors) for nb in adj[j])
+    }
+
+
 def _minimal_jumping_divisor_fractions(context) -> MinimalJumpingDivisor:
     coords = context.coords
     if not any(coords):
@@ -81,10 +95,9 @@ def _minimal_jumping_divisor_fractions(context) -> MinimalJumpingDivisor:
             raise InternalInvariant(f"member value {q} at {graph.ids[j]} is not a positive integer")
     member_set = set(members)
     valences = {graph.ids[j]: sum(1 for nb in graph.adjacency[j] if nb in member_set) for j in members}
-    relevant = set(context.classification.wall_relevant)
-    crossed = {j for j in range(graph.n_exc) if any(a >= graph.n_exc and total[a] > 0 for a in graph.adjacency[j])}
+    ends = _ends_of_the_graph(graph, ideals.divisors)
     for j in members:
-        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in relevant and j not in crossed:
+        if valences[graph.ids[j]] <= 1 and j < graph.n_exc and j not in ends:
             raise InternalInvariant(
                 f"end component {graph.ids[j]} of the jumping divisor is neither "
                 "rupture nor dicritical nor crossed by an affine component "
@@ -124,9 +137,7 @@ def _verify_numeric_conditions_fractions(engine, lam) -> VerificationReport:
     gmin = minimal_jumping_divisor(engine, lam)
     ideals, graph = engine.ideals, engine.graph
     with_g = Divisor(graph, [-c for c in context.floor.coeffs]) + gmin.divisor
-    total = [sum(column) for column in zip(*(d.coeffs for d in ideals.divisors))]
-    crossed = {j for j in range(graph.n_exc) if any(a >= graph.n_exc and total[a] > 0 for a in graph.adjacency[j])}
-    special = set(engine.classification.wall_relevant) | crossed
+    special = _ends_of_the_graph(graph, ideals.divisors)
     member_idx = [graph.index[cid] for cid in gmin.components]
     checks = []
     for i in member_idx:

@@ -515,6 +515,11 @@ def test_walks_of_random_boxes_cover_their_corners(engine, b1, b2):
     assert result.by_divisor.get(engine.mmi((b1, b2))) is not None
     divisors = [rec.divisor for rec in result.records]
     assert len(set(divisors)) == len(divisors)
+    # every seed lies in the closed box, and without max_points the walk
+    # ends on an empty queue
+    x, y, q = result.box
+    assert all(n1 * q <= x * den and n2 * q <= y * den for n1, n2, den in result.representatives)
+    assert result.queue == []
 
 
 def _engines(engine, affine_engine):
