@@ -479,12 +479,10 @@ class RegionEngine:
         priors: list[list[tuple]] = [[] for _ in self.wall_relevant]
         warnings: list[str] = []
 
-        steps = 0
         while queue:
             if max_points is not None and len(representatives) >= max_points:
                 break
-            steps += 1
-            if steps > ENUMERATION_GUARD:
+            if len(representatives) == ENUMERATION_GUARD:
                 raise LimitReached(f"walk passed ENUMERATION_GUARD = {ENUMERATION_GUARD} steps; shrink --box")
 
             self._prioritize(queue)

@@ -282,6 +282,22 @@ MUTANTS = [
         ("tests/test_jumping.py::test_crossed_components_are_classified_once",),
         "one module decides the walls",
     ),
+    Mutant(
+        "walk-cap-one-step-late",
+        "src/mmideals/regions.py",
+        "if len(representatives) == ENUMERATION_GUARD:",
+        "if len(representatives) > ENUMERATION_GUARD:",
+        ("tests/test_cli.py::test_exit_2_when_the_walk_reaches_its_cap",),
+        "the minimal jumping divisor is its membership equation",
+    ),
+    Mutant(
+        "jumping-divisor-members-off-the-divisor-at-the-point",
+        "src/mmideals/jumping.py",
+        "(1 + left.coeffs[j]) * den",
+        "(1 + context.divisor.coeffs[j]) * den",
+        ("tests/test_jumping.py::test_g_at_a_ray_jump_is_attained_with_positive_integer_values",),
+        "the minimal jumping divisor is its membership equation",
+    ),
 ]
 
 EQUIVALENT = [

@@ -898,6 +898,16 @@ def test_exit_2_when_the_walk_reaches_its_cap(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: LimitReached: ")
     assert "ENUMERATION_GUARD" in err and "--box" in err
+    # the cap counts representatives: the 42-step walk of box 1,3 fits a cap
+    # of 42 and stops at 41
+    monkeypatch.setattr(mmideals.regions, "ENUMERATION_GUARD", 42)
+    code, out, err = run(capsys, "enumerate", "--input", INPUT, "--box", "1,3")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["representatives"]) == 42
+    monkeypatch.setattr(mmideals.regions, "ENUMERATION_GUARD", 41)
+    code, out, err = run(capsys, "enumerate", "--input", INPUT, "--box", "1,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: LimitReached: ") and "ENUMERATION_GUARD = 41" in err
 
 
 FRACTIONAL_K = str(DATA / "fractional_k.json")

@@ -31,8 +31,10 @@ from mmideals.errors import (
     PreconditionViolated,
     ZeroPoint,
 )
+from mmideals.regions import _Ray
 
 from conftest import EXAMPLE_PATH, GOLDEN, count_closures, key_point, point, value_rows
+from strategies import _tree_engine
 
 
 JUMPING = [lam for lam in GOLDEN["walk_order"] if lam != ("0", "0")]
@@ -198,6 +200,29 @@ def walk_points(engine, affine_engine):
 
 
 coords = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_g_at_a_ray_jump_is_attained_with_positive_integer_values(engine, affine_engine, fractional_engine, data):
+    # The left limit is antinef, hence effective, so a member's value 1 +
+    # e_j(left) is a positive integer and a candidate of the dichotomy; and
+    # floor <= left would close to left, so at a jump some j has floor_j >
+    # left_j >= left_floor_j, which only a member can.  A ray step lands on
+    # a jump: before it the floor stays at or below the closure it starts at.
+    which = data.draw(st.sampled_from(["tree", "m-primary", "affine", "fractional-k"]), label="which")
+    fixtures = {"m-primary": engine, "affine": affine_engine, "fractional-k": fractional_engine}
+    eng = _tree_engine(data) if which == "tree" else fixtures[which]
+    direction = data.draw(st.lists(coords, min_size=eng.r, max_size=eng.r), label="direction")
+    if not any(direction):
+        direction[0] = Fraction(1)
+    t = data.draw(coords, label="t")
+    p, q = _Ray(eng, direction).step(t.numerator, t.denominator)
+    context = eng.at(tuple(Fraction(p, q) * u for u in direction))
+    assert min(context.left.coeffs) >= 0
+    assert context.gmin.components
+    for j in map(eng.graph.index.get, context.gmin.components):
+        assert context.values[j] % context.den == 0 and context.values[j] >= context.den
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
